@@ -1,99 +1,42 @@
-"""Inversion-counting kernels behind the Kendall statistics.
+"""Inversion counting behind the Kendall statistics.
 
-Two interchangeable implementations of strict inversion counting on a
-float array: a numba-compiled bottom-up merge sort and a pure-numpy
-divide-and-conquer fallback.  Both return the exact integer count, so the
-choice of backend never changes results.
-
-Backend selection: numba is used when importable unless the environment
-variable ``LATENTCORR_DISABLE_NUMBA`` is set to a truthy value
-(``1``/``true``/``yes``).  ``count_inversions`` is the selected kernel;
-both implementations stay importable for the benchmark.
+One exact numpy kernel: a bottom-up merge sort over dense ranks.  Each
+of its ceil(log2 n) levels counts and merges every pair of adjacent
+sorted runs at once, with whole-array numpy calls (Knight 1966).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _numba_disabled() -> bool:
-    return os.environ.get("LATENTCORR_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-
-def count_inversions_numpy(a: np.ndarray) -> int:
-    """Strict inversions (i < j, a[i] > a[j]) by merge-based recursion."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-
-    def rec(x):
-        n = x.size
-        if n < 2:
-            return 0, x
-        mid = n // 2
-        inv_l, left = rec(x[:mid])
-        inv_r, right = rec(x[mid:])
-        # pairs (i in left, j in right) with left[i] > right[j]
-        cross = int(np.sum(left.size - np.searchsorted(left, right, side="right")))
-        merged = np.empty(n, dtype=np.float64)
-        idx = np.searchsorted(left, right, side="right") + np.arange(right.size)
-        mask = np.zeros(n, dtype=bool)
-        mask[idx] = True
-        merged[mask] = right
-        merged[~mask] = left
-        return inv_l + inv_r + cross, merged
-
-    return rec(a)[0]
+# perfbench/child.py reports this in its environment record.
+BACKEND = "numpy"
 
 
-try:
-    if _numba_disabled():
-        raise ImportError("numba disabled by LATENTCORR_DISABLE_NUMBA")
-    from numba import njit
+def count_inversions(a) -> int:
+    """Strict inversions (i < j, a[i] > a[j]) of a 1-D array, exactly.
 
-    @njit(cache=True)
-    def _count_inversions_jit(a):  # pragma: no cover - exercised via wrapper
-        n = a.size
-        arr = a.copy()
-        buf = np.empty(n, dtype=np.float64)
-        inv = 0
-        width = 1
-        while width < n:
-            lo = 0
-            while lo < n:
-                mid = min(lo + width, n)
-                hi = min(lo + 2 * width, n)
-                i, j, k = lo, mid, lo
-                while i < mid and j < hi:
-                    if arr[j] < arr[i]:
-                        buf[k] = arr[j]
-                        j += 1
-                        inv += mid - i
-                    else:
-                        buf[k] = arr[i]
-                        i += 1
-                    k += 1
-                while i < mid:
-                    buf[k] = arr[i]
-                    i += 1
-                    k += 1
-                while j < hi:
-                    buf[k] = arr[j]
-                    j += 1
-                    k += 1
-                lo += 2 * width
-            arr, buf = buf, arr
-            width *= 2
-        return inv
-
-    def count_inversions_numba(a: np.ndarray) -> int:
-        return int(_count_inversions_jit(np.ascontiguousarray(a, dtype=np.float64)))
-
-    HAS_NUMBA = True
-    count_inversions = count_inversions_numba
-    BACKEND = "numba"
-except ImportError:
-    HAS_NUMBA = False
-    count_inversions_numba = None
-    count_inversions = count_inversions_numpy
-    BACKEND = "numpy"
+    At each level the key block * (n + 1) + rank sorts every pair of
+    adjacent sorted runs into one, and stays below n**2, so int64
+    arithmetic is exact for n < 3e9.
+    """
+    a = np.asarray(a, dtype=np.float64).ravel()
+    n = a.size
+    rank = np.unique(a, return_inverse=True)[1].astype(np.int64)
+    pos = np.arange(n)
+    inv = 0
+    width = 1
+    while width < n:
+        block = pos // (2 * width)
+        key = block * (n + 1) + rank
+        right = (pos // width) % 2 == 1
+        # The left-run keys are sorted across blocks.  Those at or below the
+        # end of a right element's own left run number (block + 1) * width,
+        # as every left run before a right one is full; the ones above its
+        # key are its inversions.
+        below = np.searchsorted(key[~right], key[right], side="right")
+        inv += int(np.sum((block[right] + 1) * width - below))
+        # timsort finds the two sorted runs per block and merges them in O(n)
+        rank = np.sort(key, kind="stable") - block * (n + 1)
+        width *= 2
+    return inv

@@ -345,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="mark unsupported pairs missing instead of aborting")
         p.add_argument("--seed", type=int, help="random seed")
         p.add_argument("--out-dir", default=".", help="directory for output artifacts")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; estimation currently runs single-threaded")
 
     p_est = sub.add_parser("estimate", help="latent correlation matrix of a CSV file")
     common(p_est, True)

@@ -181,8 +181,10 @@ def estimate_latent_correlation(
                 tau = kendall.tau_a(xj, xk)
                 res = invert_bridge(tau, BridgeKind.continuous_continuous())
                 tag = "sin_fallback"
-            except kendall.DegenerateColumnError as exc:
-                raise kendall.DegenerateColumnError(f"pair ({j}, {k}): {exc}") from exc
+            except ValueError as exc:
+                raise type(exc)(
+                    f"pair ({j}, {k}) [{specs[j].name!r}, {specs[k].name!r}]: {exc}"
+                ) from exc
             values[j, k] = values[k, j] = res.r
             method[j, k] = method[k, j] = tag
             clamped[j, k] = clamped[k, j] = res.clamped

@@ -8,6 +8,7 @@ either column of a pair are dropped pairwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +54,9 @@ def _clean_pair(x, y):
     return x, y
 
 
-def _tau_counts(x, y) -> TauStatistics:
-    n = x.size
-    n_pairs = n * (n - 1) // 2
+def _tau_counts(x, y) -> tuple[int, int, int, int, int]:
+    """(C(n, 2), C - D, discordant, ties in x, ties in y) over all pairs."""
+    n_pairs = x.size * (x.size - 1) // 2
     order = np.lexsort((y, x))
     xs, ys = x[order], y[order]
     t_x = _tie_pairs(xs)
@@ -64,29 +65,14 @@ def _tau_counts(x, y) -> TauStatistics:
     t_xy = _tie_pairs(joint)
     discordant = count_inversions(ys)
     t_y = _tie_pairs(np.sort(ys))
-    con_minus_dis = n_pairs - t_x - t_y + t_xy - 2 * discordant
-    concordant = n_pairs - t_x - t_y + t_xy - discordant
-    ta = con_minus_dis / n_pairs
-    denom = (n_pairs - t_x) * (n_pairs - t_y)
-    if denom == 0:
-        tb = np.nan
-    else:
-        tb = con_minus_dis / np.sqrt(denom)
-    return TauStatistics(
-        tau_a=float(ta),
-        tau_b=float(tb),
-        concordant=int(concordant),
-        discordant=int(discordant),
-        ties_j=int(t_x),
-        ties_k=int(t_y),
-        n_pairs=int(n_pairs),
-    )
+    return n_pairs, n_pairs - t_x - t_y + t_xy - 2 * discordant, discordant, t_x, t_y
 
 
 def tau_a(x, y) -> float:
     """Kendall's tau-a: (C - D) / C(n, 2), ties contributing zero."""
     x, y = _clean_pair(x, y)
-    return _tau_counts(x, y).tau_a
+    n_pairs, con_minus_dis, *_ = _tau_counts(x, y)
+    return con_minus_dis / n_pairs
 
 
 def tau_b(x, y) -> TauStatistics:
@@ -95,11 +81,20 @@ def tau_b(x, y) -> TauStatistics:
     Raises DegenerateColumnError when either column is constant.
     """
     x, y = _clean_pair(x, y)
-    stats = _tau_counts(x, y)
-    if stats.n_pairs == stats.ties_j or stats.n_pairs == stats.ties_k:
-        which = "first" if stats.n_pairs == stats.ties_j else "second"
+    n_pairs, con_minus_dis, discordant, t_x, t_y = _tau_counts(x, y)
+    if n_pairs == t_x or n_pairs == t_y:
+        which = "first" if n_pairs == t_x else "second"
         raise DegenerateColumnError(f"{which} column is constant; tau_b undefined")
-    return stats
+    return TauStatistics(
+        tau_a=con_minus_dis / n_pairs,
+        # the product can pass 2**64 from n = 92,682; math.sqrt takes any int
+        tau_b=con_minus_dis / math.sqrt((n_pairs - t_x) * (n_pairs - t_y)),
+        concordant=con_minus_dis + discordant,
+        discordant=discordant,
+        ties_j=t_x,
+        ties_k=t_y,
+        n_pairs=n_pairs,
+    )
 
 
 def pairwise_tau(data, which: str = "a") -> np.ndarray:

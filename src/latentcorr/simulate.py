@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kendall
+# estimate_cutoffs is unused here but stays bound: perfbench/spans.py wraps it by name.
 from .bridge import BridgeKind, estimate_cutoffs, invert_bridge
-from .estimator import ColumnSpec, _recode_ordinal, estimate_latent_correlation
+from .estimator import ColumnSpec, estimate_latent_correlation
 from .normal_dist import std_quantile
 
 __all__ = [
@@ -129,22 +130,6 @@ def _default_r_grid() -> np.ndarray:
     return grid[grid <= R_GRID_CAP]
 
 
-def _estimate_pair(codes: np.ndarray, cont: np.ndarray) -> float:
-    """Invert the p-level bridge for one discretized/continuous pair.
-
-    A replicate whose discretized column collapses to a single observed
-    level carries no rank information; its estimate is 0 (the all-ties
-    tau maps to 0).
-    """
-    recoded, p_eff = _recode_ordinal(codes)
-    if p_eff < 2:
-        return 0.0
-    cuts = estimate_cutoffs(recoded, p_eff)
-    tau = kendall.tau_a(recoded, cont)
-    res = invert_bridge(tau, BridgeKind.ordinal_continuous(p_eff), cuts, None)
-    return res.r
-
-
 def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse_from=None):
     """Shared harness for both discretization protocols.
 
@@ -183,7 +168,14 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse_fro
                     codes = np.minimum(codes16, p - 1)
                 else:
                     codes = np.digitize(z[:, 0], pop_cuts[p]).astype(float)
-                r_hat = _estimate_pair(codes, z[:, 1])
+                try:
+                    r_hat = estimate_latent_correlation(
+                        np.column_stack((codes, z[:, 1])), [ColumnSpec("x0", p), ColumnSpec("x1")]
+                    ).values[0, 1]
+                except kendall.DegenerateColumnError:
+                    # a single observed level carries no rank information;
+                    # the all-ties tau maps to 0
+                    r_hat = 0.0
                 sq_err[p][i] += (r_hat - r) ** 2
 
     bins = np.linspace(0.0, 1.0, N_BINS + 1)

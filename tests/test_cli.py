@@ -134,6 +134,21 @@ def test_estimate_unsupported_pair_aborts_without_flag(tmp_path):
     assert json.loads((out / "errors.json").read_text())["stage"] == "estimate"
 
 
+def test_estimate_error_names_pair_without_complete_rows(tmp_path):
+    # b and c are both observed only in the last row
+    path = tmp_path / "sparse.csv"
+    write_csv(path, ["a", "b", "c"], [
+        (1.5, 2.5, None), (2.5, None, 3.5), (3.5, 1.5, None), (4.5, None, 0.5), (5.5, 0.7, 2.2),
+    ])
+    out = tmp_path / "out"
+    assert main(["estimate", "--data", str(path), "--out-dir", str(out)]) == 2
+    err = json.loads((out / "errors.json").read_text())
+    assert err["stage"] == "estimate"
+    assert err["message"] == (
+        "pair (1, 2) ['b', 'c']: need at least 2 complete observations, got 1"
+    )
+
+
 def test_estimate_allow_partial_marks_missing(tmp_path):
     rng = np.random.default_rng(0)
     rows = list(zip(rng.integers(0, 5, 200), rng.integers(0, 5, 200)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentcorr import kendall
-from latentcorr._kernels import count_inversions_numba, count_inversions_numpy, HAS_NUMBA
+from latentcorr._kernels import count_inversions
 
 # ---------------------------------------------------------------------------
 # Oracle: O(n^2) enumeration of concordant/discordant/tied pairs
@@ -144,28 +144,51 @@ def test_pairwise_tau_names_offending_pair():
 
 
 # ---------------------------------------------------------------------------
-# Backend equivalence
+# Inversion kernel and large n
 # ---------------------------------------------------------------------------
 
 
-def test_inversion_kernels_agree_bit_for_bit():
+def test_inversion_kernel_matches_enumeration():
     rng = np.random.default_rng(4)
-    for n in (1, 2, 3, 17, 256, 1000, 4097):
-        for arr in (rng.standard_normal(n), rng.integers(0, 5, n).astype(float)):
-            want = count_inversions_numpy(arr)
-            if HAS_NUMBA:
-                assert count_inversions_numba(arr) == want
+    for n in (0, 1, 2, 3, 17, 256, 1000, 4097):
+        cases = (
+            rng.standard_normal(n),
+            rng.integers(0, 5, n).astype(float),
+            np.zeros(n),
+            np.arange(n, 0, -1.0),
+        )
+        for arr in cases:
             # oracle: O(n^2) strict-inversion count over pairs i < j
-            if n < 1200:
-                brute = int(np.triu(arr[:, None] > arr[None, :], 1).sum())
-                assert want == brute
+            brute = int(np.triu(arr[:, None] > arr[None, :], 1).sum())
+            assert count_inversions(arr) == brute
 
 
-def test_numpy_fallback_env_flag(monkeypatch):
-    import importlib
-    from latentcorr import _kernels
+def test_tau_at_large_n():
+    # from n = 92,682 rows, C(n, 2)**2 passes 2**64
+    x = np.arange(100_000.0)
+    assert kendall.tau_a(x, x) == 1.0
+    assert kendall.tau_a(x, -x) == -1.0
 
-    monkeypatch.setenv("LATENTCORR_DISABLE_NUMBA", "1")
-    assert _kernels._numba_disabled()
-    monkeypatch.setenv("LATENTCORR_DISABLE_NUMBA", "0")
-    assert not _kernels._numba_disabled()
+
+def test_tau_b_at_large_n_matches_contingency_counts():
+    # binary x ternary, in shuffled row order; with these ties the tau_b
+    # denominator (N - ties_x)(N - ties_y) passes 2**64 at n = 150,000
+    table = np.array([[30_000, 25_000, 20_000], [20_000, 25_000, 30_000]])
+    n = int(table.sum())
+    cells = [(i, j) for i in range(2) for j in range(3)]
+    x = np.repeat([float(i) for i, _ in cells], table.ravel())
+    y = np.repeat([float(j) for _, j in cells], table.ravel())
+    order = np.random.default_rng(5).permutation(n)
+    stats = kendall.tau_b(x[order], y[order])
+
+    conc = int(sum(table[0, j] * table[1, k] for j in range(3) for k in range(3) if k > j))
+    disc = int(sum(table[0, j] * table[1, k] for j in range(3) for k in range(3) if k < j))
+    ties_x = int(sum(r * (r - 1) // 2 for r in table.sum(axis=1)))
+    ties_y = int(sum(c * (c - 1) // 2 for c in table.sum(axis=0)))
+    n_pairs = n * (n - 1) // 2
+    assert (n_pairs - ties_x) * (n_pairs - ties_y) > 2**64
+    assert (stats.concordant, stats.discordant) == (conc, disc)
+    assert (stats.ties_j, stats.ties_k, stats.n_pairs) == (ties_x, ties_y, n_pairs)
+    expected = (conc - disc) / np.sqrt(float(n_pairs - ties_x) * float(n_pairs - ties_y))
+    assert stats.tau_b == pytest.approx(expected, rel=1e-12)
+    assert stats.tau_a == (conc - disc) / n_pairs
