@@ -37,7 +37,7 @@ from .glasso import (
     refit_support,
     select_hbic,
 )
-from .kendall import DegenerateColumnError, TauStatistics, pairwise_tau, tau_a, tau_b
+from .kendall import DegenerateColumnError, TauStatistics, tau_a, tau_b
 from .simulate import (
     CopulaSpec,
     ErrorCurve,
@@ -76,7 +76,6 @@ __all__ = [
     "hbic_score",
     "infer_column_specs",
     "invert_bridge",
-    "pairwise_tau",
     "project_psd",
     "sample_copula",
     "scenario1",

@@ -60,6 +60,10 @@ __all__ = [
 # Latent correlations are kept inside [-1 + CLAMP, 1 - CLAMP].
 CLAMP = 1e-6
 
+# Safeguarded Newton stops at |F(r) - tau| <= NEWTON_TOL or after NEWTON_MAX_ITER steps.
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITER = 200
+
 # Tractability ceiling for the exact second-order tau-b sum: C(n,2) <= 1e4.
 SECOND_ORDER_MAX_PAIRS = 10_000
 
@@ -101,6 +105,21 @@ class BridgeKind:
     def is_continuous_pair(self) -> bool:
         return self.levels_j is None and self.levels_k is None
 
+    @property
+    def has_tau_b(self) -> bool:
+        """Binary-binary or binary-continuous: the pairs with a tau-b bridge."""
+        return not self.is_continuous_pair and {self.levels_j, self.levels_k} <= {None, 2}
+
+    @property
+    def tag(self) -> str:
+        """Method label, e.g. 'sin', 'ordinal3_continuous', 'ordinal2_ordinal3'."""
+        lj, lk = self.levels_j, self.levels_k
+        if self.is_continuous_pair:
+            return "sin"
+        if lj is None or lk is None:
+            return f"ordinal{lj or lk}_continuous"
+        return f"ordinal{lj}_ordinal{lk}"
+
 
 @dataclass(frozen=True)
 class BridgeEval:
@@ -138,25 +157,19 @@ def estimate_cutoffs(column, p: int) -> np.ndarray:
 
 
 def _check_cutoffs(kind: BridgeKind, cutoffs_j, cutoffs_k):
-    cj = None if cutoffs_j is None else np.asarray(cutoffs_j, dtype=float).ravel()
-    ck = None if cutoffs_k is None else np.asarray(cutoffs_k, dtype=float).ravel()
-    if kind.levels_j is not None:
-        if cj is None or cj.size != kind.levels_j - 1:
-            raise ValueError(
-                f"expected {kind.levels_j - 1} cutoffs for a {kind.levels_j}-level "
-                f"variable, got {None if cj is None else cj.size}"
-            )
-        if np.any(np.diff(cj) < 0):
-            raise ValueError("cutoffs must be nondecreasing")
-    if kind.levels_k is not None:
-        if ck is None or ck.size != kind.levels_k - 1:
-            raise ValueError(
-                f"expected {kind.levels_k - 1} cutoffs for a {kind.levels_k}-level "
-                f"variable, got {None if ck is None else ck.size}"
-            )
-        if np.any(np.diff(ck) < 0):
-            raise ValueError("cutoffs must be nondecreasing")
-    return cj, ck
+    checked = []
+    for levels, cuts in ((kind.levels_j, cutoffs_j), (kind.levels_k, cutoffs_k)):
+        cuts = None if cuts is None else np.asarray(cuts, dtype=float).ravel()
+        if levels is not None:
+            if cuts is None or cuts.size != levels - 1:
+                raise ValueError(
+                    f"expected {levels - 1} cutoffs for a {levels}-level "
+                    f"variable, got {None if cuts is None else cuts.size}"
+                )
+            if np.any(np.diff(cuts) < 0):
+                raise ValueError("cutoffs must be nondecreasing")
+        checked.append(cuts)
+    return tuple(checked)
 
 
 def _ordinal_continuous_eval(r: float, cutoffs: np.ndarray) -> tuple[float, float]:
@@ -214,22 +227,20 @@ def bridge_forward(r: float, kind: BridgeKind, cutoffs_j=None, cutoffs_k=None) -
 
 def _tau_b_denominator(kind: BridgeKind, cj, ck) -> float:
     """sqrt of the tie-probability product for the tau-b bridges."""
+    if not kind.has_tau_b:
+        raise UnsupportedPairError(
+            "tau-b bridges are defined only for binary-binary and "
+            f"binary-continuous pairs, got {kind.tag}"
+        )
     terms = []
-    for levels, cuts in ((kind.levels_j, cj), (kind.levels_k, ck)):
-        if levels is None:
+    for cuts in (cj, ck):
+        if cuts is None:
             continue
-        if levels != 2:
-            raise UnsupportedPairError(
-                "tau-b bridges are defined only for binary-binary and "
-                f"binary-continuous pairs, got a {levels}-level variable"
-            )
         phi = std_cdf(cuts[0])
         untied = 2.0 * phi * (1.0 - phi)
         if untied <= 0.0:
             raise DegenerateBridgeError("binary cutoff at +-inf; tau_b bridge degenerate")
         terms.append(untied)
-    if not terms:
-        raise UnsupportedPairError("tau-b bridge requires at least one binary variable")
     return math.sqrt(math.prod(terms))
 
 
@@ -323,8 +334,6 @@ def invert_bridge(
     cutoffs_j=None,
     cutoffs_k=None,
     variant: str = "a",
-    tol: float = 1e-8,
-    max_iter: int = 200,
 ) -> InversionResult:
     """Invert the (strictly increasing) forward bridge at tau_hat.
 
@@ -360,10 +369,10 @@ def invert_bridge(
     r = math.sin(math.pi / 2.0 * max(-1.0, min(1.0, tau_hat)))
     r = min(max(r, lo + 1e-12), hi - 1e-12)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, NEWTON_MAX_ITER + 1):
         ev = forward(r, kind, cj, ck)
         f = ev.value - tau_hat
-        if abs(f) <= tol:
+        if abs(f) <= NEWTON_TOL:
             return InversionResult(r, False, iterations)
         if f > 0.0:
             hi = r
@@ -376,9 +385,9 @@ def invert_bridge(
         else:
             r = 0.5 * (lo + hi)
     ev = forward(r, kind, cj, ck)
-    if abs(ev.value - tau_hat) <= 10.0 * tol:
+    if abs(ev.value - tau_hat) <= 10.0 * NEWTON_TOL:
         return InversionResult(r, False, iterations)
     raise BridgeInversionError(
-        f"no convergence after {max_iter} iterations: kind={kind}, tau_hat={tau_hat}, "
+        f"no convergence after {NEWTON_MAX_ITER} iterations: kind={kind}, tau_hat={tau_hat}, "
         f"residual={ev.value - tau_hat:.3e}"
     )

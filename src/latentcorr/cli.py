@@ -31,7 +31,7 @@ from .estimator import (
 
 __all__ = ["main"]
 
-_OPTION_KEYS = ("tau", "seed", "hbic_cn", "lambda_path")
+_OPTION_KEYS = ("tau", "hbic_cn", "lambda_path")
 
 
 class CliError(Exception):
@@ -95,7 +95,7 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
 def read_manifest(path: str) -> tuple[dict[str, int | None], dict[str, str]]:
     """Flat 'name = kind' text: kind is 'continuous' or 'ordinal:p'.
 
-    Reserved option keys (tau, seed, hbic_cn, lambda_path) may also
+    Reserved option keys (tau, hbic_cn, lambda_path) may also
     appear; command-line flags take precedence over them.  Returns
     (column kinds, options).
     """
@@ -194,8 +194,6 @@ def _run_estimate_stage(args):
             data, specs, variant=tau,
             on_unsupported="missing" if args.allow_partial else "raise",
         )
-    except CliError:
-        raise
     except Exception as exc:
         raise CliError("estimate", str(exc)) from exc
     return header, data, est, options
@@ -231,6 +229,13 @@ def _parse_lambda_path(raw):
     return path
 
 
+def _parse_hbic_cn(raw):
+    try:
+        return float(raw)
+    except ValueError:
+        raise CliError("options", f"bad hbic_cn {raw!r}: expected a number") from None
+
+
 def cmd_graph(args, report):
     names, data, est, options = _run_estimate_stage(args)
     if np.isnan(est.values).any():
@@ -241,15 +246,14 @@ def cmd_graph(args, report):
             unsupported_pairs=_unsupported_pairs(est, names),
         )
     out = Path(args.out_dir)
+    raw_path = args.lambda_path or options.get("lambda_path")
+    lam_path = _parse_lambda_path(raw_path) if raw_path else None
+    raw_cn = options.get("hbic_cn", "3.0")
+    cn = args.hbic_cn if args.hbic_cn is not None else _parse_hbic_cn(raw_cn)
+    config = glasso.GlassoConfig(lambda_path=lam_path, hbic_cn=cn)
     try:
         r_psd = project_psd(est.values)
-        raw_path = args.lambda_path or options.get("lambda_path")
-        lam_path = _parse_lambda_path(raw_path) if raw_path else None
-        cn = args.hbic_cn if args.hbic_cn is not None else float(options.get("hbic_cn", 3.0))
-        config = glasso.GlassoConfig(lambda_path=lam_path, hbic_cn=cn)
         best, fits = glasso.select_hbic(r_psd, data.shape[0], config)
-    except CliError:
-        raise
     except Exception as exc:
         raise CliError("glasso", str(exc)) from exc
 
@@ -292,7 +296,6 @@ def _write_dot(path: Path, names, omega, edges) -> None:
 
 def cmd_simulate(args, report):
     out = Path(args.out_dir)
-    seed = args.seed if args.seed is not None else 0
     if args.scenario in ("1", "2"):
         runner = simulate.scenario1 if args.scenario == "1" else simulate.scenario2
         p_values = _parse_p_values(args.p_values) if args.p_values else range(2, 17)
@@ -301,23 +304,19 @@ def cmd_simulate(args, report):
             r_grid = np.round(
                 np.arange(0.0, simulate.R_GRID_CAP + 1e-9, args.r_step), 10
             )
-        curves = runner(p_values=p_values, r_grid=r_grid, n=args.n, reps=args.reps, seed=seed)
+        curves = runner(p_values=p_values, r_grid=r_grid, n=args.n, reps=args.reps, seed=args.seed)
         name = f"scenario{args.scenario}_curves.tsv"
         (out / name).write_text(simulate.error_curves_to_text(curves))
         report["artifacts"].append(name)
         report["curves"] = len(curves)
-    elif args.scenario == "concentration":
-        n_grid, err, slope = simulate.concentration_check(seed=seed)
+    else:  # concentration
+        n_grid, err, slope = simulate.concentration_check(seed=args.seed)
         with open(out / "concentration.tsv", "w") as fh:
             fh.write("n\tsup_error\n")
             for n, e in zip(n_grid, err):
                 fh.write(f"{n}\t{e:.12g}\n")
         report["artifacts"].append("concentration.tsv")
         report["log_log_slope"] = slope
-    else:
-        raise CliError(
-            "options", f"unknown scenario {args.scenario!r} (use 1, 2 or concentration)"
-        )
     return 0
 
 
@@ -336,22 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data_required):
-        if data_required:
-            p.add_argument("--data", required=True, help="input CSV (header row; empty cell = missing)")
-            p.add_argument("--manifest", help="column kinds: lines of 'name = continuous' or 'name = ordinal:p'")
-            p.add_argument("--tau", choices=("a", "b"), help="Kendall variant (default a)")
-            p.add_argument("--allow-partial", action="store_true",
-                           help="mark unsupported pairs missing instead of aborting")
-        p.add_argument("--seed", type=int, help="random seed")
+    def common(p):
+        p.add_argument("--data", required=True, help="input CSV (header row; empty cell = missing)")
+        p.add_argument("--manifest", help="column kinds: lines of 'name = continuous' or 'name = ordinal:p'")
+        p.add_argument("--tau", choices=("a", "b"), help="Kendall variant (default a)")
+        p.add_argument("--allow-partial", action="store_true",
+                       help="mark unsupported pairs missing instead of aborting")
         p.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
     p_est = sub.add_parser("estimate", help="latent correlation matrix of a CSV file")
-    common(p_est, True)
+    common(p_est)
 
     p_graph = sub.add_parser("graph", help="full pipeline: correlation, PSD projection, "
                              "graphical lasso, HBIC selection, DOT export")
-    common(p_graph, True)
+    common(p_graph)
     p_graph.add_argument("--lambda-path", help="comma-separated penalty values (default: 10 from m/10 to m)")
     p_graph.add_argument("--hbic-cn", type=float, help="HBIC penalty constant (default 3.0)")
 
@@ -361,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=80, help="replicates per grid point")
     p_sim.add_argument("--p-values", help="comma-separated level counts (default 2..16)")
     p_sim.add_argument("--r-step", type=float, help="latent correlation grid step (default 0.01)")
-    common(p_sim, False)
+    p_sim.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p_sim.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
     return parser
 

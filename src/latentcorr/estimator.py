@@ -31,6 +31,9 @@ __all__ = [
 # the number of distinct levels stays at or below this.
 ORDINAL_INFERENCE_MAX_LEVELS = 10
 
+# project_psd clips eigenvalues below this floor.
+PSD_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class ColumnSpec:
@@ -94,16 +97,6 @@ def _recode_ordinal(col: np.ndarray) -> tuple[np.ndarray, int]:
     return out, levels.size
 
 
-def _pair_kind(spec_j: ColumnSpec, spec_k: ColumnSpec, p_j: int, p_k: int) -> BridgeKind:
-    if spec_j.is_ordinal and spec_k.is_ordinal:
-        return BridgeKind.ordinal_ordinal(p_j, p_k)
-    if spec_j.is_ordinal:
-        return BridgeKind.ordinal_continuous(p_j)
-    if spec_k.is_ordinal:
-        return BridgeKind(None, p_k)
-    return BridgeKind.continuous_continuous()
-
-
 def estimate_latent_correlation(
     data,
     specs: list[ColumnSpec] | None = None,
@@ -143,6 +136,11 @@ def estimate_latent_correlation(
                 raise kendall.DegenerateColumnError(
                     f"ordinal column {spec.name!r} has a single observed level"
                 )
+            if eff_levels[j] > spec.levels:
+                raise ValueError(
+                    f"ordinal column {spec.name!r} declares {spec.levels} levels "
+                    f"but has {eff_levels[j]} observed levels"
+                )
             cutoffs[j] = estimate_cutoffs(cols[~np.isnan(cols[:, j]), j], eff_levels[j])
 
     values = np.eye(d)
@@ -152,16 +150,11 @@ def estimate_latent_correlation(
     for j in range(d):
         for k in range(j + 1, d):
             xj, xk = cols[:, j], cols[:, k]
-            keep = ~(np.isnan(xj) | np.isnan(xk))
-            xj, xk = xj[keep], xk[keep]
-            kind = _pair_kind(specs[j], specs[k], eff_levels[j], eff_levels[k])
-            use_variant = "a"
-            tag = _kind_tag(kind)
-            if variant == "b" and _tau_b_supported(kind):
-                use_variant = "b"
-                tag += ":tau_b"
-            elif variant == "b":
-                tag += ":tau_a_fallback"
+            kind = BridgeKind(eff_levels[j] or None, eff_levels[k] or None)
+            use_variant = "b" if variant == "b" and kind.has_tau_b else "a"
+            tag = kind.tag
+            if variant == "b":
+                tag += ":tau_b" if use_variant == "b" else ":tau_a_fallback"
             try:
                 if use_variant == "b":
                     tau = kendall.tau_b(xj, xk).tau_b
@@ -178,7 +171,7 @@ def estimate_latent_correlation(
                     values[j, k] = values[k, j] = np.nan
                     method[j, k] = method[k, j] = "unsupported"
                     continue
-                tau = kendall.tau_a(xj, xk)
+                # no unsupported kind has a tau-b bridge, so tau is tau-a here
                 res = invert_bridge(tau, BridgeKind.continuous_continuous())
                 tag = "sin_fallback"
             except ValueError as exc:
@@ -192,24 +185,8 @@ def estimate_latent_correlation(
     return LatentCorrelationMatrix(values=values, method=method, clamped=clamped, specs=list(specs))
 
 
-def _tau_b_supported(kind: BridgeKind) -> bool:
-    lj, lk = kind.levels_j, kind.levels_k
-    if lj is None and lk is None:
-        return False
-    return all(l in (None, 2) for l in (lj, lk))
-
-
-def _kind_tag(kind: BridgeKind) -> str:
-    lj, lk = kind.levels_j, kind.levels_k
-    if lj is None and lk is None:
-        return "sin"
-    if lj is None or lk is None:
-        return f"ordinal{lj or lk}_continuous"
-    return f"ordinal{lj}_ordinal{lk}"
-
-
-def project_psd(matrix, eps: float = 1e-8) -> np.ndarray:
-    """Nearest-PSD surrogate: clip eigenvalues below eps, rescale diagonal.
+def project_psd(matrix) -> np.ndarray:
+    """Nearest-PSD surrogate: clip eigenvalues below PSD_EPS, rescale diagonal.
 
     Returns the input unchanged (up to symmetrization) when it is already
     positive semidefinite with unit diagonal.  Idempotent.
@@ -223,7 +200,7 @@ def project_psd(matrix, eps: float = 1e-8) -> np.ndarray:
     eigval, eigvec = np.linalg.eigh(a)
     if eigval[0] >= 0.0:
         return a
-    clipped = np.maximum(eigval, eps)
+    clipped = np.maximum(eigval, PSD_EPS)
     out = (eigvec * clipped) @ eigvec.T
     scale = 1.0 / np.sqrt(np.diag(out))
     out = out * scale[:, None] * scale[None, :]

@@ -24,12 +24,19 @@ __all__ = [
 ]
 
 
+# Coordinate descent stops when no entry of W moves by more than
+# CONVERGENCE_TOL in a sweep, or after MAX_SWEEPS sweeps (the inner lasso
+# uses a tenth of the tolerance and the same cap).
+CONVERGENCE_TOL = 1e-6
+MAX_SWEEPS = 500
+# Off-diagonal precision entries above this magnitude count as edges.
+EDGE_THRESHOLD = 1e-8
+LAMBDA_PATH_POINTS = 10
+
+
 @dataclass(frozen=True)
 class GlassoConfig:
     lambda_path: tuple[float, ...] | None = None
-    convergence_tol: float = 1e-6
-    max_sweeps: int = 500
-    edge_threshold: float = 1e-8
     hbic_cn: float = 3.0
 
 
@@ -65,7 +72,7 @@ def glasso_objective(r: np.ndarray, omega: np.ndarray, lam: float) -> float:
     return float(np.trace(r @ omega) - logdet + penalty)
 
 
-def _fit_core(r: np.ndarray, lam_mat: np.ndarray, config: GlassoConfig):
+def _fit_core(r: np.ndarray, lam_mat: np.ndarray):
     """Block coordinate descent with a per-entry penalty matrix."""
     d = r.shape[0]
     if d == 1:
@@ -74,7 +81,7 @@ def _fit_core(r: np.ndarray, lam_mat: np.ndarray, config: GlassoConfig):
     w = r.copy()
     beta = np.zeros((d, d))
     sweeps = 0
-    for sweeps in range(1, config.max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         w_old = w.copy()
         for j in range(d):
             idx = np.arange(d) != j
@@ -84,7 +91,7 @@ def _fit_core(r: np.ndarray, lam_mat: np.ndarray, config: GlassoConfig):
             b = beta[idx, j]
             # Lasso: min 1/2 b' W11 b - s12' b + sum lam_m |b_m| via cyclic CD.
             v = w11 @ b
-            for _ in range(config.max_sweeps):
+            for _ in range(MAX_SWEEPS):
                 delta = 0.0
                 for m in range(d - 1):
                     old = b[m]
@@ -94,13 +101,13 @@ def _fit_core(r: np.ndarray, lam_mat: np.ndarray, config: GlassoConfig):
                         v += (new - old) * w11[:, m]
                         b[m] = new
                         delta = max(delta, abs(new - old))
-                if delta < config.convergence_tol * 0.1:
+                if delta < CONVERGENCE_TOL * 0.1:
                     break
             beta[idx, j] = b
             w12 = w11 @ b
             w[idx, j] = w12
             w[j, idx] = w12
-        if np.abs(w - w_old).max() < config.convergence_tol:
+        if np.abs(w - w_old).max() < CONVERGENCE_TOL:
             break
 
     omega = np.empty((d, d))
@@ -113,11 +120,7 @@ def _fit_core(r: np.ndarray, lam_mat: np.ndarray, config: GlassoConfig):
     return 0.5 * (omega + omega.T), sweeps
 
 
-def glasso_fit(
-    r: np.ndarray,
-    lam: float,
-    config: GlassoConfig = GlassoConfig(),
-) -> PrecisionEstimate:
+def glasso_fit(r: np.ndarray, lam: float) -> PrecisionEstimate:
     """Fit one penalized precision matrix at penalty lam."""
     r = np.asarray(r, dtype=float)
     d = r.shape[0]
@@ -125,8 +128,8 @@ def glasso_fit(
         raise ValueError("correlation matrix must be square")
     if lam < 0:
         raise ValueError(f"penalty must be nonnegative, got {lam}")
-    omega, sweeps = _fit_core(r, np.full((d, d), float(lam)), config)
-    edges = _edges(omega, config.edge_threshold)
+    omega, sweeps = _fit_core(r, np.full((d, d), float(lam)))
+    edges = _edges(omega, EDGE_THRESHOLD)
     return PrecisionEstimate(
         lam=float(lam),
         omega=omega,
@@ -141,7 +144,7 @@ def glasso_fit(
 _SUPPORT_PENALTY = 1e8
 
 
-def refit_support(r: np.ndarray, edges, config: GlassoConfig = GlassoConfig()) -> np.ndarray:
+def refit_support(r: np.ndarray, edges) -> np.ndarray:
     """Unpenalized MLE of the precision matrix constrained to a support.
 
     Off-diagonal entries outside the edge set are forced to exact zero;
@@ -153,7 +156,7 @@ def refit_support(r: np.ndarray, edges, config: GlassoConfig = GlassoConfig()) -
     np.fill_diagonal(lam_mat, 0.0)
     for j, k in edges:
         lam_mat[j, k] = lam_mat[k, j] = 0.0
-    omega, _ = _fit_core(r, lam_mat, config)
+    omega, _ = _fit_core(r, lam_mat)
     return omega
 
 
@@ -167,7 +170,7 @@ def _edges(omega: np.ndarray, threshold: float) -> list[tuple[int, int]]:
     ]
 
 
-def default_lambda_path(r: np.ndarray, n_points: int = 10) -> tuple[float, ...]:
+def default_lambda_path(r: np.ndarray) -> tuple[float, ...]:
     """10 equally spaced penalties from m/10 up to m = max offdiag |R|.
 
     When the off-diagonal is identically zero the path degenerates to a
@@ -178,7 +181,7 @@ def default_lambda_path(r: np.ndarray, n_points: int = 10) -> tuple[float, ...]:
     m = float(off.max())
     if m <= 0.0:
         return (1e-8,)
-    return tuple(np.linspace(m / n_points, m, n_points))
+    return tuple(np.linspace(m / LAMBDA_PATH_POINTS, m, LAMBDA_PATH_POINTS))
 
 
 def hbic_score(r: np.ndarray, omega: np.ndarray, n: int, cn: float = 3.0) -> float:
@@ -214,11 +217,11 @@ def select_hbic(
     fits = []
     refit_cache: dict[tuple, float] = {}
     for lam in sorted(path):
-        fit = glasso_fit(r, lam, config)
+        fit = glasso_fit(r, lam)
         support = tuple(fit.edges)
         if support not in refit_cache:
             refit_cache[support] = hbic_score(
-                r, refit_support(r, support, config), n, config.hbic_cn
+                r, refit_support(r, support), n, config.hbic_cn
             )
         fit.hbic = refit_cache[support]
         fits.append(fit)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import count_inversions
 
-__all__ = ["TauStatistics", "DegenerateColumnError", "tau_a", "tau_b", "pairwise_tau"]
+__all__ = ["TauStatistics", "DegenerateColumnError", "tau_a", "tau_b"]
 
 
 class DegenerateColumnError(ValueError):
@@ -95,31 +95,3 @@ def tau_b(x, y) -> TauStatistics:
         ties_k=t_y,
         n_pairs=n_pairs,
     )
-
-
-def pairwise_tau(data, which: str = "a") -> np.ndarray:
-    """Symmetric d x d matrix of tau-a or tau-b values, unit diagonal.
-
-    Degenerate pairs surface as DegenerateColumnError with the (j, k)
-    indices attached.
-    """
-    if which not in ("a", "b"):
-        raise ValueError(f"which must be 'a' or 'b', got {which!r}")
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise ValueError("data must be a 2-D (n, d) matrix")
-    n, d = data.shape
-    if n < 2:
-        raise ValueError("need at least 2 rows")
-    out = np.eye(d)
-    for j in range(d):
-        for k in range(j + 1, d):
-            try:
-                if which == "a":
-                    val = tau_a(data[:, j], data[:, k])
-                else:
-                    val = tau_b(data[:, j], data[:, k]).tau_b
-            except (DegenerateColumnError, ValueError) as exc:
-                raise type(exc)(f"pair ({j}, {k}): {exc}") from exc
-            out[j, k] = out[k, j] = val
-    return out

@@ -251,12 +251,11 @@ def test_criterion_08_tau_b_taylor_agreement():
 
 def test_criterion_09_glasso_correctness():
     # (a) 2x2 solution vs scalar brute force
-    config = glasso.GlassoConfig()
     worst = 0.0
     for r12 in (-0.8, -0.3, 0.2, 0.6, 0.9):
         for lam in (0.01, 0.1, 0.4, 1.0):
             r = np.array([[1.0, r12], [r12, 1.0]])
-            fit = glasso.glasso_fit(r, lam, config)
+            fit = glasso.glasso_fit(r, lam)
             worst = max(
                 worst, float(np.max(np.abs(fit.omega - brute_force_2x2(r12, lam))))
             )
@@ -269,7 +268,7 @@ def test_criterion_09_glasso_correctness():
     scale = np.sqrt(np.diag(cov))
     r = cov / np.outer(scale, scale)
     counts = [
-        len(glasso.glasso_fit(r, lam, config).edges)
+        len(glasso.glasso_fit(r, lam).edges)
         for lam in np.linspace(0.02, 0.8, 12)
     ]
     monotone_ok = all(a >= b for a, b in zip(counts, counts[1:]))
@@ -284,7 +283,7 @@ def test_criterion_09_glasso_correctness():
         x = simulate.sample_copula(spec, 2000, seed)
         est = estimator.estimate_latent_correlation(x, spec.column_specs)
         r_hat = estimator.project_psd(est.values)
-        best, _ = glasso.select_hbic(r_hat, 2000, config)
+        best, _ = glasso.select_hbic(r_hat, 2000)
         hits += set(map(tuple, best.edges)) == truth
     record_acceptance(
         9,

@@ -178,6 +178,7 @@ def test_manifest_errors(tmp_path):
         ("a = ordinal\n", "level count"),
         ("a = mystery\n", "unknown kind"),
         ("zz = continuous\n", "not in the CSV header"),
+        ("seed = 1\n", "unknown kind '1'"),  # not an option key
     ]:
         manifest = tmp_path / "m.txt"
         manifest.write_text(text)
@@ -187,6 +188,28 @@ def test_manifest_errors(tmp_path):
         ])
         assert code != 0
         assert frag in json.loads((out / "errors.json").read_text())["message"]
+
+
+def test_estimate_has_no_seed(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b\n1,2\n3,4\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit):
+        main(["estimate", "--data", str(path), "--seed", "1", "--out-dir", str(out)])
+
+
+def test_estimate_rejects_more_levels_than_declared(tmp_path):
+    path = tmp_path / "d.csv"
+    write_csv(path, ["u", "v"], [(j % 7, 0.5 * j) for j in range(40)])
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("u = ordinal:2\n")
+    out = tmp_path / "out"
+    code = main(["estimate", "--data", str(path), "--manifest", str(manifest),
+                 "--out-dir", str(out)])
+    assert code == 2
+    err = json.loads((out / "errors.json").read_text())
+    assert err["stage"] == "estimate"
+    assert err["message"] == "ordinal column 'u' declares 2 levels but has 7 observed levels"
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +265,18 @@ def test_graph_lambda_path_override(chain_csv, tmp_path):
         "graph", "--data", str(chain_csv), "--out-dir", str(out),
         "--lambda-path", "0.1,zzz",
     ]) != 0
+
+
+def test_graph_bad_manifest_hbic_cn_is_an_options_error(chain_csv, tmp_path):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("hbic_cn = abc\n")
+    out = tmp_path / "out"
+    code = main(["graph", "--data", str(chain_csv), "--manifest", str(manifest),
+                 "--out-dir", str(out)])
+    assert code == 2
+    err = json.loads((out / "errors.json").read_text())
+    assert err["stage"] == "options"
+    assert err["message"] == "bad hbic_cn 'abc': expected a number"
 
 
 def test_graph_refuses_partial_matrix(tmp_path):

@@ -113,6 +113,17 @@ def test_pairwise_deletion_of_missing_values():
     assert est.values[0, 1] == est2.values[0, 1]
 
 
+def test_tau_b_names_pair_left_constant_by_pairwise_deletion():
+    rng = np.random.default_rng(6)
+    binary = np.tile([0.0, 1.0], 50)
+    c = rng.standard_normal(100)
+    c[binary == 1.0] = np.nan  # the rows complete in (a, c) all have a == 0
+    data = np.column_stack([binary, rng.standard_normal(100), c])
+    specs = [ColumnSpec("a", 2), ColumnSpec("b", None), ColumnSpec("c", None)]
+    with pytest.raises(kendall.DegenerateColumnError, match=r"pair \(0, 2\) \['a', 'c'\]"):
+        estimator.estimate_latent_correlation(data, specs, variant="b")
+
+
 def test_unsupported_pair_modes():
     rng = np.random.default_rng(5)
     n = 300
@@ -127,6 +138,22 @@ def test_unsupported_pair_modes():
     est = estimator.estimate_latent_correlation(data, on_unsupported="fallback")
     assert np.isfinite(est.values[0, 1])
     assert est.method[0, 1] == "sin_fallback"
+
+
+@pytest.mark.parametrize("variant", ["a", "b"])
+def test_fallback_counts_tau_once_per_pair(variant, monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 300
+    data = np.column_stack(
+        [rng.integers(0, 5, n).astype(float), rng.integers(0, 5, n).astype(float),
+         rng.standard_normal(n)]
+    )
+    calls = []
+    tau_a = kendall.tau_a
+    monkeypatch.setattr(kendall, "tau_a", lambda x, y: calls.append(1) or tau_a(x, y))
+    est = estimator.estimate_latent_correlation(data, variant=variant, on_unsupported="fallback")
+    assert est.method[0, 1] == "sin_fallback"
+    assert len(calls) == 3  # one per pair, the unsupported (0, 1) included
 
 
 def test_single_level_ordinal_column_raises():

@@ -126,23 +126,6 @@ def test_input_validation():
         kendall.tau_a(np.array([1.0]), np.array([2.0]))
 
 
-def test_pairwise_tau_matrix():
-    rng = np.random.default_rng(3)
-    data = np.column_stack(
-        [rng.integers(0, 3, 80).astype(float), rng.standard_normal(80), rng.standard_normal(80)]
-    )
-    mat = kendall.pairwise_tau(data, which="a")
-    assert np.allclose(np.diag(mat), 1.0)
-    assert mat == pytest.approx(mat.T)
-    assert mat[0, 1] == kendall.tau_a(data[:, 0], data[:, 1])
-
-
-def test_pairwise_tau_names_offending_pair():
-    data = np.column_stack([np.ones(10), np.arange(10.0)])
-    with pytest.raises(kendall.DegenerateColumnError, match=r"pair \(0, 1\)"):
-        kendall.pairwise_tau(data, which="b")
-
-
 # ---------------------------------------------------------------------------
 # Inversion kernel and large n
 # ---------------------------------------------------------------------------
