@@ -224,16 +224,19 @@ def _parse_lambda_path(raw):
         path = tuple(float(v) for v in raw.split(","))
     except ValueError:
         raise CliError("options", f"bad lambda path {raw!r}: expected comma-separated numbers") from None
-    if not path or any(v <= 0 for v in path):
-        raise CliError("options", "lambda path values must be positive")
+    if not all(0 < v < np.inf for v in path):
+        raise CliError("options", f"lambda path values must be finite and positive, got {raw!r}")
     return path
 
 
 def _parse_hbic_cn(raw):
     try:
-        return float(raw)
+        cn = float(raw)
     except ValueError:
         raise CliError("options", f"bad hbic_cn {raw!r}: expected a number") from None
+    if not 0 <= cn < np.inf:
+        raise CliError("options", f"hbic_cn must be finite and nonnegative, got {raw!r}")
+    return cn
 
 
 def cmd_graph(args, report):
@@ -248,8 +251,8 @@ def cmd_graph(args, report):
     out = Path(args.out_dir)
     raw_path = args.lambda_path or options.get("lambda_path")
     lam_path = _parse_lambda_path(raw_path) if raw_path else None
-    raw_cn = options.get("hbic_cn", "3.0")
-    cn = args.hbic_cn if args.hbic_cn is not None else _parse_hbic_cn(raw_cn)
+    raw_cn = args.hbic_cn if args.hbic_cn is not None else options.get("hbic_cn", "3.0")
+    cn = _parse_hbic_cn(raw_cn)
     config = glasso.GlassoConfig(lambda_path=lam_path, hbic_cn=cn)
     try:
         r_psd = project_psd(est.values)
@@ -266,11 +269,13 @@ def cmd_graph(args, report):
             pc = -best.omega[j, k] / np.sqrt(best.omega[j, j] * best.omega[k, k])
             fh.write(f"{j}\t{k}\t{names[j]}\t{names[k]}\t{best.omega[j, k]:.12g}\t{pc:.12g}\n")
     with open(out / "hbic_trace.tsv", "w") as fh:
-        fh.write("lambda\thbic\tn_edges\tobjective\tselected\n")
+        # `selected` stays the last column.
+        fh.write("lambda\thbic\tn_edges\tobjective\tsweeps\tconverged\tselected\n")
         for fit in fits:
             fh.write(
                 f"{fit.lam:.12g}\t{fit.hbic:.12g}\t{fit.n_edges}\t"
-                f"{fit.objective:.12g}\t{int(fit.lam == best.lam)}\n"
+                f"{fit.objective:.12g}\t{fit.sweeps}\t{int(fit.converged)}\t"
+                f"{int(fit.lam == best.lam)}\n"
             )
     _write_dot(out / "graph.dot", names, best.omega, best.edges)
     report["artifacts"] += [
@@ -280,6 +285,21 @@ def cmd_graph(args, report):
     report["clamped_entries"] = int(np.triu(est.clamped, 1).sum())
     report["selected_lambda"] = best.lam
     report["n_edges"] = best.n_edges
+    report["unconverged_lambdas"] = [fit.lam for fit in fits if not fit.converged]
+    report["warnings"] = []
+    # HBIC depends on the penalty only through the edge set, so an endpoint
+    # is suspect only while the graph could still change beyond it.
+    d = len(names)
+    end = None
+    if len(fits) > 1 and best.lam == fits[0].lam and best.n_edges < d * (d - 1) // 2:
+        end = "smallest"
+    elif len(fits) > 1 and best.lam == fits[-1].lam and best.n_edges > 0:
+        end = "largest"
+    if end:
+        report["warnings"].append(
+            f"HBIC selected the {end} penalty of the lambda path ({best.lam:.12g}); "
+            "its minimum may lie outside the path"
+        )
     return 0
 
 
@@ -350,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "graphical lasso, HBIC selection, DOT export")
     common(p_graph)
     p_graph.add_argument("--lambda-path", help="comma-separated penalty values (default: 10 from m/10 to m)")
-    p_graph.add_argument("--hbic-cn", type=float, help="HBIC penalty constant (default 3.0)")
+    p_graph.add_argument("--hbic-cn", help="HBIC penalty constant (default 3.0)")
 
     p_sim = sub.add_parser("simulate", help="run the error-curve or concentration experiments")
     p_sim.add_argument("scenario", choices=("1", "2", "concentration"))

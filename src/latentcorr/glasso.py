@@ -1,18 +1,41 @@
 """Graphical lasso over a correlation matrix, with HBIC model selection.
 
-Solves  min_Omega  tr(R Omega) - log det Omega + lam * sum_{j != k} |Omega_jk|
-by block coordinate descent on the covariance estimate W (one column at a
-time, each column a lasso subproblem solved by cyclic coordinate descent).
-The diagonal is unpenalized, so W keeps the diagonal of R.
+Solves  min_Omega  tr(R Omega) - log det Omega + sum_{j != k} lam_jk |Omega_jk|
+by block coordinate descent on the covariance estimate W.  The diagonal is
+unpenalized, so W keeps the diagonal of R.  Each step updates one column
+of W through the lasso subproblem
+
+    min_b  1/2 b' W11 b - s12' b + sum_m lam_m |b_m|,
+
+which an active-set (feature-sign) method solves exactly (Lee et al. 2007,
+"Efficient sparse coding algorithms").  On the active set A with signs
+theta it solves  W11[A, A] b_A = s12[A] - lam_A theta_A.  If that moves a
+penalized coordinate through zero, it stops at the first crossing and
+drops the coordinate; otherwise it admits the zero coordinate that most
+violates the KKT condition |W11 b - s12|_m <= lam_m, until none does.
+Each column starts from the previous sweep's b.
+
+`glasso_fit` puts lam on every off-diagonal entry.  `refit_support`
+computes the exact maximum likelihood estimate under a zero pattern (ESL
+Algorithm 17.1): the penalty is 0 on the support, whose coordinates are
+always active, and infinite off it, so those are never admitted and each
+column solve is W11[A, A] b_A = s12[A].
+
+Both first split the variables into the connected components of
+{|R_jk| > lam_jk} (for a refit: the support edges).  The solution is block
+diagonal over them (Witten, Friedman & Simon 2011; Mazumder & Hastie 2012),
+so each component is fitted alone and a single variable j gets 1 / R_jj.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "ConvergenceWarning",
     "GlassoConfig",
     "PrecisionEstimate",
     "glasso_fit",
@@ -24,14 +47,18 @@ __all__ = [
 ]
 
 
-# Coordinate descent stops when no entry of W moves by more than
-# CONVERGENCE_TOL in a sweep, or after MAX_SWEEPS sweeps (the inner lasso
-# uses a tenth of the tolerance and the same cap).
+# Block coordinate descent stops when no entry of W moves by more than
+# CONVERGENCE_TOL in a sweep, or after MAX_SWEEPS sweeps; a column solve
+# stops after MAX_SWEEPS active-set steps.
 CONVERGENCE_TOL = 1e-6
 MAX_SWEEPS = 500
 # Off-diagonal precision entries above this magnitude count as edges.
 EDGE_THRESHOLD = 1e-8
 LAMBDA_PATH_POINTS = 10
+
+
+class ConvergenceWarning(RuntimeWarning):
+    """A fit stopped at MAX_SWEEPS before it converged."""
 
 
 @dataclass(frozen=True)
@@ -42,7 +69,13 @@ class GlassoConfig:
 
 @dataclass
 class PrecisionEstimate:
-    """One fitted precision matrix plus its selection bookkeeping."""
+    """One fitted precision matrix plus its selection bookkeeping.
+
+    `sweeps` counts the block coordinate descent sweeps of the slowest
+    component (0 when every variable is its own component).  `converged`
+    is false when the fit, its support refit or one of their column
+    solves stopped at MAX_SWEEPS.
+    """
 
     lam: float
     omega: np.ndarray
@@ -50,18 +83,11 @@ class PrecisionEstimate:
     edges: list[tuple[int, int]]
     hbic: float = np.nan
     sweeps: int = 0
+    converged: bool = True
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-
-def _soft_threshold(x: float, t: float) -> float:
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
 
 
 def glasso_objective(r: np.ndarray, omega: np.ndarray, lam: float) -> float:
@@ -72,52 +98,110 @@ def glasso_objective(r: np.ndarray, omega: np.ndarray, lam: float) -> float:
     return float(np.trace(r @ omega) - logdet + penalty)
 
 
-def _fit_core(r: np.ndarray, lam_mat: np.ndarray):
-    """Block coordinate descent with a per-entry penalty matrix."""
-    d = r.shape[0]
-    if d == 1:
-        return np.array([[1.0 / r[0, 0]]]), 0
+def _lasso_column(w, s, lam, b):
+    """Exact minimizer of 1/2 b'Wb - s'b + sum_m lam_m |b_m|, warm-started at b.
 
+    Coordinates with lam_m = 0 are always active and those with
+    lam_m = inf are never admitted.  Returns (b, converged).
+    """
+    b = b.copy()
+    active = (b != 0) | (lam == 0)
+    theta = np.sign(b)
+    for _ in range(MAX_SWEEPS):
+        a = active.nonzero()[0]
+        lam_a, theta_a = lam[a], theta[a]
+        x = np.linalg.solve(w[a[:, None], a], s[a] - lam_a * theta_a)
+        crossed = ((lam_a > 0) & (x * theta_a < 0)).nonzero()[0]
+        if crossed.size:
+            # Step to the first sign change and drop the coordinates there.
+            old = b[a[crossed]]
+            t = old / (old - x[crossed])
+            step = t.min()
+            if step == 0:
+                # A coordinate admitted at zero moves toward its sign in exact
+                # arithmetic, so its violation was roundoff: b is optimal.
+                return b, True
+            b[a] += step * (x - b[a])
+            gone = a[crossed[t == step]]
+            b[gone] = 0.0
+            active[gone] = False
+            continue
+        b[a] = x
+        grad = w[:, a] @ x - s
+        excess = np.where(active, -np.inf, np.abs(grad) - lam)
+        m = int(np.argmax(excess))
+        if excess[m] <= 0:
+            return b, True
+        active[m] = True
+        theta[m] = -np.sign(grad[m])
+    return b, False
+
+
+def _fit_block(r: np.ndarray, lam: np.ndarray):
+    """Block coordinate descent on one connected component (d >= 2)."""
+    d = r.shape[0]
+    lam = lam.copy()
+    np.fill_diagonal(lam, np.inf)  # column j's own coordinate is not a variable
     w = r.copy()
-    beta = np.zeros((d, d))
-    sweeps = 0
+    beta = np.zeros((d, d))  # row j: the lasso coefficients of column j
+    converged = True
     for sweeps in range(1, MAX_SWEEPS + 1):
         w_old = w.copy()
         for j in range(d):
-            idx = np.arange(d) != j
-            w11 = w[np.ix_(idx, idx)]
-            s12 = r[idx, j]
-            lam12 = lam_mat[idx, j]
-            b = beta[idx, j]
-            # Lasso: min 1/2 b' W11 b - s12' b + sum lam_m |b_m| via cyclic CD.
-            v = w11 @ b
-            for _ in range(MAX_SWEEPS):
-                delta = 0.0
-                for m in range(d - 1):
-                    old = b[m]
-                    resid = s12[m] - (v[m] - w11[m, m] * old)
-                    new = _soft_threshold(resid, lam12[m]) / w11[m, m]
-                    if new != old:
-                        v += (new - old) * w11[:, m]
-                        b[m] = new
-                        delta = max(delta, abs(new - old))
-                if delta < CONVERGENCE_TOL * 0.1:
-                    break
-            beta[idx, j] = b
-            w12 = w11 @ b
-            w[idx, j] = w12
-            w[j, idx] = w12
+            beta[j], ok = _lasso_column(w, r[:, j], lam[:, j], beta[j])
+            converged &= ok
+            nz = beta[j].nonzero()[0]
+            w12 = w[:, nz] @ beta[j, nz]
+            w12[j] = w[j, j]
+            w[:, j] = w12
+            w[j, :] = w12
         if np.abs(w - w_old).max() < CONVERGENCE_TOL:
             break
+    else:
+        converged = False
 
-    omega = np.empty((d, d))
-    for j in range(d):
-        idx = np.arange(d) != j
-        b = beta[idx, j]
-        o_jj = 1.0 / (w[j, j] - w[idx, j] @ b)
-        omega[j, j] = o_jj
-        omega[idx, j] = -b * o_jj
-    return 0.5 * (omega + omega.T), sweeps
+    omega = -beta.T
+    o_diag = 1.0 / (np.diag(w) - np.einsum("ij,ij->i", w, beta))
+    omega *= o_diag
+    np.fill_diagonal(omega, o_diag)
+    return 0.5 * (omega + omega.T), sweeps, converged
+
+
+def _components(adj: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric boolean adjacency matrix."""
+    label = np.arange(adj.shape[0])
+    while True:
+        # each vertex takes the smallest label among itself and its neighbours
+        new = np.where(adj, label, label[:, None]).min(axis=1)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    return [np.flatnonzero(label == c) for c in np.unique(label)]
+
+
+def _fit_core(r: np.ndarray, lam: np.ndarray):
+    """Fit with a per-entry penalty matrix, one component at a time.
+
+    Returns (omega, sweeps, converged).
+    """
+    omega = np.zeros_like(r)
+    sweeps, converged = 0, True
+    for block in _components(np.abs(r) > lam):
+        if block.size == 1:
+            j = block[0]
+            omega[j, j] = 1.0 / r[j, j]
+            continue
+        ix = np.ix_(block, block)
+        omega[ix], block_sweeps, ok = _fit_block(r[ix], lam[ix])
+        sweeps = max(sweeps, block_sweeps)
+        converged &= ok
+    return omega, sweeps, converged
+
+
+def _check_penalty(lam: float) -> None:
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"penalty must be finite and nonnegative, got {lam}")
 
 
 def glasso_fit(r: np.ndarray, lam: float) -> PrecisionEstimate:
@@ -126,48 +210,42 @@ def glasso_fit(r: np.ndarray, lam: float) -> PrecisionEstimate:
     d = r.shape[0]
     if r.shape != (d, d):
         raise ValueError("correlation matrix must be square")
-    if lam < 0:
-        raise ValueError(f"penalty must be nonnegative, got {lam}")
-    omega, sweeps = _fit_core(r, np.full((d, d), float(lam)))
-    edges = _edges(omega, EDGE_THRESHOLD)
+    _check_penalty(lam)
+    omega, sweeps, converged = _fit_core(r, np.full((d, d), float(lam)))
     return PrecisionEstimate(
         lam=float(lam),
         omega=omega,
         objective=glasso_objective(r, omega, lam),
-        edges=edges,
+        edges=_edges(omega, EDGE_THRESHOLD),
         sweeps=sweeps,
+        converged=converged,
     )
-
-
-# Effectively-infinite penalty used to pin entries outside a support to
-# zero when refitting the support-constrained maximum likelihood estimate.
-_SUPPORT_PENALTY = 1e8
 
 
 def refit_support(r: np.ndarray, edges) -> np.ndarray:
     """Unpenalized MLE of the precision matrix constrained to a support.
 
-    Off-diagonal entries outside the edge set are forced to exact zero;
-    entries on the support are unpenalized.
+    Off-diagonal entries outside the edge set are exact zeros; entries on
+    the support are unpenalized.  Warns with ConvergenceWarning when the
+    fit stopped at MAX_SWEEPS.
     """
     r = np.asarray(r, dtype=float)
     d = r.shape[0]
-    lam_mat = np.full((d, d), _SUPPORT_PENALTY)
-    np.fill_diagonal(lam_mat, 0.0)
+    lam = np.full((d, d), np.inf)
+    np.fill_diagonal(lam, 0.0)
     for j, k in edges:
-        lam_mat[j, k] = lam_mat[k, j] = 0.0
-    omega, _ = _fit_core(r, lam_mat)
+        lam[j, k] = lam[k, j] = 0.0
+    omega, _, converged = _fit_core(r, lam)
+    if not converged:
+        warnings.warn(
+            f"support refit stopped at {MAX_SWEEPS} sweeps", ConvergenceWarning, stacklevel=2
+        )
     return omega
 
 
 def _edges(omega: np.ndarray, threshold: float) -> list[tuple[int, int]]:
-    d = omega.shape[0]
-    return [
-        (j, k)
-        for j in range(d)
-        for k in range(j + 1, d)
-        if abs(omega[j, k]) > threshold
-    ]
+    j, k = np.nonzero(np.triu(np.abs(omega) > threshold, 1))
+    return list(zip(j.tolist(), k.tolist()))
 
 
 def default_lambda_path(r: np.ndarray) -> tuple[float, ...]:
@@ -213,17 +291,27 @@ def select_hbic(
     r = np.asarray(r, dtype=float)
     if n < 3:
         raise ValueError(f"need n >= 3 observations for HBIC, got {n}")
+    cn = config.hbic_cn
+    if not (np.isfinite(cn) and cn >= 0):
+        raise ValueError(f"hbic_cn must be finite and nonnegative, got {cn}")
     path = config.lambda_path or default_lambda_path(r)
+    for lam in path:
+        _check_penalty(lam)
     fits = []
-    refit_cache: dict[tuple, float] = {}
+    refits: dict[tuple, tuple[float, bool]] = {}
     for lam in sorted(path):
         fit = glasso_fit(r, lam)
         support = tuple(fit.edges)
-        if support not in refit_cache:
-            refit_cache[support] = hbic_score(
-                r, refit_support(r, support), n, config.hbic_cn
+        if support not in refits:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ConvergenceWarning)
+                omega = refit_support(r, support)
+            refit_converged = not any(
+                issubclass(w.category, ConvergenceWarning) for w in caught
             )
-        fit.hbic = refit_cache[support]
+            refits[support] = (hbic_score(r, omega, n, cn), refit_converged)
+        fit.hbic, refit_converged = refits[support]
+        fit.converged = fit.converged and refit_converged
         fits.append(fit)
     best = min(fits, key=lambda f: (f.hbic, f.lam))
     return best, fits

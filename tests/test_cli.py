@@ -227,8 +227,13 @@ def test_graph_pipeline_artifacts(chain_csv, tmp_path):
         assert (out / name).exists(), name
     trace = (out / "hbic_trace.tsv").read_text().strip().split("\n")
     assert len(trace) == 11  # header + 10 path points
-    assert trace[0].split("\t") == ["lambda", "hbic", "n_edges", "objective", "selected"]
-    assert sum(int(line.split("\t")[4]) for line in trace[1:]) >= 1
+    assert trace[0].split("\t") == [
+        "lambda", "hbic", "n_edges", "objective", "sweeps", "converged", "selected",
+    ]
+    assert sum(int(line.split("\t")[6]) for line in trace[1:]) >= 1
+    assert all(line.split("\t")[5] == "1" for line in trace[1:])
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["unconverged_lambdas"] == []
     edges = (out / "edges.tsv").read_text().strip().split("\n")
     got = {tuple(line.split("\t")[:2]) for line in edges[1:]}
     assert got == {("0", "1"), ("1", "2"), ("2", "3"), ("3", "4")}
@@ -250,6 +255,11 @@ def test_graph_identity_data_has_no_edges(tmp_path):
     assert main(["graph", "--data", str(path), "--out-dir", str(out)]) == 0
     edges = (out / "edges.tsv").read_text().strip().split("\n")
     assert len(edges) == 1  # header only
+    # the largest penalty wins with the empty graph, which no larger one changes
+    report = json.loads((out / "run_report.json").read_text())
+    last = (out / "hbic_trace.tsv").read_text().strip().split("\n")[-1].split("\t")
+    assert last[-1] == "1"
+    assert report["warnings"] == []
 
 
 def test_graph_lambda_path_override(chain_csv, tmp_path):
@@ -267,6 +277,21 @@ def test_graph_lambda_path_override(chain_csv, tmp_path):
     ]) != 0
 
 
+@pytest.mark.parametrize(
+    "path, end",
+    [("0.1,0.2,0.3", None), ("0.3,0.4,0.5", "smallest"), ("0.01,0.02", "largest")],
+)
+def test_graph_warns_when_hbic_selects_a_path_endpoint(chain_csv, tmp_path, path, end):
+    out = tmp_path / "out"
+    assert main(["graph", "--data", str(chain_csv), "--out-dir", str(out),
+                 "--lambda-path", path]) == 0
+    warnings = json.loads((out / "run_report.json").read_text())["warnings"]
+    if end is None:
+        assert warnings == []
+    else:
+        assert len(warnings) == 1 and f"the {end} penalty" in warnings[0]
+
+
 def test_graph_bad_manifest_hbic_cn_is_an_options_error(chain_csv, tmp_path):
     manifest = tmp_path / "m.txt"
     manifest.write_text("hbic_cn = abc\n")
@@ -277,6 +302,33 @@ def test_graph_bad_manifest_hbic_cn_is_an_options_error(chain_csv, tmp_path):
     err = json.loads((out / "errors.json").read_text())
     assert err["stage"] == "options"
     assert err["message"] == "bad hbic_cn 'abc': expected a number"
+
+
+@pytest.mark.parametrize(
+    "flag, manifest_line, option",
+    [
+        (["--hbic-cn", "nan"], None, "hbic_cn"),
+        (["--hbic-cn", "-1"], None, "hbic_cn"),
+        (None, "hbic_cn = nan", "hbic_cn"),
+        (None, "hbic_cn = -1", "hbic_cn"),
+        (["--lambda-path", "nan,0.1"], None, "lambda path"),
+        (["--lambda-path", "inf"], None, "lambda path"),
+        (None, "lambda_path = 0.1,inf", "lambda path"),
+    ],
+)
+def test_graph_rejects_bad_penalty_options(chain_csv, tmp_path, flag, manifest_line, option):
+    argv = ["graph", "--data", str(chain_csv), "--out-dir", str(tmp_path / "out")]
+    if flag:
+        argv += flag
+    if manifest_line:
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(manifest_line + "\n")
+        argv += ["--manifest", str(manifest)]
+    assert main(argv) == 2
+    err = json.loads((tmp_path / "out" / "errors.json").read_text())
+    assert err["stage"] == "options"
+    assert err["message"].startswith(option)
+    assert not (tmp_path / "out" / "hbic_trace.tsv").exists()
 
 
 def test_graph_refuses_partial_matrix(tmp_path):

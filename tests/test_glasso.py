@@ -1,11 +1,14 @@
 """Penalized precision estimation: solver optimality, path behavior, and
 model selection."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import optimize
 
 from latentcorr import glasso
+from latentcorr.cli import main
 from latentcorr.glasso import GlassoConfig
 
 # ---------------------------------------------------------------------------
@@ -70,6 +73,141 @@ def test_kkt_conditions_hold():
     assert np.abs(np.diag(w) - np.diag(r)).max() < 1e-8
 
 
+def assert_kkt(r, fit):
+    """Subgradient optimality of a fit, with the tolerances used above.
+
+    The diagonal check allows 1e-7 instead of 1e-8: sweeps stop once W
+    moves by less than CONVERGENCE_TOL = 1e-6, which leaves diag(inv(omega))
+    up to about 4e-8 from diag(R) at d = 30.
+    """
+    d = r.shape[0]
+    w = np.linalg.inv(fit.omega)
+    g = w - r
+    off = ~np.eye(d, dtype=bool)
+    assert np.abs(g[off]).max() <= fit.lam + 1e-4
+    active = (np.abs(fit.omega) > 1e-8) & off
+    if active.any():
+        assert np.abs(g[active] - fit.lam * np.sign(fit.omega[active])).max() < 1e-4
+    assert np.abs(np.diag(w) - np.diag(r)).max() < 1e-7
+
+
+def test_kkt_holds_along_default_path():
+    # d = 30 from 60 samples: along the path the active sets grow from
+    # empty to about 300 edges, and coordinates enter and leave the column
+    # solves' active sets
+    rng = np.random.default_rng(30)
+    r = np.corrcoef(rng.standard_normal((30, 60)))
+    counts = []
+    for lam in glasso.default_lambda_path(r):
+        fit = glasso.glasso_fit(r, lam)
+        assert fit.converged
+        assert_kkt(r, fit)
+        counts.append(fit.n_edges)
+    assert counts[0] > 100 and counts[-1] == 0
+
+
+def lasso_kkt_excess(w, s, lam, b):
+    """Largest violation of the lasso optimality conditions at b."""
+    g = w @ b - s
+    on = b != 0
+    return max(
+        np.abs(g[on] + lam[on] * np.sign(b[on])).max(initial=0.0),
+        (np.abs(g[~on]) - lam[~on]).max(initial=0.0),
+    )
+
+
+def test_column_solver_recovers_from_wrong_signs():
+    # a warm start whose signs are all wrong makes every coordinate cross
+    # zero, leave the active set and come back with the other sign
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((12, 40))
+    w = a @ a.T / 40
+    s = rng.standard_normal(12)
+    lam = np.full(12, 0.3)
+    cold, ok = glasso._lasso_column(w, s, lam, np.zeros(12))
+    assert ok and lasso_kkt_excess(w, s, lam, cold) < 1e-12
+    assert 0 < np.count_nonzero(cold) < 12
+    warm, ok = glasso._lasso_column(w, s, lam, -np.sign(cold) - 0.5 * (cold == 0))
+    assert ok and lasso_kkt_excess(w, s, lam, warm) < 1e-12
+    assert np.abs(warm - cold).max() < 1e-12
+
+
+def test_block_diagonal_input_fits_each_block_alone():
+    rng = np.random.default_rng(13)
+    blocks = [[0, 2, 4, 6], [1, 3, 5], [7]]
+    r = np.eye(8)
+    for idx in blocks[:2]:
+        r[np.ix_(idx, idx)] = np.corrcoef(rng.standard_normal((len(idx), 50)))
+    lam = 0.05
+    fit = glasso.glasso_fit(r, lam)
+    cross = np.ones((8, 8), dtype=bool)
+    for idx in blocks:
+        cross[np.ix_(idx, idx)] = False
+        alone = glasso.glasso_fit(r[np.ix_(idx, idx)], lam)
+        assert np.array_equal(fit.omega[np.ix_(idx, idx)], alone.omega)
+    assert np.all(fit.omega[cross] == 0.0)
+    assert fit.omega[7, 7] == 1.0
+    assert fit.n_edges > 0
+    assert_kkt(r, fit)
+
+
+def brute_force_refit(r, support):
+    """Minimize tr(R O) - log det O over O with the given zero pattern."""
+    d = r.shape[0]
+    rows = list(range(d)) + [j for j, _ in support]
+    cols = list(range(d)) + [k for _, k in support]
+
+    def unpack(theta):
+        omega = np.zeros((d, d))
+        omega[rows, cols] = theta
+        omega[cols, rows] = theta
+        return omega
+
+    def nll(theta):
+        omega = unpack(theta)
+        sign, logdet = np.linalg.slogdet(omega)
+        if sign <= 0:
+            return np.inf, np.zeros_like(theta)
+        g = r - np.linalg.inv(omega)
+        grad = np.where(np.arange(len(theta)) < d, 1.0, 2.0) * g[rows, cols]
+        return np.trace(r @ omega) - logdet, grad
+
+    x0 = np.r_[1.0 / np.diag(r), np.zeros(len(support))]
+    res = optimize.minimize(nll, x0, jac=True, method="BFGS", options={"gtol": 1e-11})
+    return unpack(res.x)
+
+
+def test_refit_support_matches_brute_force_on_a_cycle():
+    rng = np.random.default_rng(11)
+    r = np.corrcoef(rng.standard_normal((4, 50)))
+    support = [(0, 1), (1, 2), (2, 3), (0, 3)]  # a 4-cycle: not chordal
+    got = glasso.refit_support(r, support)
+    assert np.abs(got - brute_force_refit(r, support)).max() < 1e-6
+    assert got[0, 2] == 0.0 and got[1, 3] == 0.0
+
+
+def test_max_sweeps_one_is_reported_unconverged(monkeypatch, tmp_path):
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((200, 5))
+    x[:, 1:] += x[:, :-1]
+    monkeypatch.setattr(glasso, "MAX_SWEEPS", 1)
+    assert not glasso.glasso_fit(np.corrcoef(x.T), 0.05).converged
+    with pytest.warns(glasso.ConvergenceWarning):
+        glasso.refit_support(np.corrcoef(x.T), [(0, 1), (1, 2)])
+
+    path = tmp_path / "x.csv"
+    np.savetxt(path, x, delimiter=",", header="a,b,c,d,e", comments="", fmt="%.6f")
+    out = tmp_path / "out"
+    assert main(["graph", "--data", str(path), "--out-dir", str(out)]) == 0
+    lines = (out / "hbic_trace.tsv").read_text().splitlines()
+    header = lines[0].split("\t")
+    rows = [dict(zip(header, line.split("\t"))) for line in lines[1:]]
+    unconverged = [float(row["lambda"]) for row in rows if row["converged"] == "0"]
+    assert unconverged
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["unconverged_lambdas"] == pytest.approx(unconverged)
+
+
 def test_zero_penalty_recovers_inverse():
     rng = np.random.default_rng(2)
     r = np.corrcoef(rng.standard_normal((4, 500)))
@@ -104,6 +242,15 @@ def test_rejects_bad_inputs():
         glasso.glasso_fit(np.eye(3), -0.1)
     with pytest.raises(ValueError):
         glasso.glasso_fit(np.zeros((2, 3)), 0.1)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="penalty"):
+            glasso.glasso_fit(np.eye(3), lam)
+    for cn in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="hbic_cn"):
+            glasso.select_hbic(np.eye(3), 100, GlassoConfig(hbic_cn=cn))
+    for path in ((np.nan, 0.1), (np.inf,), (0.1, -0.2)):
+        with pytest.raises(ValueError, match="penalty"):
+            glasso.select_hbic(np.eye(3), 100, GlassoConfig(lambda_path=path))
 
 
 def test_one_by_one():
