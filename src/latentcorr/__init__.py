@@ -14,11 +14,13 @@ from .bridge import (
     BridgeKind,
     DegenerateBridgeError,
     InversionResult,
+    InversionTask,
     UnsupportedPairError,
     bridge_forward,
     bridge_forward_tau_b,
     estimate_cutoffs,
     invert_bridge,
+    invert_bridges,
     tau_b_second_order,
 )
 from .estimator import (
@@ -61,6 +63,7 @@ __all__ = [
     "ErrorCurve",
     "GlassoConfig",
     "InversionResult",
+    "InversionTask",
     "LatentCorrelationMatrix",
     "PrecisionEstimate",
     "TauStatistics",
@@ -76,6 +79,7 @@ __all__ = [
     "hbic_score",
     "infer_column_specs",
     "invert_bridge",
+    "invert_bridges",
     "project_psd",
     "sample_copula",
     "scenario1",

@@ -20,6 +20,9 @@ Supported pair kinds:
 
 Each forward bridge is strictly increasing in r on (-1, 1), so inversion
 uses Newton iterations safeguarded by bisection on a maintained bracket.
+The iteration runs on a whole batch of pairs at once (invert_bridges):
+every pair keeps its own bracket and iterate, and each step evaluates the
+forward bridges of the pairs still unconverged in a few vector calls.
 
 Tau-b variants (first-order Taylor bridges) exist only for binary-binary
 and binary-continuous pairs; a second-order Taylor refinement of the
@@ -29,7 +32,7 @@ binary-continuous expectation is provided for small n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln, ndtr
@@ -40,7 +43,6 @@ from .normal_dist import (
     bivariate_cdf,
     bivariate_pdf,
     std_cdf,
-    std_pdf,
     std_quantile,
 )
 
@@ -54,7 +56,9 @@ __all__ = [
     "bridge_forward",
     "bridge_forward_tau_b",
     "tau_b_second_order",
+    "InversionTask",
     "invert_bridge",
+    "invert_bridges",
 ]
 
 # Latent correlations are kept inside [-1 + CLAMP, 1 - CLAMP].
@@ -63,6 +67,11 @@ CLAMP = 1e-6
 # Safeguarded Newton stops at |F(r) - tau| <= NEWTON_TOL or after NEWTON_MAX_ITER steps.
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 200
+
+# Largest number of trivariate quadrature rows (one per cutoff of an
+# ordinal-continuous pair) handed to the quadrature at once, which bounds
+# the memory of a forward evaluation whatever the batch size.
+MAX_QUADRATURE_ROWS = 256
 
 # Tractability ceiling for the exact second-order tau-b sum: C(n,2) <= 1e4.
 SECOND_ORDER_MAX_PAIRS = 10_000
@@ -109,6 +118,12 @@ class BridgeKind:
     def has_tau_b(self) -> bool:
         """Binary-binary or binary-continuous: the pairs with a tau-b bridge."""
         return not self.is_continuous_pair and {self.levels_j, self.levels_k} <= {None, 2}
+
+    @property
+    def is_supported(self) -> bool:
+        """False for ordinal-ordinal pairs with more than 3 levels on a side: no bridge exists."""
+        lj, lk = self.levels_j, self.levels_k
+        return lj is None or lk is None or max(lj, lk) <= 3
 
     @property
     def tag(self) -> str:
@@ -172,57 +187,13 @@ def _check_cutoffs(kind: BridgeKind, cutoffs_j, cutoffs_k):
     return tuple(checked)
 
 
-def _ordinal_continuous_eval(r: float, cutoffs: np.ndarray) -> tuple[float, float]:
-    lower = cutoffs
-    upper = np.append(cutoffs[1:], np.inf)
-    phi3 = _phi3_batch(lower, upper, np.zeros_like(lower), r)
-    value = float(np.sum(4.0 * phi3 - 2.0 * ndtr(lower) * ndtr(upper)))
-    deriv = float(np.sum(4.0 * _phi3_c0_grad(lower, upper, r)))
-    return value, deriv
-
-
-def _ordinal_ordinal_eval(r: float, cj: np.ndarray, ck: np.ndarray) -> tuple[float, float]:
-    dj1, dj2 = cj[0], cj[1] if cj.size > 1 else np.inf
-    dk1, dk2 = ck[0], ck[1] if ck.size > 1 else np.inf
-    p_hi = bivariate_cdf(dj2, dk2, r)
-    p_lo = bivariate_cdf(-dj1, -dk1, r)
-    m_j = std_cdf(dj2) - bivariate_cdf(dj2, dk1, r)
-    m_k = std_cdf(dk2) - bivariate_cdf(dj1, dk2, r)
-    value = 2.0 * p_hi * p_lo - 2.0 * m_j * m_k
-    d_hi = bivariate_pdf(dj2, dk2, r)
-    d_lo = bivariate_pdf(-dj1, -dk1, r)
-    d_mj = bivariate_pdf(dj2, dk1, r)
-    d_mk = bivariate_pdf(dj1, dk2, r)
-    deriv = 2.0 * (d_hi * p_lo + p_hi * d_lo) + 2.0 * (d_mj * m_k + m_j * d_mk)
-    return float(value), float(deriv)
-
-
 def bridge_forward(r: float, kind: BridgeKind, cutoffs_j=None, cutoffs_k=None) -> BridgeEval:
     """Population tau-a at latent correlation r, with d(tau)/dr.
 
     Raises UnsupportedPairError for ordinal-ordinal pairs with more than
     3 levels on either side (no bridge is available for those).
     """
-    if not -1.0 < r < 1.0:
-        raise ValueError(f"latent correlation must be in (-1, 1), got {r}")
-    cj, ck = _check_cutoffs(kind, cutoffs_j, cutoffs_k)
-    if kind.is_continuous_pair:
-        value = (2.0 / math.pi) * math.asin(r)
-        deriv = (2.0 / math.pi) / math.sqrt(1.0 - r * r)
-        return BridgeEval(value, deriv)
-    if kind.levels_k is None:
-        value, deriv = _ordinal_continuous_eval(r, cj)
-        return BridgeEval(value, deriv)
-    if kind.levels_j is None:
-        value, deriv = _ordinal_continuous_eval(r, ck)
-        return BridgeEval(value, deriv)
-    if kind.levels_j > 3 or kind.levels_k > 3:
-        raise UnsupportedPairError(
-            f"no bridge for a {kind.levels_j}-level x {kind.levels_k}-level "
-            "ordinal pair (only <= 3 levels per side are supported)"
-        )
-    value, deriv = _ordinal_ordinal_eval(r, cj, ck)
-    return BridgeEval(value, deriv)
+    return _forward_one(r, kind, cutoffs_j, cutoffs_k, "a")
 
 
 def _tau_b_denominator(kind: BridgeKind, cj, ck) -> float:
@@ -246,10 +217,20 @@ def _tau_b_denominator(kind: BridgeKind, cj, ck) -> float:
 
 def bridge_forward_tau_b(r: float, kind: BridgeKind, cutoffs_j=None, cutoffs_k=None) -> BridgeEval:
     """First-order Taylor bridge for population tau-b (binary j required)."""
-    cj, ck = _check_cutoffs(kind, cutoffs_j, cutoffs_k)
-    denom = _tau_b_denominator(kind, cj, ck)
-    base = bridge_forward(r, kind, cj, ck)
-    return BridgeEval(base.value / denom, base.derivative / denom)
+    return _forward_one(r, kind, cutoffs_j, cutoffs_k, "b")
+
+
+def _forward_one(r, kind, cutoffs_j, cutoffs_k, variant) -> BridgeEval:
+    if not -1.0 < r < 1.0:
+        raise ValueError(f"latent correlation must be in (-1, 1), got {r}")
+    # the forward bridge of a task does not depend on its tau
+    task = InversionTask(0.0, kind, cutoffs_j, cutoffs_k, variant)
+    if kind.is_continuous_pair:
+        value = (2.0 / math.pi) * math.asin(r)
+        deriv = (2.0 / math.pi) / math.sqrt(1.0 - r * r)
+        return BridgeEval(value, deriv)
+    value, deriv = _Bridges([task]).evaluate(np.array([float(r)]), np.array([0]))
+    return BridgeEval(float(value[0]), float(deriv[0]))
 
 
 def tau_b_second_order(r: float, delta_j: float, n: int) -> float:
@@ -325,7 +306,140 @@ def tau_b_second_order(r: float, delta_j: float, n: int) -> float:
 
 
 class BridgeInversionError(RuntimeError):
-    """Safeguarded Newton failed to converge (should be unreachable)."""
+    """Safeguarded Newton failed to converge (should be unreachable).
+
+    index is the position of the failing task in the batch passed to
+    invert_bridges.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
+
+
+@dataclass(frozen=True, eq=False)
+class InversionTask:
+    """One bridge inversion: find r with F(r) = tau for the pair's bridge F.
+
+    variant 'b' inverts the first-order tau-b bridge instead of the tau-a
+    bridge.  Building a task checks its inputs, so a bad pair fails where
+    it is described, not inside a batch.
+    """
+
+    tau: float
+    kind: BridgeKind
+    cutoffs_j: np.ndarray | None = None
+    cutoffs_k: np.ndarray | None = None
+    variant: str = "a"
+    scale: float = field(init=False)  # tau-b denominator; 1.0 for tau-a
+
+    def __post_init__(self):
+        if self.variant not in ("a", "b"):
+            raise ValueError(f"variant must be 'a' or 'b', got {self.variant!r}")
+        tau = float(self.tau)
+        if not -1.0 <= tau <= 1.0:
+            raise ValueError(f"tau must lie in [-1, 1], got {tau}")
+        cj, ck = _check_cutoffs(self.kind, self.cutoffs_j, self.cutoffs_k)
+        scale = _tau_b_denominator(self.kind, cj, ck) if self.variant == "b" else 1.0
+        if not self.kind.is_supported:
+            raise UnsupportedPairError(
+                f"no bridge for a {self.kind.levels_j}-level x {self.kind.levels_k}-level "
+                "ordinal pair (only <= 3 levels per side are supported)"
+            )
+        for name, value in (("tau", tau), ("cutoffs_j", cj), ("cutoffs_k", ck), ("scale", scale)):
+            object.__setattr__(self, name, value)
+
+
+class _Bridges:
+    """Forward bridges of a batch of non-continuous tasks, evaluated together.
+
+    An ordinal-continuous bridge is a sum of one trivariate term per
+    cutoff of the ordinal side (see the module docstring); an
+    ordinal-ordinal one is a closed form in bivariate CDFs, a binary side
+    taking +inf as its second cutoff.
+    """
+
+    def __init__(self, tasks):
+        n = len(tasks)
+        self.scale = np.array([t.scale for t in tasks])
+        self.size = np.zeros(n, dtype=int)  # quadrature rows; 0 for ordinal-ordinal
+        self.dj = np.full((n, 2), np.inf)
+        self.dk = np.full((n, 2), np.inf)
+        lower = []
+        for i, t in enumerate(tasks):
+            if t.kind.levels_j is None or t.kind.levels_k is None:
+                cuts = t.cutoffs_j if t.kind.levels_k is None else t.cutoffs_k
+                lower.append(cuts)
+                self.size[i] = cuts.size
+            else:
+                self.dj[i, : t.cutoffs_j.size] = t.cutoffs_j
+                self.dk[i, : t.cutoffs_k.size] = t.cutoffs_k
+        self.start = np.cumsum(self.size) - self.size
+        self.lower = np.concatenate(lower) if lower else np.empty(0)
+        self.upper = np.concatenate([np.append(c[1:], np.inf) for c in lower]) if lower else np.empty(0)
+        self.const = 2.0 * ndtr(self.lower) * ndtr(self.upper)
+
+    def evaluate(self, r: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bridge values and derivatives of tasks idx at r (aligned, repeats allowed)."""
+        value = np.empty(idx.size)
+        deriv = np.empty(idx.size)
+        size = self.size[idx]
+        oc = np.flatnonzero(size)
+        oc = oc[np.argsort(size[oc], kind="stable")]
+        first, rows = 0, 0
+        for m, s in enumerate(size[oc]):
+            if rows and rows + s > MAX_QUADRATURE_ROWS:
+                self._ordinal_continuous(r, idx, oc[first:m], value, deriv)
+                first, rows = m, 0
+            rows += s
+        if rows:
+            self._ordinal_continuous(r, idx, oc[first:], value, deriv)
+        oo = np.flatnonzero(size == 0)
+        if oo.size:
+            self._ordinal_ordinal(r, idx, oo, value, deriv)
+        scale = self.scale[idx]
+        return value / scale, deriv / scale
+
+    def _ordinal_continuous(self, r, idx, pos, value, deriv):
+        sizes = self.size[idx[pos]]
+        first = np.cumsum(sizes) - sizes
+        rows = np.repeat(self.start[idx[pos]] - first, sizes) + np.arange(sizes.sum())
+        owner = np.repeat(pos, sizes)
+        lower, upper, r_rows = self.lower[rows], self.upper[rows], r[owner]
+        terms = 4.0 * _phi3_batch(lower, upper, 0.0, r_rows, pair_ids=owner) - self.const[rows]
+        grads = 4.0 * _phi3_c0_grad(lower, upper, r_rows)
+        # pos is sorted by size, so the rows of equal-size evaluations are
+        # adjacent; summing each along one row of a 2-D block adds them in
+        # the same order as np.sum over that evaluation's rows alone
+        for s in np.unique(sizes):
+            same = sizes == s
+            block = np.repeat(same, sizes)
+            value[pos[same]] = terms[block].reshape(-1, s).sum(axis=1)
+            deriv[pos[same]] = grads[block].reshape(-1, s).sum(axis=1)
+
+    def _ordinal_ordinal(self, r, idx, pos, value, deriv):
+        (dj1, dj2), (dk1, dk2), r = self.dj[idx[pos]].T, self.dk[idx[pos]].T, r[pos]
+        p_hi = bivariate_cdf(dj2, dk2, r)
+        p_lo = bivariate_cdf(-dj1, -dk1, r)
+        m_j = std_cdf(dj2) - bivariate_cdf(dj2, dk1, r)
+        m_k = std_cdf(dk2) - bivariate_cdf(dj1, dk2, r)
+        value[pos] = 2.0 * p_hi * p_lo - 2.0 * m_j * m_k
+        d_hi = bivariate_pdf(dj2, dk2, r)
+        d_lo = bivariate_pdf(-dj1, -dk1, r)
+        d_mj = bivariate_pdf(dj2, dk1, r)
+        d_mk = bivariate_pdf(dj1, dk2, r)
+        deriv[pos] = 2.0 * (d_hi * p_lo + p_hi * d_lo) + 2.0 * (d_mj * m_k + m_j * d_mk)
+
+
+def _invert_sine(tau: float) -> InversionResult:
+    """Closed-form inverse of the continuous bridge (2/pi) * arcsin(r)."""
+    lo_tau = (2.0 / math.pi) * math.asin(-1.0 + CLAMP)
+    hi_tau = (2.0 / math.pi) * math.asin(1.0 - CLAMP)
+    if tau <= lo_tau:
+        return InversionResult(-1.0 + CLAMP, tau < lo_tau, 0)
+    if tau >= hi_tau:
+        return InversionResult(1.0 - CLAMP, tau > hi_tau, 0)
+    return InversionResult(math.sin(math.pi / 2.0 * tau), False, 0)
 
 
 def invert_bridge(
@@ -337,57 +451,82 @@ def invert_bridge(
 ) -> InversionResult:
     """Invert the (strictly increasing) forward bridge at tau_hat.
 
-    tau_hat values outside the achievable range [F(-1+CLAMP), F(1-CLAMP)]
-    are clamped to the nearest endpoint and flagged.  variant 'b' inverts
-    the first-order tau-b bridge instead of the tau-a bridge.
+    The batch of one of invert_bridges: tau_hat values outside the
+    achievable range [F(-1+CLAMP), F(1-CLAMP)] are clamped to the nearest
+    endpoint and flagged.  variant 'b' inverts the first-order tau-b
+    bridge instead of the tau-a bridge.
     """
-    if variant not in ("a", "b"):
-        raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
-    tau_hat = float(tau_hat)
-    if not -1.0 <= tau_hat <= 1.0:
-        raise ValueError(f"tau must lie in [-1, 1], got {tau_hat}")
-    forward = bridge_forward if variant == "a" else bridge_forward_tau_b
-    cj, ck = _check_cutoffs(kind, cutoffs_j, cutoffs_k)
+    return invert_bridges([InversionTask(tau_hat, kind, cutoffs_j, cutoffs_k, variant)])[0]
 
-    if kind.is_continuous_pair and variant == "a":
-        lo_tau = (2.0 / math.pi) * math.asin(-1.0 + CLAMP)
-        hi_tau = (2.0 / math.pi) * math.asin(1.0 - CLAMP)
-        if tau_hat <= lo_tau:
-            return InversionResult(-1.0 + CLAMP, tau_hat < lo_tau, 0)
-        if tau_hat >= hi_tau:
-            return InversionResult(1.0 - CLAMP, tau_hat > hi_tau, 0)
-        return InversionResult(math.sin(math.pi / 2.0 * tau_hat), False, 0)
 
-    lo, hi = -1.0 + CLAMP, 1.0 - CLAMP
-    f_lo = forward(lo, kind, cj, ck).value - tau_hat
-    f_hi = forward(hi, kind, cj, ck).value - tau_hat
-    if f_lo >= 0.0:
-        return InversionResult(lo, f_lo > 0.0, 0)
-    if f_hi <= 0.0:
-        return InversionResult(hi, f_hi < 0.0, 0)
+def invert_bridges(tasks) -> list[InversionResult]:
+    """Invert the forward bridge of every task, as one vector iteration.
 
-    r = math.sin(math.pi / 2.0 * max(-1.0, min(1.0, tau_hat)))
-    r = min(max(r, lo + 1e-12), hi - 1e-12)
-    iterations = 0
-    for iterations in range(1, NEWTON_MAX_ITER + 1):
-        ev = forward(r, kind, cj, ck)
-        f = ev.value - tau_hat
-        if abs(f) <= NEWTON_TOL:
-            return InversionResult(r, False, iterations)
-        if f > 0.0:
-            hi = r
+    Continuous pairs are inverted in closed form.  Every other task runs
+    safeguarded Newton with its own bracket [-1+CLAMP, 1-CLAMP], starting
+    at sin(pi/2 * tau), until |F(r) - tau| <= NEWTON_TOL; each step
+    evaluates F only on the tasks that have not converged.  A tau outside
+    the achievable range [F(-1+CLAMP), F(1-CLAMP)] is clamped to the
+    nearest endpoint and flagged.  Each result is the one the task would
+    get alone.  Raises BridgeInversionError, carrying the task's index,
+    when a task misses 10*NEWTON_TOL after NEWTON_MAX_ITER steps.
+    """
+    results: list[InversionResult | None] = [None] * len(tasks)
+    newton = []
+    for i, task in enumerate(tasks):
+        if task.kind.is_continuous_pair:  # tau-a only: continuous pairs have no tau-b bridge
+            results[i] = _invert_sine(task.tau)
         else:
-            lo = r
-        step_ok = ev.derivative > 0.0 and math.isfinite(ev.derivative)
-        r_newton = r - f / ev.derivative if step_ok else None
-        if r_newton is not None and lo < r_newton < hi:
-            r = r_newton
-        else:
-            r = 0.5 * (lo + hi)
-    ev = forward(r, kind, cj, ck)
-    if abs(ev.value - tau_hat) <= 10.0 * NEWTON_TOL:
-        return InversionResult(r, False, iterations)
-    raise BridgeInversionError(
-        f"no convergence after {NEWTON_MAX_ITER} iterations: kind={kind}, tau_hat={tau_hat}, "
-        f"residual={ev.value - tau_hat:.3e}"
-    )
+            newton.append(i)
+    if not newton:
+        return results
+
+    bridges = _Bridges([tasks[i] for i in newton])
+    tau = np.array([tasks[i].tau for i in newton])
+    m = tau.size
+    every = np.arange(m)
+    lo = np.full(m, -1.0 + CLAMP)
+    hi = np.full(m, 1.0 - CLAMP)
+    ends = bridges.evaluate(np.concatenate((lo, hi)), np.concatenate((every, every)))[0]
+    f_lo, f_hi = ends[:m] - tau, ends[m:] - tau
+    at_lo = f_lo >= 0.0
+    r = np.where(at_lo, lo, hi)
+    clamped = np.where(at_lo, f_lo > 0.0, f_hi < 0.0)
+    active = ~(at_lo | (f_hi <= 0.0))
+    start = np.array([math.sin(math.pi / 2.0 * t) for t in tau])
+    r[active] = np.minimum(np.maximum(start, lo + 1e-12), hi - 1e-12)[active]
+    iterations = np.zeros(m, dtype=int)
+
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        value, deriv = bridges.evaluate(r[idx], idx)
+        f = value - tau[idx]
+        done = np.abs(f) <= NEWTON_TOL
+        iterations[idx[done]] = it
+        active[idx[done]] = False
+        idx, f, deriv = idx[~done], f[~done], deriv[~done]
+        above = f > 0.0
+        hi[idx[above]] = r[idx[above]]
+        lo[idx[~above]] = r[idx[~above]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_newton = r[idx] - f / deriv
+        step = (deriv > 0.0) & np.isfinite(deriv) & (lo[idx] < r_newton) & (r_newton < hi[idx])
+        r[idx] = np.where(step, r_newton, 0.5 * (lo[idx] + hi[idx]))
+
+    left = np.flatnonzero(active)
+    if left.size:
+        residual = bridges.evaluate(r[left], left)[0] - tau[left]
+        for i, res in zip(left, residual):
+            if not abs(res) <= 10.0 * NEWTON_TOL:
+                task = tasks[newton[i]]
+                raise BridgeInversionError(
+                    f"no convergence after {NEWTON_MAX_ITER} iterations: kind={task.kind}, "
+                    f"tau_hat={task.tau}, residual={res:.3e}",
+                    newton[i],
+                )
+        iterations[left] = NEWTON_MAX_ITER
+    for i, r_i, c_i, it_i in zip(newton, r, clamped, iterations):
+        results[i] = InversionResult(float(r_i), bool(c_i), int(it_i))
+    return results

@@ -320,10 +320,16 @@ def cmd_simulate(args, report):
         runner = simulate.scenario1 if args.scenario == "1" else simulate.scenario2
         p_values = _parse_p_values(args.p_values) if args.p_values else range(2, 17)
         r_grid = None
-        if args.r_step:
+        if args.r_step is not None:
+            if not 0 < args.r_step < np.inf:
+                raise CliError("options", f"--r-step must be finite and positive, got {args.r_step}")
             r_grid = np.round(
                 np.arange(0.0, simulate.R_GRID_CAP + 1e-9, args.r_step), 10
             )
+        try:
+            simulate.check_discretization_options(p_values, r_grid, args.n, args.reps)
+        except ValueError as exc:
+            raise CliError("options", str(exc)) from None
         curves = runner(p_values=p_values, r_grid=r_grid, n=args.n, reps=args.reps, seed=args.seed)
         name = f"scenario{args.scenario}_curves.tsv"
         (out / name).write_text(simulate.error_curves_to_text(curves))

@@ -7,16 +7,20 @@ produced it and whether its tau fell outside the achievable range.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kendall
 from .bridge import (
+    BridgeInversionError,
     BridgeKind,
+    InversionTask,
     UnsupportedPairError,
     estimate_cutoffs,
     invert_bridge,
+    invert_bridges,
 )
 
 __all__ = [
@@ -97,11 +101,16 @@ def _recode_ordinal(col: np.ndarray) -> tuple[np.ndarray, int]:
     return out, levels.size
 
 
+def _pair_label(j: int, k: int, specs) -> str:
+    return f"pair ({j}, {k}) [{specs[j].name!r}, {specs[k].name!r}]"
+
+
 def estimate_latent_correlation(
     data,
     specs: list[ColumnSpec] | None = None,
     variant: str = "a",
     on_unsupported: str = "raise",
+    pairs=None,
 ) -> LatentCorrelationMatrix:
     """Bridge-inverted latent correlation matrix of a mixed data matrix.
 
@@ -111,7 +120,15 @@ def estimate_latent_correlation(
     pairs with more than 3 levels per side have no bridge; on_unsupported
     picks the response: "raise" (default), "fallback" (apply the
     continuous rule sin(pi/2 * tau_a)), or "missing" (NaN entry tagged
-    "unsupported").
+    "unsupported", no tau counted).
+
+    pairs lists the column pairs (j, k) to estimate (default: every
+    j < k).  Other off-diagonal entries are NaN, tagged "not_estimated",
+    and only columns in a listed pair are checked and given cutoffs.
+    Kendall's tau is counted pair by pair.  Sine pairs (continuous, or
+    unsupported with "fallback") are inverted in closed form as they come;
+    all other pairs need Newton and are inverted together in one batch
+    (bridge.invert_bridges) after the loop.
     """
     if variant not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
@@ -125,11 +142,22 @@ def estimate_latent_correlation(
         specs = infer_column_specs(data)
     if len(specs) != d:
         raise ValueError(f"{len(specs)} specs for {d} columns")
+    if pairs is None:
+        pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    else:
+        checked = set()
+        for pair in pairs:
+            j, k = sorted(operator.index(c) for c in pair)
+            if not 0 <= j < k < d:
+                raise ValueError(f"pair {tuple(pair)}: need two distinct column indices in 0..{d - 1}")
+            checked.add((j, k))
+        pairs = sorted(checked)
 
     cols = np.array(data, dtype=float)
     eff_levels = [0] * d
     cutoffs: list[np.ndarray | None] = [None] * d
-    for j, spec in enumerate(specs):
+    for j in sorted({c for pair in pairs for c in pair}):
+        spec = specs[j]
         if spec.is_ordinal:
             cols[:, j], eff_levels[j] = _recode_ordinal(data[:, j])
             if eff_levels[j] < 2:
@@ -143,44 +171,53 @@ def estimate_latent_correlation(
                 )
             cutoffs[j] = estimate_cutoffs(cols[~np.isnan(cols[:, j]), j], eff_levels[j])
 
-    values = np.eye(d)
-    method = np.full((d, d), "diag", dtype=object)
+    values = np.full((d, d), np.nan)
+    np.fill_diagonal(values, 1.0)
+    method = np.full((d, d), "not_estimated", dtype=object)
+    np.fill_diagonal(method, "diag")
     clamped = np.zeros((d, d), dtype=bool)
 
-    for j in range(d):
-        for k in range(j + 1, d):
-            xj, xk = cols[:, j], cols[:, k]
-            kind = BridgeKind(eff_levels[j] or None, eff_levels[k] or None)
-            use_variant = "b" if variant == "b" and kind.has_tau_b else "a"
-            tag = kind.tag
-            if variant == "b":
-                tag += ":tau_b" if use_variant == "b" else ":tau_a_fallback"
-            try:
-                if use_variant == "b":
-                    tau = kendall.tau_b(xj, xk).tau_b
-                else:
-                    tau = kendall.tau_a(xj, xk)
-                res = invert_bridge(tau, kind, cutoffs[j], cutoffs[k], variant=use_variant)
-            except UnsupportedPairError:
-                if on_unsupported == "raise":
-                    raise UnsupportedPairError(
-                        f"pair ({j}, {k}) [{specs[j].name!r}, {specs[k].name!r}]: no bridge "
-                        f"for {eff_levels[j]} x {eff_levels[k]} ordinal levels"
-                    ) from None
-                if on_unsupported == "missing":
-                    values[j, k] = values[k, j] = np.nan
-                    method[j, k] = method[k, j] = "unsupported"
-                    continue
-                # no unsupported kind has a tau-b bridge, so tau is tau-a here
+    tasks, batched = [], []
+    for j, k in pairs:
+        kind = BridgeKind(eff_levels[j] or None, eff_levels[k] or None)
+        if not kind.is_supported and on_unsupported != "fallback":
+            if on_unsupported == "raise":
+                raise UnsupportedPairError(
+                    f"{_pair_label(j, k, specs)}: no bridge "
+                    f"for {eff_levels[j]} x {eff_levels[k]} ordinal levels"
+                )
+            method[j, k] = method[k, j] = "unsupported"
+            continue
+        use_variant = "b" if variant == "b" and kind.has_tau_b else "a"
+        tag = kind.tag if kind.is_supported else "sin_fallback"
+        if variant == "b" and kind.is_supported:
+            tag += ":tau_b" if use_variant == "b" else ":tau_a_fallback"
+        method[j, k] = method[k, j] = tag
+        try:
+            if use_variant == "b":
+                tau = kendall.tau_b(cols[:, j], cols[:, k]).tau_b
+            else:
+                tau = kendall.tau_a(cols[:, j], cols[:, k])
+            if kind.is_continuous_pair or not kind.is_supported:
+                # closed form, so nothing to batch; an unsupported kind has
+                # no tau-b bridge, so tau is tau-a here
                 res = invert_bridge(tau, BridgeKind.continuous_continuous())
-                tag = "sin_fallback"
-            except ValueError as exc:
-                raise type(exc)(
-                    f"pair ({j}, {k}) [{specs[j].name!r}, {specs[k].name!r}]: {exc}"
-                ) from exc
-            values[j, k] = values[k, j] = res.r
-            method[j, k] = method[k, j] = tag
-            clamped[j, k] = clamped[k, j] = res.clamped
+                values[j, k] = values[k, j] = res.r
+                clamped[j, k] = clamped[k, j] = res.clamped
+            else:
+                tasks.append(InversionTask(tau, kind, cutoffs[j], cutoffs[k], use_variant))
+                batched.append((j, k))
+        except ValueError as exc:
+            raise type(exc)(f"{_pair_label(j, k, specs)}: {exc}") from exc
+
+    try:
+        results = invert_bridges(tasks)
+    except BridgeInversionError as exc:
+        j, k = batched[exc.index]
+        raise BridgeInversionError(f"{_pair_label(j, k, specs)}: {exc}", exc.index) from exc
+    for (j, k), res in zip(batched, results):
+        values[j, k] = values[k, j] = res.r
+        clamped[j, k] = clamped[k, j] = res.clamped
 
     return LatentCorrelationMatrix(values=values, method=method, clamped=clamped, specs=list(specs))
 

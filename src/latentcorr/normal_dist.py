@@ -20,6 +20,7 @@ Infinite arguments are accepted everywhere and resolved analytically
 from __future__ import annotations
 
 import functools
+import warnings
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -38,7 +39,16 @@ __all__ = [
     "bivariate_cdf",
     "trivariate_cdf",
     "trivariate_cdf_grad",
+    "QuadratureWarning",
 ]
+
+
+class QuadratureWarning(RuntimeWarning):
+    """The trivariate quadrature kept its largest rule without meeting its tolerance."""
+
+
+# Node counts of the adaptive Gauss-Legendre rule, tried in turn.
+_NODE_COUNTS = (32, 64, 128, 256, 512)
 
 # Mass beyond this radius is < 1e-17; safe truncation for quadrature tails.
 _TAIL = 8.5
@@ -150,8 +160,8 @@ def _phi3_quad(a, b, c, r, n_nodes):
     Conditions on the first coordinate: given U1 = x, the pair
     (U2, (V1-V2)/sqrt(2)) is bivariate normal with mean (0, x*rho),
     variances (1, 1 - rho^2) and covariance -rho, rho = r/sqrt(2).  The
-    outer integral over x is a composite Gauss-Legendre rule; a, b, c may
-    be equal-length arrays sharing one r.
+    outer integral over x is a composite Gauss-Legendre rule; a, b, c and
+    r are equal-length arrays, one row each.
     """
     rho = r / np.sqrt(2.0)
     q = np.sqrt(1.0 - rho * rho)
@@ -166,24 +176,28 @@ def _phi3_quad(a, b, c, r, n_nodes):
     weights = half[:, None] * w[None, :]
     inner = bivariate_cdf(
         np.broadcast_to(b[:, None], nodes.shape),
-        (c[:, None] - rho * nodes) / q,
-        rho_in,
+        (c[:, None] - rho[:, None] * nodes) / q[:, None],
+        rho_in[:, None],
     )
     # mass beyond the +-_TAIL truncation is < 1e-17 and is dropped
     return np.sum(weights * std_pdf(nodes) * inner, axis=1)
 
 
-def _phi3_batch(a, b, c, r, tol=1e-10):
-    """Structured trivariate CDF for arrays a, b, c and scalar r in (-1, 1).
+def _phi3_batch(a, b, c, r, tol=1e-10, pair_ids=None):
+    """Structured trivariate CDF, one row per element of a, b, c, r (broadcast).
 
-    Infinite bounds are resolved analytically; finite rows go through an
-    adaptively refined Gauss-Legendre rule (node count doubled until two
-    successive estimates agree to tol).
+    Each row has its own r in (-1, 1).  Infinite bounds are resolved
+    analytically; finite rows go through an adaptively refined
+    Gauss-Legendre rule.  Rows with the same label in pair_ids (default:
+    all rows) form one pair, whose node count is doubled until two
+    successive estimates agree to tol on every finite row of that pair, so
+    a pair's value does not depend on the other rows of the batch.  A pair
+    that still misses tol at the largest rule keeps that estimate and is
+    reported with a QuadratureWarning.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    a, b, c = np.broadcast_arrays(a, b, c)
+    a, b, c, r = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, c, r))
+    )
     out = np.zeros(a.shape, dtype=float)
     rho = r / np.sqrt(2.0)
 
@@ -194,23 +208,38 @@ def _phi3_batch(a, b, c, r, tol=1e-10):
 
     # marginalization identities for the infinite bounds
     if np.any(a_inf):
-        out[a_inf] = bivariate_cdf(b[a_inf], c[a_inf], -rho)
+        out[a_inf] = bivariate_cdf(b[a_inf], c[a_inf], -rho[a_inf])
     if np.any(b_inf):
-        out[b_inf] = bivariate_cdf(a[b_inf], c[b_inf], rho)
+        out[b_inf] = bivariate_cdf(a[b_inf], c[b_inf], rho[b_inf])
     if np.any(c_inf):
         out[c_inf] = ndtr(a[c_inf]) * ndtr(b[c_inf])
 
-    general = ~(any_neg_inf | a_inf | b_inf | c_inf)
-    if np.any(general):
-        ag, bg, cg = a[general], b[general], c[general]
-        prev = _phi3_quad(ag, bg, cg, r, 32)
-        for n_nodes in (64, 128, 256, 512):
-            cur = _phi3_quad(ag, bg, cg, r, n_nodes)
-            if np.max(np.abs(cur - prev)) < tol:
-                prev = cur
-                break
-            prev = cur
-        out[general] = np.clip(prev, 0.0, 1.0)
+    rows = np.flatnonzero(~(any_neg_inf | a_inf | b_inf | c_inf))
+    if not rows.size:
+        return out
+    label = np.zeros(rows.size, dtype=int)
+    if pair_ids is not None:
+        label = np.unique(np.broadcast_to(pair_ids, a.shape)[rows], return_inverse=True)[1]
+    worst = np.zeros(label.max() + 1)
+    prev = _phi3_quad(a[rows], b[rows], c[rows], r[rows], _NODE_COUNTS[0])
+    for n_nodes in _NODE_COUNTS[1:]:
+        cur = _phi3_quad(a[rows], b[rows], c[rows], r[rows], n_nodes)
+        worst[:] = 0.0
+        np.maximum.at(worst, label, np.abs(cur - prev))
+        done = worst[label] < tol
+        out[rows[done]] = np.clip(cur[done], 0.0, 1.0)
+        rows, label, prev = rows[~done], label[~done], cur[~done]
+        if not rows.size:
+            return out
+    out[rows] = np.clip(prev, 0.0, 1.0)
+    for pair in np.unique(label):
+        row = rows[label == pair][0]
+        warnings.warn(
+            f"trivariate normal quadrature missed tol {tol:.1e} at {_NODE_COUNTS[-1]} nodes: "
+            f"worst node difference {worst[pair]:.3e} at r = {float(r[row])!r}",
+            QuadratureWarning,
+            stacklevel=2,
+        )
     return out
 
 
@@ -226,15 +255,15 @@ def trivariate_cdf(a, b, c, r):
 
 
 def _phi3_c0_grad(a, b, r):
-    """d/dr of the structured trivariate CDF at third bound c = 0.
+    """d/dr of the structured trivariate CDF at third bound c = 0, one r per row.
 
     Closed form from Plackett's identity applied to the two r-dependent
     covariance entries (sigma_13 = rho, sigma_23 = -rho, rho = r/sqrt(2)).
     Rows with infinite bounds reduce to the bivariate derivative or zero.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    a, b = np.broadcast_arrays(a, b)
+    a, b, r = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, r))
+    )
     rho = r / np.sqrt(2.0)
     q2 = 1.0 - rho * rho
     cond_sd = np.sqrt((1.0 - 2.0 * rho * rho) / q2)

@@ -11,7 +11,7 @@ reproducible and order-independent.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "equal_mass_cutoffs",
     "scenario1",
     "scenario2",
+    "check_discretization_options",
     "concentration_check",
     "error_curves_to_text",
     "mc_population_tau_a",
@@ -130,25 +131,42 @@ def _default_r_grid() -> np.ndarray:
     return grid[grid <= R_GRID_CAP]
 
 
+def check_discretization_options(p_values, r_grid, n, reps):
+    """Sorted distinct level counts and the r grid of a discretization run.
+
+    Raises ValueError for a level count outside 2..16, an empty r grid or
+    one outside [0, R_GRID_CAP], n < 2 or reps < 1.
+    """
+    p_values = sorted(set(int(p) for p in p_values))
+    if not p_values or any(p < 2 or p > 16 for p in p_values):
+        raise ValueError(f"level counts must lie in 2..16, got {p_values}")
+    r_grid = _default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
+    if r_grid.size == 0 or np.any(~(r_grid >= 0)) or np.any(r_grid > R_GRID_CAP):
+        raise ValueError(f"r grid must be nonempty and lie in [0, {R_GRID_CAP}]")
+    if n < 2:
+        raise ValueError(f"need n >= 2 rows per replicate, got {n}")
+    if reps < 1:
+        raise ValueError(f"need reps >= 1, got {reps}")
+    return p_values, r_grid
+
+
 def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse_from=None):
     """Shared harness for both discretization protocols.
 
     For every (r, replicate) one latent bivariate sample is drawn and
     reused across all p values and the continuous baseline, so curves for
     different p are directly comparable and the uncollapsed p=16 curve is
-    identical across protocols under the same seed.
+    identical across protocols under the same seed.  Each replicate makes
+    one estimator call covering the (ordinal, continuous) pair of every p.
     """
-    p_values = sorted(set(int(p) for p in p_values))
-    if any(p < 2 or p > 16 for p in p_values):
-        raise ValueError("level counts must lie in 2..16")
-    r_grid = _default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    if np.any(r_grid < 0) or np.any(r_grid > R_GRID_CAP):
-        raise ValueError(f"r grid must lie in [0, {R_GRID_CAP}]")
-
+    p_values, r_grid = check_discretization_options(p_values, r_grid, n, reps)
     root = np.random.SeedSequence(seed)
     children = root.spawn(r_grid.size * reps)
     pop_cuts = {p: equal_mass_cutoffs(p) for p in p_values}
     base_cuts = equal_mass_cutoffs(16) if collapse_from else None
+    # one ordinal column per p, then the continuous column
+    specs = [ColumnSpec(f"p{p}", p) for p in p_values] + [ColumnSpec("z")]
+    last = len(p_values)
 
     sq_err = {p: np.zeros(r_grid.size) for p in p_values}
     sq_err_base = np.zeros(r_grid.size)
@@ -163,19 +181,17 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse_fro
             sq_err_base[i] += (r_base - r) ** 2
             if collapse_from:
                 codes16 = np.digitize(z[:, 0], base_cuts).astype(float)
-            for p in p_values:
-                if collapse_from:
-                    codes = np.minimum(codes16, p - 1)
-                else:
-                    codes = np.digitize(z[:, 0], pop_cuts[p]).astype(float)
-                try:
-                    r_hat = estimate_latent_correlation(
-                        np.column_stack((codes, z[:, 1])), [ColumnSpec("x0", p), ColumnSpec("x1")]
-                    ).values[0, 1]
-                except kendall.DegenerateColumnError:
-                    # a single observed level carries no rank information;
-                    # the all-ties tau maps to 0
-                    r_hat = 0.0
+                codes = [np.minimum(codes16, p - 1) for p in p_values]
+            else:
+                codes = [np.digitize(z[:, 0], pop_cuts[p]).astype(float) for p in p_values]
+            # a single observed level carries no rank information; the
+            # all-ties tau maps to 0, so such a column gets no pair
+            varied = [m for m, c in enumerate(codes) if c.min() < c.max()]
+            est = estimate_latent_correlation(
+                np.column_stack(codes + [z[:, 1]]), specs, pairs=[(m, last) for m in varied]
+            )
+            for m, p in enumerate(p_values):
+                r_hat = est.values[m, last] if m in varied else 0.0
                 sq_err[p][i] += (r_hat - r) ** 2
 
     bins = np.linspace(0.0, 1.0, N_BINS + 1)

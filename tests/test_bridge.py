@@ -245,3 +245,103 @@ def test_invert_rejects_invalid_tau():
         bridge.invert_bridge(1.5, BridgeKind.continuous_continuous())
     with pytest.raises(ValueError):
         bridge.invert_bridge(np.nan, BridgeKind.continuous_continuous())
+
+
+# ---------------------------------------------------------------------------
+# Batched inversion
+# ---------------------------------------------------------------------------
+
+
+def mixed_batch():
+    """Inversion tasks of every kind, both variants, in- and out-of-range tau."""
+    rng = np.random.default_rng(12)
+    task = bridge.InversionTask
+    tasks = []
+    for p in range(2, 17):
+        # equal-mass cutoffs, and the p-level collapse of 16 equal-mass levels
+        for cuts in (simulate.equal_mass_cutoffs(p), simulate.equal_mass_cutoffs(16)[: p - 1]):
+            tasks += [task(tau, BridgeKind.ordinal_continuous(p), cuts) for tau in rng.uniform(-0.6, 0.6, 2)]
+        tasks.append(task(rng.uniform(-0.6, 0.6), BridgeKind(None, p), None, simulate.equal_mass_cutoffs(p)))
+    tasks.append(task(0.2, BridgeKind.ordinal_continuous(4), np.array([-0.5, -0.5, 0.7])))  # an empty level
+    for pj, pk in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        cj, ck = np.sort(rng.uniform(-1, 1, pj - 1)), np.sort(rng.uniform(-1, 1, pk - 1))
+        tasks += [task(tau, BridgeKind(pj, pk), cj, ck) for tau in (-0.3, 0.05, 0.4)]
+    for kind, cj, ck in (
+        (BridgeKind(2, None), np.array([0.4]), None),
+        (BridgeKind(None, 2), None, np.array([-0.6])),
+        (BridgeKind(2, 2), np.array([0.4]), np.array([-0.3])),
+    ):
+        tasks += [task(tau, kind, cj, ck, "b") for tau in (-0.5, 0.1, 0.6)]
+    for tau in (-1.0, -0.7, 0.7, 1.0):  # clamped at both ends
+        tasks.append(task(tau, BridgeKind.ordinal_continuous(3), np.array([-0.5, 0.5])))
+        tasks.append(task(tau, BridgeKind(2, 3), np.array([0.0]), np.array([-0.5, 0.5])))
+        tasks.append(task(tau, BridgeKind.continuous_continuous()))
+    return tasks
+
+
+def scalar_newton(task):
+    """Safeguarded Newton on one task, step by step: the reference for invert_bridges."""
+    forward = bridge.bridge_forward if task.variant == "a" else bridge.bridge_forward_tau_b
+    tau = task.tau
+
+    def f(r):
+        return forward(r, task.kind, task.cutoffs_j, task.cutoffs_k)
+
+    lo, hi = -1.0 + bridge.CLAMP, 1.0 - bridge.CLAMP
+    f_lo, f_hi = f(lo).value - tau, f(hi).value - tau
+    if f_lo >= 0.0:
+        return bridge.InversionResult(lo, f_lo > 0.0, 0)
+    if f_hi <= 0.0:
+        return bridge.InversionResult(hi, f_hi < 0.0, 0)
+    r = min(max(math.sin(math.pi / 2.0 * tau), lo + 1e-12), hi - 1e-12)
+    for iterations in range(1, bridge.NEWTON_MAX_ITER + 1):
+        ev = f(r)
+        g = ev.value - tau
+        if abs(g) <= bridge.NEWTON_TOL:
+            return bridge.InversionResult(r, False, iterations)
+        if g > 0.0:
+            hi = r
+        else:
+            lo = r
+        step = r - g / ev.derivative if ev.derivative > 0.0 and math.isfinite(ev.derivative) else None
+        r = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+    raise AssertionError(f"no convergence for {task}")
+
+
+@pytest.mark.parametrize("max_rows", [bridge.MAX_QUADRATURE_ROWS, 7])
+def test_batched_inversion_matches_each_task_alone(max_rows, monkeypatch):
+    monkeypatch.setattr(bridge, "MAX_QUADRATURE_ROWS", max_rows)
+    tasks = mixed_batch()
+    together = bridge.invert_bridges(tasks)
+    alone = [bridge.invert_bridge(t.tau, t.kind, t.cutoffs_j, t.cutoffs_k, t.variant) for t in tasks]
+    assert together == alone  # r, clamped and iterations, exactly
+    newton = [(t, res) for t, res in zip(tasks, together) if not t.kind.is_continuous_pair]
+    assert [res for _, res in newton] == [scalar_newton(t) for t, _ in newton]
+    assert {res.r for res in together if res.clamped} == {-1.0 + bridge.CLAMP, 1.0 - bridge.CLAMP}
+    newton = [res for t, res in zip(tasks, together) if not (t.kind.is_continuous_pair or res.clamped)]
+    assert len(newton) > 60 and all(res.iterations > 0 for res in newton)
+    assert bridge.invert_bridges([]) == []
+
+
+def test_batched_inversion_names_the_unconverged_task(monkeypatch):
+    monkeypatch.setattr(bridge, "NEWTON_MAX_ITER", 0)
+    tasks = [
+        bridge.InversionTask(0.5, BridgeKind.continuous_continuous()),
+        bridge.InversionTask(0.3, BridgeKind.ordinal_continuous(3), np.array([-0.5, 0.5])),
+    ]
+    with pytest.raises(bridge.BridgeInversionError, match="no convergence after 0") as caught:
+        bridge.invert_bridges(tasks)
+    assert caught.value.index == 1
+
+
+def test_inversion_task_checks_its_inputs():
+    with pytest.raises(ValueError, match="variant"):
+        bridge.InversionTask(0.1, BridgeKind.ordinal_continuous(2), np.array([0.0]), variant="c")
+    with pytest.raises(ValueError, match="nondecreasing"):
+        bridge.InversionTask(0.1, BridgeKind.ordinal_continuous(3), np.array([0.5, -0.5]))
+    with pytest.raises(bridge.UnsupportedPairError, match="4-level x 2-level"):
+        bridge.InversionTask(0.1, BridgeKind(4, 2), np.array([-1.0, 0.0, 1.0]), np.array([0.0]))
+    with pytest.raises(bridge.UnsupportedPairError, match="tau-b"):
+        bridge.InversionTask(0.1, BridgeKind.continuous_continuous(), variant="b")
+    assert not BridgeKind(4, 2).is_supported
+    assert BridgeKind(3, 3).is_supported and BridgeKind(16, None).is_supported

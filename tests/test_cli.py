@@ -376,6 +376,26 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert (out1 / "scenario2_curves.tsv").read_bytes() == (out2 / "scenario2_curves.tsv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        (["--r-step", "0"], "--r-step must be finite and positive"),
+        (["--r-step", "-0.1"], "--r-step must be finite and positive"),
+        (["--reps", "0"], "need reps >= 1"),
+        (["--n", "1"], "need n >= 2"),
+        (["--p-values", "1"], "level counts must lie in 2..16"),
+    ],
+    ids=["r-step-0", "r-step-negative", "reps-0", "n-1", "p-values-1"],
+)
+def test_simulate_rejects_bad_options(tmp_path, flag, message):
+    out = tmp_path / "out"
+    assert main(["simulate", "1", "--reps", "1", "--r-step", "0.5", *flag, "--out-dir", str(out)]) == 2
+    err = json.loads((out / "errors.json").read_text())
+    assert err["stage"] == "options"
+    assert err["message"].startswith(message)
+    assert not (out / "scenario1_curves.tsv").exists()
+
+
 def test_simulate_concentration(tmp_path, monkeypatch):
     # shrink the experiment through the module default arguments
     import latentcorr.cli as cli_mod

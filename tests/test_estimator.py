@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from latentcorr import estimator, kendall, simulate
+from latentcorr import bridge, estimator, kendall, simulate
 from latentcorr.bridge import UnsupportedPairError
 from latentcorr.estimator import ColumnSpec
 
@@ -140,8 +140,12 @@ def test_unsupported_pair_modes():
     assert est.method[0, 1] == "sin_fallback"
 
 
-@pytest.mark.parametrize("variant", ["a", "b"])
-def test_fallback_counts_tau_once_per_pair(variant, monkeypatch):
+@pytest.mark.parametrize(
+    "variant, on_unsupported, tau_calls",
+    [("a", "fallback", 3), ("b", "fallback", 3), ("a", "missing", 2), ("b", "missing", 2)],
+    ids=["a", "b", "a-missing", "b-missing"],
+)
+def test_fallback_counts_tau_once_per_pair(variant, on_unsupported, tau_calls, monkeypatch):
     rng = np.random.default_rng(5)
     n = 300
     data = np.column_stack(
@@ -151,9 +155,54 @@ def test_fallback_counts_tau_once_per_pair(variant, monkeypatch):
     calls = []
     tau_a = kendall.tau_a
     monkeypatch.setattr(kendall, "tau_a", lambda x, y: calls.append(1) or tau_a(x, y))
-    est = estimator.estimate_latent_correlation(data, variant=variant, on_unsupported="fallback")
-    assert est.method[0, 1] == "sin_fallback"
-    assert len(calls) == 3  # one per pair, the unsupported (0, 1) included
+    est = estimator.estimate_latent_correlation(data, variant=variant, on_unsupported=on_unsupported)
+    assert est.method[0, 1] == ("sin_fallback" if on_unsupported == "fallback" else "unsupported")
+    # one per pair; the unsupported (0, 1) only when its tau is used
+    assert len(calls) == tau_calls
+
+
+def _four_column_sample():
+    rng = np.random.default_rng(9)
+    n = 400
+    return np.column_stack(
+        [rng.integers(0, 3, n).astype(float), rng.standard_normal(n),
+         rng.integers(0, 2, n).astype(float), rng.standard_normal(n)]
+    )
+
+
+def test_pairs_selects_the_estimated_entries():
+    data = _four_column_sample()
+    full = estimator.estimate_latent_correlation(data)
+    data[:, 2] = 1.0  # a single observed level: fine while column 2 is in no pair
+    part = estimator.estimate_latent_correlation(data, full.specs, pairs=[(3, 0), (0, 1)])
+    for j, k in ((0, 1), (0, 3)):
+        assert part.values[j, k] == part.values[k, j] == full.values[j, k]
+        assert part.method[j, k] == full.method[j, k]
+    others = np.ones((4, 4), dtype=bool)
+    others[[0, 1, 0, 3], [1, 0, 3, 0]] = False
+    np.fill_diagonal(others, False)
+    assert np.isnan(part.values[others]).all()
+    assert set(part.method[others]) == {"not_estimated"}
+    assert np.array_equal(np.diag(part.values), np.ones(4))
+    assert estimator.estimate_latent_correlation(data, full.specs, pairs=[]).method[0, 1] == "not_estimated"
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (0, 4), (-1, 2)])
+def test_pairs_rejects_bad_column_indices(pair):
+    with pytest.raises(ValueError, match="distinct column indices"):
+        estimator.estimate_latent_correlation(_four_column_sample(), pairs=[pair])
+
+
+def test_batched_inversion_errors_name_the_pair(monkeypatch):
+    data = _four_column_sample()
+    specs = [ColumnSpec(name, levels) for name, levels in zip("abcd", (3, None, 2, None))]
+    monkeypatch.setattr(estimator, "estimate_cutoffs", lambda col, p: np.linspace(1.0, -1.0, p - 1))
+    with pytest.raises(ValueError, match=r"pair \(0, 1\) \['a', 'b'\]: cutoffs must be nondecreasing"):
+        estimator.estimate_latent_correlation(data, specs)
+    monkeypatch.undo()
+    monkeypatch.setattr(bridge, "NEWTON_MAX_ITER", 0)
+    with pytest.raises(bridge.BridgeInversionError, match=r"pair \(0, 1\) \['a', 'b'\]: no convergence"):
+        estimator.estimate_latent_correlation(data, specs)
 
 
 def test_single_level_ordinal_column_raises():

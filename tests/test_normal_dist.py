@@ -208,3 +208,35 @@ def test_trivariate_gradient_matches_finite_differences():
             nd.trivariate_cdf(a, b, 0.0, r + eps) - nd.trivariate_cdf(a, b, 0.0, r - eps)
         ) / (2 * eps)
         assert grad == pytest.approx(fd, abs=2e-8)
+
+
+def test_phi3_batch_pair_value_does_not_depend_on_the_batch():
+    # rows of four pairs, each with its own r; two pairs share an r, and
+    # the last pair has an infinite bound resolved analytically
+    a = np.array([-0.8, 0.3, 1.2, -1.5, 0.1, 0.7, 2.0, 0.4])
+    b = np.array([0.3, 1.2, np.inf, 0.1, 0.7, 2.0, np.inf, 0.9])
+    r = np.array([0.95, 0.95, 0.95, -0.4, -0.4, 0.95, 0.95, 0.2])
+    pairs = np.array([0, 0, 0, 1, 1, 2, 2, 3])
+    together = nd._phi3_batch(a, b, 0.0, r, pair_ids=pairs)
+    for pair in range(4):
+        rows = pairs == pair
+        alone = nd._phi3_batch(a[rows], b[rows], 0.0, r[rows])
+        assert np.array_equal(together[rows], alone)
+    grad = nd._phi3_c0_grad(a, b, r)
+    assert np.array_equal(grad, [nd.trivariate_cdf_grad(x, y, s) for x, y, s in zip(a, b, r)])
+
+
+def test_phi3_batch_reports_quadrature_that_misses_tolerance():
+    a = np.array([0.5, -0.2, 0.3])
+    b = np.array([0.1, 0.4, np.inf])
+    r = np.array([0.6, 0.6, -0.3])
+    with pytest.warns(nd.QuadratureWarning) as caught:
+        got = nd._phi3_batch(a, b, 0.0, r, tol=0.0, pair_ids=np.array([7, 7, 8]))
+    # one warning, for the pair with finite rows, naming its r and worst difference
+    assert len(caught) == 1
+    message = str(caught[0].message)
+    assert "r = 0.6" in message and "worst node difference" in message
+    assert issubclass(nd.QuadratureWarning, RuntimeWarning)
+    # the 512-node estimate is kept
+    assert got[:2] == pytest.approx([nd.trivariate_cdf(0.5, 0.1, 0.0, 0.6),
+                                     nd.trivariate_cdf(-0.2, 0.4, 0.0, 0.6)], abs=1e-12)
