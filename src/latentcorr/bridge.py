@@ -1,7 +1,7 @@
 """Bridge functions linking latent correlation to population Kendall
 statistics, cutoff estimation, and safeguarded monotone inversion.
 
-Supported pair kinds:
+Pair kinds and their bridges:
 
 * continuous-continuous: tau = (2/pi) * arcsin(r), inverted in closed form.
 * ordinal(p)-continuous, any p >= 2: the telescoping sum
@@ -10,13 +10,15 @@ Supported pair kinds:
 
   with D_p = +inf, whose last term collapses to the binary-continuous
   form 4*Phi2(D, 0, r/sqrt(2)) - 2*Phi(D).
-* ordinal-ordinal with at most 3 levels on each side:
+* ordinal-ordinal, any p_j, p_k >= 2: with the cutoffs padded by -inf
+  and +inf, G[a, b] = Phi2(Dj_a, Dk_b, r) = P(X < a, Y < b) is the
+  cumulative grid, the cell masses pi_ab are its second differences, and
 
-      F(r) = 2*Phi2(Dj2, Dk2, r)*Phi2(-Dj1, -Dk1, r)
-             - 2*[Phi(Dj2) - Phi2(Dj2, Dk1, r)] * [Phi(Dk2) - Phi2(Dj1, Dk2, r)]
+      F(r) = 2 * sum_{a,b} pi_ab * (G[a, b] - (G[a, p_k] - G[a, b+1]))
 
-  where a binary side sets its second cutoff to +inf; the binary-binary
-  case reduces to 2*(Phi2(Dj1, Dk1, r) - Phi(Dj1)*Phi(Dk1)).
+  sums P(concordant) - P(discordant) over the cells; dF/dr is the same
+  expression by the product rule, with phi2 in place of Phi2.  The
+  binary-binary case reduces to 2*(Phi2(Dj1, Dk1, r) - Phi(Dj1)*Phi(Dk1)).
 
 Each forward bridge is strictly increasing in r on (-1, 1), so inversion
 uses Newton iterations safeguarded by bisection on a maintained bracket.
@@ -68,9 +70,10 @@ CLAMP = 1e-6
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 200
 
-# Largest number of trivariate quadrature rows (one per cutoff of an
-# ordinal-continuous pair) handed to the quadrature at once, which bounds
-# the memory of a forward evaluation whatever the batch size.
+# Largest number of rows handed to one vector evaluation: trivariate
+# quadrature rows (one per cutoff of an ordinal-continuous pair), or rows
+# of the bivariate CDF grids of ordinal-ordinal pairs (p_j + 1 per pair).
+# This bounds the memory of a forward evaluation whatever the batch size.
 MAX_QUADRATURE_ROWS = 256
 
 # Tractability ceiling for the exact second-order tau-b sum: C(n,2) <= 1e4.
@@ -80,7 +83,7 @@ _SQRT2 = math.sqrt(2.0)
 
 
 class UnsupportedPairError(ValueError):
-    """No bridge function exists for this pair of variable kinds."""
+    """No tau-b bridge exists for this pair of variable kinds."""
 
 
 class DegenerateBridgeError(ValueError):
@@ -118,12 +121,6 @@ class BridgeKind:
     def has_tau_b(self) -> bool:
         """Binary-binary or binary-continuous: the pairs with a tau-b bridge."""
         return not self.is_continuous_pair and {self.levels_j, self.levels_k} <= {None, 2}
-
-    @property
-    def is_supported(self) -> bool:
-        """False for ordinal-ordinal pairs with more than 3 levels on a side: no bridge exists."""
-        lj, lk = self.levels_j, self.levels_k
-        return lj is None or lk is None or max(lj, lk) <= 3
 
     @property
     def tag(self) -> str:
@@ -188,11 +185,7 @@ def _check_cutoffs(kind: BridgeKind, cutoffs_j, cutoffs_k):
 
 
 def bridge_forward(r: float, kind: BridgeKind, cutoffs_j=None, cutoffs_k=None) -> BridgeEval:
-    """Population tau-a at latent correlation r, with d(tau)/dr.
-
-    Raises UnsupportedPairError for ordinal-ordinal pairs with more than
-    3 levels on either side (no bridge is available for those).
-    """
+    """Population tau-a at latent correlation r, with d(tau)/dr."""
     return _forward_one(r, kind, cutoffs_j, cutoffs_k, "a")
 
 
@@ -269,8 +262,9 @@ def tau_b_second_order(r: float, delta_j: float, n: int) -> float:
     var_t = n_pairs * (2.0 * phi - 2.0 * phi * phi) - e_t * e_t
 
     rho = r / _SQRT2
-    p_con = 2.0 * (bivariate_cdf(delta_j, 0.0, rho) - _phi3_batch(delta_j, delta_j, 0.0, r)[0])
-    p_dis = 2.0 * (bivariate_cdf(delta_j, 0.0, -rho) - _phi3_batch(delta_j, delta_j, 0.0, r)[0])
+    phi3 = _phi3_batch(delta_j, delta_j, 0.0, r)[0]
+    p_con = 2.0 * (bivariate_cdf(delta_j, 0.0, rho) - phi3)
+    p_dis = 2.0 * (bivariate_cdf(delta_j, 0.0, -rho) - phi3)
     p_rest = 1.0 - p_con - p_dis
 
     # windowed multinomial sum for E[(C - D) * sqrt(C + D)]
@@ -341,11 +335,6 @@ class InversionTask:
             raise ValueError(f"tau must lie in [-1, 1], got {tau}")
         cj, ck = _check_cutoffs(self.kind, self.cutoffs_j, self.cutoffs_k)
         scale = _tau_b_denominator(self.kind, cj, ck) if self.variant == "b" else 1.0
-        if not self.kind.is_supported:
-            raise UnsupportedPairError(
-                f"no bridge for a {self.kind.levels_j}-level x {self.kind.levels_k}-level "
-                "ordinal pair (only <= 3 levels per side are supported)"
-            )
         for name, value in (("tau", tau), ("cutoffs_j", cj), ("cutoffs_k", ck), ("scale", scale)):
             object.__setattr__(self, name, value)
 
@@ -354,17 +343,16 @@ class _Bridges:
     """Forward bridges of a batch of non-continuous tasks, evaluated together.
 
     An ordinal-continuous bridge is a sum of one trivariate term per
-    cutoff of the ordinal side (see the module docstring); an
-    ordinal-ordinal one is a closed form in bivariate CDFs, a binary side
-    taking +inf as its second cutoff.
+    cutoff of the ordinal side; an ordinal-ordinal one is a sum over the
+    cells of its bivariate CDF grid (see the module docstring).  Tasks
+    whose grids have the same shape are evaluated together.
     """
 
     def __init__(self, tasks):
         n = len(tasks)
         self.scale = np.array([t.scale for t in tasks])
         self.size = np.zeros(n, dtype=int)  # quadrature rows; 0 for ordinal-ordinal
-        self.dj = np.full((n, 2), np.inf)
-        self.dk = np.full((n, 2), np.inf)
+        self.levels = np.zeros((n, 2), dtype=int)  # (p_j, p_k) of ordinal-ordinal tasks
         lower = []
         for i, t in enumerate(tasks):
             if t.kind.levels_j is None or t.kind.levels_k is None:
@@ -372,12 +360,18 @@ class _Bridges:
                 lower.append(cuts)
                 self.size[i] = cuts.size
             else:
-                self.dj[i, : t.cutoffs_j.size] = t.cutoffs_j
-                self.dk[i, : t.cutoffs_k.size] = t.cutoffs_k
+                self.levels[i] = t.kind.levels_j, t.kind.levels_k
         self.start = np.cumsum(self.size) - self.size
         self.lower = np.concatenate(lower) if lower else np.empty(0)
         self.upper = np.concatenate([np.append(c[1:], np.inf) for c in lower]) if lower else np.empty(0)
         self.const = 2.0 * ndtr(self.lower) * ndtr(self.upper)
+        # grid cutoffs -inf, D_1, ..., D_{p-1}, +inf, padded on the right with +inf
+        self.grid_j = np.full((n, self.levels[:, 0].max(initial=0) + 1), np.inf)
+        self.grid_k = np.full((n, self.levels[:, 1].max(initial=0) + 1), np.inf)
+        self.grid_j[:, 0] = self.grid_k[:, 0] = -np.inf
+        for i in np.flatnonzero(self.size == 0):
+            self.grid_j[i, 1 : self.levels[i, 0]] = tasks[i].cutoffs_j
+            self.grid_k[i, 1 : self.levels[i, 1]] = tasks[i].cutoffs_k
 
     def evaluate(self, r: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bridge values and derivatives of tasks idx at r (aligned, repeats allowed)."""
@@ -395,8 +389,12 @@ class _Bridges:
         if rows:
             self._ordinal_continuous(r, idx, oc[first:], value, deriv)
         oo = np.flatnonzero(size == 0)
-        if oo.size:
-            self._ordinal_ordinal(r, idx, oo, value, deriv)
+        levels = self.levels[idx[oo]]
+        for p_j, p_k in np.unique(levels, axis=0):
+            same = oo[(levels == (p_j, p_k)).all(axis=1)]
+            per = max(1, MAX_QUADRATURE_ROWS // (p_j + 1))
+            for first in range(0, same.size, per):
+                self._ordinal_ordinal(r, idx, same[first : first + per], p_j, p_k, value, deriv)
         scale = self.scale[idx]
         return value / scale, deriv / scale
 
@@ -417,18 +415,23 @@ class _Bridges:
             value[pos[same]] = terms[block].reshape(-1, s).sum(axis=1)
             deriv[pos[same]] = grads[block].reshape(-1, s).sum(axis=1)
 
-    def _ordinal_ordinal(self, r, idx, pos, value, deriv):
-        (dj1, dj2), (dk1, dk2), r = self.dj[idx[pos]].T, self.dk[idx[pos]].T, r[pos]
-        p_hi = bivariate_cdf(dj2, dk2, r)
-        p_lo = bivariate_cdf(-dj1, -dk1, r)
-        m_j = std_cdf(dj2) - bivariate_cdf(dj2, dk1, r)
-        m_k = std_cdf(dk2) - bivariate_cdf(dj1, dk2, r)
-        value[pos] = 2.0 * p_hi * p_lo - 2.0 * m_j * m_k
-        d_hi = bivariate_pdf(dj2, dk2, r)
-        d_lo = bivariate_pdf(-dj1, -dk1, r)
-        d_mj = bivariate_pdf(dj2, dk1, r)
-        d_mk = bivariate_pdf(dj1, dk2, r)
-        deriv[pos] = 2.0 * (d_hi * p_lo + p_hi * d_lo) + 2.0 * (d_mj * m_k + m_j * d_mk)
+    def _ordinal_ordinal(self, r, idx, pos, p_j, p_k, value, deriv):
+        dj = self.grid_j[idx[pos], : p_j + 1, None]
+        dk = self.grid_k[idx[pos], None, : p_k + 1]
+        r = r[pos, None, None]
+
+        def cells(g):
+            """Cell masses pi_ab and P(X < a, Y < b) - P(X < a, Y > b) of grid g."""
+            mass = g[:, 1:, 1:] - g[:, :-1, 1:] - g[:, 1:, :-1] + g[:, :-1, :-1]
+            net = g[:, :-1, :-1] + g[:, :-1, 1:] - g[:, :-1, -1:]
+            return mass, net
+
+        # d Phi2 / dr = phi2, and cells() is linear in g
+        mass, net = cells(bivariate_cdf(dj, dk, r))
+        d_mass, d_net = cells(bivariate_pdf(dj, dk, r))
+        # one row per task, so each sum runs as for that task alone
+        value[pos] = 2.0 * (mass * net).reshape(pos.size, -1).sum(axis=1)
+        deriv[pos] = 2.0 * (d_mass * net + mass * d_net).reshape(pos.size, -1).sum(axis=1)
 
 
 def _invert_sine(tau: float) -> InversionResult:

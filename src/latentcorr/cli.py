@@ -180,7 +180,8 @@ def _write_method_report(path: Path, names, est) -> None:
                 )
 
 
-def _run_estimate_stage(args):
+def _read_inputs(args):
+    """CSV, manifest and tau variant, checked: (names, data, specs, tau, options)."""
     header, data = read_csv(args.data)
     kinds, options = ({}, {})
     if args.manifest:
@@ -188,34 +189,24 @@ def _run_estimate_stage(args):
     tau = args.tau or options.get("tau", "a")
     if tau not in ("a", "b"):
         raise CliError("options", f"tau variant must be 'a' or 'b', got {tau!r}")
-    specs = _build_specs(header, data, kinds)
+    return header, data, _build_specs(header, data, kinds), tau, options
+
+
+def _estimate(data, specs, tau):
     try:
-        est = estimate_latent_correlation(
-            data, specs, variant=tau,
-            on_unsupported="missing" if args.allow_partial else "raise",
-        )
+        return estimate_latent_correlation(data, specs, variant=tau)
     except Exception as exc:
         raise CliError("estimate", str(exc)) from exc
-    return header, data, est, options
-
-
-def _unsupported_pairs(est, names):
-    return [
-        {"j": j, "k": k, "name_j": names[j], "name_k": names[k]}
-        for j in range(est.d)
-        for k in range(j + 1, est.d)
-        if est.method[j, k] == "unsupported"
-    ]
 
 
 def cmd_estimate(args, report):
-    names, _, est, _ = _run_estimate_stage(args)
+    names, data, specs, tau, _ = _read_inputs(args)
+    est = _estimate(data, specs, tau)
     out = Path(args.out_dir)
     _write_matrix(out / "correlation.tsv", names, est.values)
     _write_method_report(out / "method_report.tsv", names, est)
     report["artifacts"] += ["correlation.tsv", "method_report.tsv"]
     report["clamped_entries"] = int(np.triu(est.clamped, 1).sum())
-    report["unsupported_pairs"] = _unsupported_pairs(est, names)
     return 0
 
 
@@ -240,20 +231,13 @@ def _parse_hbic_cn(raw):
 
 
 def cmd_graph(args, report):
-    names, data, est, options = _run_estimate_stage(args)
-    if np.isnan(est.values).any():
-        raise CliError(
-            "estimate",
-            "matrix has missing entries (unsupported pairs); graph estimation "
-            "needs a complete matrix",
-            unsupported_pairs=_unsupported_pairs(est, names),
-        )
-    out = Path(args.out_dir)
+    names, data, specs, tau, options = _read_inputs(args)
     raw_path = args.lambda_path or options.get("lambda_path")
     lam_path = _parse_lambda_path(raw_path) if raw_path else None
     raw_cn = args.hbic_cn if args.hbic_cn is not None else options.get("hbic_cn", "3.0")
-    cn = _parse_hbic_cn(raw_cn)
-    config = glasso.GlassoConfig(lambda_path=lam_path, hbic_cn=cn)
+    config = glasso.GlassoConfig(lambda_path=lam_path, hbic_cn=_parse_hbic_cn(raw_cn))
+    est = _estimate(data, specs, tau)
+    out = Path(args.out_dir)
     try:
         r_psd = project_psd(est.values)
         best, fits = glasso.select_hbic(r_psd, data.shape[0], config)
@@ -365,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True, help="input CSV (header row; empty cell = missing)")
         p.add_argument("--manifest", help="column kinds: lines of 'name = continuous' or 'name = ordinal:p'")
         p.add_argument("--tau", choices=("a", "b"), help="Kendall variant (default a)")
-        p.add_argument("--allow-partial", action="store_true",
-                       help="mark unsupported pairs missing instead of aborting")
         p.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
     p_est = sub.add_parser("estimate", help="latent correlation matrix of a CSV file")

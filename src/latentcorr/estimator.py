@@ -17,7 +17,6 @@ from .bridge import (
     BridgeInversionError,
     BridgeKind,
     InversionTask,
-    UnsupportedPairError,
     estimate_cutoffs,
     invert_bridge,
     invert_bridges,
@@ -109,31 +108,23 @@ def estimate_latent_correlation(
     data,
     specs: list[ColumnSpec] | None = None,
     variant: str = "a",
-    on_unsupported: str = "raise",
     pairs=None,
 ) -> LatentCorrelationMatrix:
     """Bridge-inverted latent correlation matrix of a mixed data matrix.
 
     variant 'b' uses the first-order tau-b bridges where they exist
     (binary-binary, binary-continuous) and falls back to tau-a elsewhere,
-    tagging each entry with what was actually used.  Ordinal-ordinal
-    pairs with more than 3 levels per side have no bridge; on_unsupported
-    picks the response: "raise" (default), "fallback" (apply the
-    continuous rule sin(pi/2 * tau_a)), or "missing" (NaN entry tagged
-    "unsupported", no tau counted).
+    tagging each entry with what was actually used.
 
     pairs lists the column pairs (j, k) to estimate (default: every
     j < k).  Other off-diagonal entries are NaN, tagged "not_estimated",
     and only columns in a listed pair are checked and given cutoffs.
-    Kendall's tau is counted pair by pair.  Sine pairs (continuous, or
-    unsupported with "fallback") are inverted in closed form as they come;
-    all other pairs need Newton and are inverted together in one batch
-    (bridge.invert_bridges) after the loop.
+    Kendall's tau is counted pair by pair.  Continuous pairs are inverted
+    in closed form as they come; all other pairs need Newton and are
+    inverted together in one batch (bridge.invert_bridges) after the loop.
     """
     if variant not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
-    if on_unsupported not in ("raise", "fallback", "missing"):
-        raise ValueError(f"on_unsupported must be raise|fallback|missing, got {on_unsupported!r}")
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise ValueError("data must be a 2-D (n, d) matrix")
@@ -180,17 +171,9 @@ def estimate_latent_correlation(
     tasks, batched = [], []
     for j, k in pairs:
         kind = BridgeKind(eff_levels[j] or None, eff_levels[k] or None)
-        if not kind.is_supported and on_unsupported != "fallback":
-            if on_unsupported == "raise":
-                raise UnsupportedPairError(
-                    f"{_pair_label(j, k, specs)}: no bridge "
-                    f"for {eff_levels[j]} x {eff_levels[k]} ordinal levels"
-                )
-            method[j, k] = method[k, j] = "unsupported"
-            continue
         use_variant = "b" if variant == "b" and kind.has_tau_b else "a"
-        tag = kind.tag if kind.is_supported else "sin_fallback"
-        if variant == "b" and kind.is_supported:
+        tag = kind.tag
+        if variant == "b":
             tag += ":tau_b" if use_variant == "b" else ":tau_a_fallback"
         method[j, k] = method[k, j] = tag
         try:
@@ -198,10 +181,8 @@ def estimate_latent_correlation(
                 tau = kendall.tau_b(cols[:, j], cols[:, k]).tau_b
             else:
                 tau = kendall.tau_a(cols[:, j], cols[:, k])
-            if kind.is_continuous_pair or not kind.is_supported:
-                # closed form, so nothing to batch; an unsupported kind has
-                # no tau-b bridge, so tau is tau-a here
-                res = invert_bridge(tau, BridgeKind.continuous_continuous())
+            if kind.is_continuous_pair:  # closed form, so nothing to batch
+                res = invert_bridge(tau, kind)
                 values[j, k] = values[k, j] = res.r
                 clamped[j, k] = clamped[k, j] = res.clamped
             else:

@@ -25,6 +25,24 @@ def binary_binary_tau(r, dj, dk):
     return 2.0 * (nd.bivariate_cdf(dj, dk, r) - nd.std_cdf(dj) * nd.std_cdf(dk))
 
 
+def closed_form_up_to_three_levels(r, cj, ck):
+    """Population tau of an ordinal-ordinal pair with at most 3 levels per
+    side, and its derivative: the closed form the grid sum replaced, a
+    binary side taking +inf as its second cutoff."""
+    (dj1, dj2), (dk1, dk2) = (np.append(c, [np.inf] * (2 - c.size)) for c in (cj, ck))
+    p_hi = nd.bivariate_cdf(dj2, dk2, r)
+    p_lo = nd.bivariate_cdf(-dj1, -dk1, r)
+    m_j = nd.std_cdf(dj2) - nd.bivariate_cdf(dj2, dk1, r)
+    m_k = nd.std_cdf(dk2) - nd.bivariate_cdf(dj1, dk2, r)
+    value = 2.0 * p_hi * p_lo - 2.0 * m_j * m_k
+    d_hi = nd.bivariate_pdf(dj2, dk2, r)
+    d_lo = nd.bivariate_pdf(-dj1, -dk1, r)
+    d_mj = nd.bivariate_pdf(dj2, dk1, r)
+    d_mk = nd.bivariate_pdf(dj1, dk2, r)
+    deriv = 2.0 * (d_hi * p_lo + p_hi * d_lo) + 2.0 * (d_mj * m_k + m_j * d_mk)
+    return value, deriv
+
+
 def mc_tau(r, cuts_j, cuts_k, n_draws=200_000, seed=0):
     return simulate.mc_population_tau_a(r, cuts_j, cuts_k, n_draws=n_draws, seed=seed)
 
@@ -66,6 +84,18 @@ def test_ordinal_ordinal_with_infinite_cutoffs_reduces_to_binary_form():
             assert got == pytest.approx(binary_binary_tau(r, dj, dk), abs=1e-9)
 
 
+def test_grid_sum_matches_closed_form_up_to_three_levels():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        pj, pk = (int(p) for p in rng.integers(2, 4, 2))
+        cj, ck = np.sort(rng.uniform(-2, 2, pj - 1)), np.sort(rng.uniform(-2, 2, pk - 1))
+        r = rng.uniform(-1.0 + bridge.CLAMP, 1.0 - bridge.CLAMP)
+        ev = bridge.bridge_forward(r, BridgeKind(pj, pk), cj, ck)
+        value, deriv = closed_form_up_to_three_levels(r, cj, ck)
+        assert abs(ev.value - value) <= 1e-14
+        assert abs(ev.derivative - deriv) <= 1e-14
+
+
 def test_forward_is_odd_in_r_at_symmetric_cutoffs():
     kind = BridgeKind.ordinal_continuous(3)
     cuts = np.array([-0.6, 0.6])
@@ -102,6 +132,15 @@ def test_forward_matches_monte_carlo(cuts_j, cuts_k):
     assert abs(got - want) < 3.0 * se
 
 
+@pytest.mark.parametrize("pj, pk", [(4, 2), (5, 7), (10, 3), (16, 16)])
+@pytest.mark.parametrize("r", [-0.5, 0.2, 0.6])
+def test_many_level_ordinal_pairs_match_monte_carlo(pj, pk, r):
+    cj, ck = simulate.equal_mass_cutoffs(pj), simulate.equal_mass_cutoffs(pk)
+    want, se = simulate.mc_population_tau_a(r, cj, ck, n_draws=10**6, seed=pj * 100 + pk)
+    got = bridge.bridge_forward(r, BridgeKind(pj, pk), cj, ck).value
+    assert abs(got - want) < 3.0 * se
+
+
 def test_example_four_level_continuous_at_point_six():
     cuts = simulate.equal_mass_cutoffs(4)
     kind = BridgeKind.ordinal_continuous(4)
@@ -127,6 +166,7 @@ def test_forward_derivative_matches_finite_differences():
             np.sort(rng.uniform(-1.5, 1.5, 2)),
         ),
         (BridgeKind.ordinal_ordinal(2, 2), np.array([0.4]), np.array([-0.2])),
+        (BridgeKind.ordinal_ordinal(5, 7), simulate.equal_mass_cutoffs(5), simulate.equal_mass_cutoffs(7)),
     ]
     for kind, cj, ck in cases:
         for r in (-0.7, 0.1, 0.6):
@@ -148,6 +188,16 @@ def test_forward_strictly_increasing():
         assert np.all(np.diff(vals) > 0)
 
 
+def test_many_level_ordinal_pairs_strictly_increasing():
+    rng = np.random.default_rng(18)
+    grid = np.linspace(-0.98, 0.98, 40)
+    for _ in range(10):
+        pj, pk = (int(p) for p in rng.integers(4, 17, 2))
+        cj, ck = np.sort(rng.uniform(-1.5, 1.5, pj - 1)), np.sort(rng.uniform(-1.5, 1.5, pk - 1))
+        vals = [bridge.bridge_forward(float(r), BridgeKind(pj, pk), cj, ck).value for r in grid]
+        assert np.all(np.diff(vals) > 0)
+
+
 # ---------------------------------------------------------------------------
 # Inversion
 # ---------------------------------------------------------------------------
@@ -166,6 +216,23 @@ def test_round_trip_across_kinds():
             res = bridge.invert_bridge(tau, kind, cj, ck)
             assert res.r == pytest.approx(r, abs=1e-7)
             assert not res.clamped
+
+
+def test_every_ordinal_pair_round_trips():
+    # every level count 2..16 on each side, equal-mass cutoffs
+    tasks, want = [], []
+    for pj in range(2, 17):
+        for pk in range(2, 17):
+            kind = BridgeKind(pj, pk)
+            cj, ck = simulate.equal_mass_cutoffs(pj), simulate.equal_mass_cutoffs(pk)
+            for r in (-0.9, 0.0, 0.5, 0.9):
+                ev = bridge.bridge_forward(r, kind, cj, ck)
+                assert np.isfinite(ev.value) and ev.derivative > 0.0
+                tasks.append(bridge.InversionTask(ev.value, kind, cj, ck))
+                want.append(r)
+    results = bridge.invert_bridges(tasks)
+    assert not any(res.clamped for res in results)
+    assert max(abs(res.r - r) for res, r in zip(results, want)) <= 1e-7
 
 
 def test_out_of_range_tau_clamps():
@@ -227,12 +294,6 @@ def test_estimate_cutoffs_matches_quantiles():
     assert cuts3 == pytest.approx([nd.std_quantile(0.2), nd.std_quantile(0.5)], abs=1e-12)
 
 
-def test_unsupported_ordinal_pair_raises():
-    kind = BridgeKind.ordinal_ordinal(4, 2)
-    with pytest.raises(bridge.UnsupportedPairError):
-        bridge.bridge_forward(0.3, kind, np.array([-1.0, 0.0, 1.0]), np.array([0.0]))
-
-
 def test_tau_b_requires_binary_side():
     kind = BridgeKind.ordinal_ordinal(3, 3)
     cuts = np.array([-0.5, 0.5])
@@ -263,9 +324,12 @@ def mixed_batch():
             tasks += [task(tau, BridgeKind.ordinal_continuous(p), cuts) for tau in rng.uniform(-0.6, 0.6, 2)]
         tasks.append(task(rng.uniform(-0.6, 0.6), BridgeKind(None, p), None, simulate.equal_mass_cutoffs(p)))
     tasks.append(task(0.2, BridgeKind.ordinal_continuous(4), np.array([-0.5, -0.5, 0.7])))  # an empty level
-    for pj, pk in ((2, 2), (2, 3), (3, 2), (3, 3)):
+    # ordinal-ordinal grids of many shapes, one of them (5 x 7) with two cutoff sets
+    for pj, pk in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 7), (7, 5), (10, 3), (16, 16), (5, 7)):
         cj, ck = np.sort(rng.uniform(-1, 1, pj - 1)), np.sort(rng.uniform(-1, 1, pk - 1))
         tasks += [task(tau, BridgeKind(pj, pk), cj, ck) for tau in (-0.3, 0.05, 0.4)]
+    empty_level = np.array([-0.5, -0.5, 0.7])
+    tasks.append(task(0.2, BridgeKind(4, 5), empty_level, simulate.equal_mass_cutoffs(5)))
     for kind, cj, ck in (
         (BridgeKind(2, None), np.array([0.4]), None),
         (BridgeKind(None, 2), None, np.array([-0.6])),
@@ -275,6 +339,7 @@ def mixed_batch():
     for tau in (-1.0, -0.7, 0.7, 1.0):  # clamped at both ends
         tasks.append(task(tau, BridgeKind.ordinal_continuous(3), np.array([-0.5, 0.5])))
         tasks.append(task(tau, BridgeKind(2, 3), np.array([0.0]), np.array([-0.5, 0.5])))
+        tasks.append(task(tau, BridgeKind(6, 4), simulate.equal_mass_cutoffs(6), np.array([-0.5, 0.0, 0.5])))
         tasks.append(task(tau, BridgeKind.continuous_continuous()))
     return tasks
 
@@ -339,9 +404,5 @@ def test_inversion_task_checks_its_inputs():
         bridge.InversionTask(0.1, BridgeKind.ordinal_continuous(2), np.array([0.0]), variant="c")
     with pytest.raises(ValueError, match="nondecreasing"):
         bridge.InversionTask(0.1, BridgeKind.ordinal_continuous(3), np.array([0.5, -0.5]))
-    with pytest.raises(bridge.UnsupportedPairError, match="4-level x 2-level"):
-        bridge.InversionTask(0.1, BridgeKind(4, 2), np.array([-1.0, 0.0, 1.0]), np.array([0.0]))
     with pytest.raises(bridge.UnsupportedPairError, match="tau-b"):
         bridge.InversionTask(0.1, BridgeKind.continuous_continuous(), variant="b")
-    assert not BridgeKind(4, 2).is_supported
-    assert BridgeKind(3, 3).is_supported and BridgeKind(16, None).is_supported

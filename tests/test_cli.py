@@ -1,13 +1,15 @@
 """Command-line interface: artifacts, exit codes, and error reporting."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latentcorr import simulate
+from latentcorr import cli, simulate
 from latentcorr.cli import main
 
 # ---------------------------------------------------------------------------
@@ -118,22 +120,6 @@ def test_estimate_reports_ragged_row(tmp_path):
     assert json.loads((out / "errors.json").read_text())["line"] == 3
 
 
-def test_estimate_unsupported_pair_aborts_without_flag(tmp_path):
-    rng = np.random.default_rng(0)
-    rows = list(zip(rng.integers(0, 5, 200), rng.integers(0, 5, 200)))
-    path = tmp_path / "wide.csv"
-    write_csv(path, ["u", "v"], rows)
-    manifest = tmp_path / "m.txt"
-    manifest.write_text("u = ordinal:5\nv = ordinal:5\n")
-    out = tmp_path / "out"
-    code = main([
-        "estimate", "--data", str(path), "--manifest", str(manifest),
-        "--out-dir", str(out),
-    ])
-    assert code != 0
-    assert json.loads((out / "errors.json").read_text())["stage"] == "estimate"
-
-
 def test_estimate_error_names_pair_without_complete_rows(tmp_path):
     # b and c are both observed only in the last row
     path = tmp_path / "sparse.csv"
@@ -149,24 +135,27 @@ def test_estimate_error_names_pair_without_complete_rows(tmp_path):
     )
 
 
-def test_estimate_allow_partial_marks_missing(tmp_path):
-    rng = np.random.default_rng(0)
-    rows = list(zip(rng.integers(0, 5, 200), rng.integers(0, 5, 200)))
-    path = tmp_path / "wide.csv"
-    write_csv(path, ["u", "v"], rows)
-    manifest = tmp_path / "m.txt"
-    manifest.write_text("u = ordinal:5\nv = ordinal:5\n")
+@pytest.fixture
+def likert_csv(tmp_path):
+    """Two 5-point items coded 1..5, latent correlation 0.6."""
+    cuts = simulate.equal_mass_cutoffs(5)
+    spec = simulate.CopulaSpec(np.array([[1.0, 0.6], [0.6, 1.0]]), (cuts, cuts))
+    x = simulate.sample_copula(spec, 2000, 8)
+    path = tmp_path / "likert.csv"
+    write_csv(path, ["q1", "q2"], [(int(a) + 1, int(b) + 1) for a, b in x])
+    return path
+
+
+@pytest.mark.parametrize(
+    "tau, method", [("a", "ordinal5_ordinal5"), ("b", "ordinal5_ordinal5:tau_a_fallback")]
+)
+def test_estimate_likert_items_without_manifest(likert_csv, tmp_path, tau, method):
     out = tmp_path / "out"
-    code = main([
-        "estimate", "--data", str(path), "--manifest", str(manifest),
-        "--out-dir", str(out), "--allow-partial",
-    ])
-    assert code == 0
-    assert "unsupported" in (out / "method_report.tsv").read_text()
-    report = json.loads((out / "run_report.json").read_text())
-    assert report["unsupported_pairs"] == [
-        {"j": 0, "k": 1, "name_j": "u", "name_k": "v"}
-    ]
+    assert main(["estimate", "--data", str(likert_csv), "--tau", tau, "--out-dir", str(out)]) == 0
+    row = (out / "method_report.tsv").read_text().strip().split("\n")[1].split("\t")
+    assert row[4] == method
+    r12 = float((out / "correlation.tsv").read_text().strip().split("\n")[1].split("\t")[2])
+    assert r12 == pytest.approx(0.6, abs=0.06)
 
 
 def test_manifest_errors(tmp_path):
@@ -241,8 +230,6 @@ def test_graph_pipeline_artifacts(chain_csv, tmp_path):
     assert dot.startswith("graph")
     assert '"v0" -- "v1" [label="' in dot
     # partial-correlation labels are 2-decimal
-    import re
-
     labels = re.findall(r'label="(-?\d+\.\d{2})"', dot)
     assert len(labels) == len(edges) - 1
 
@@ -331,7 +318,28 @@ def test_graph_rejects_bad_penalty_options(chain_csv, tmp_path, flag, manifest_l
     assert not (tmp_path / "out" / "hbic_trace.tsv").exists()
 
 
-def test_graph_refuses_partial_matrix(tmp_path):
+@pytest.mark.parametrize(
+    "flag, manifest_line",
+    [(["--hbic-cn", "nan"], None), (None, "lambda_path = 0.1,inf")],
+)
+def test_graph_checks_penalty_options_before_estimating(
+    chain_csv, tmp_path, monkeypatch, flag, manifest_line
+):
+    calls = []
+    monkeypatch.setattr(cli, "estimate_latent_correlation", lambda *args, **kwargs: calls.append(args))
+    argv = ["graph", "--data", str(chain_csv), "--out-dir", str(tmp_path / "out")]
+    if flag:
+        argv += flag
+    if manifest_line:
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(manifest_line + "\n")
+        argv += ["--manifest", str(manifest)]
+    assert main(argv) == 2
+    assert json.loads((tmp_path / "out" / "errors.json").read_text())["stage"] == "options"
+    assert calls == []
+
+
+def test_graph_on_five_level_columns(tmp_path):
     rng = np.random.default_rng(1)
     rows = list(zip(rng.integers(0, 5, 300), rng.integers(0, 5, 300), rng.standard_normal(300)))
     path = tmp_path / "wide.csv"
@@ -339,13 +347,12 @@ def test_graph_refuses_partial_matrix(tmp_path):
     manifest = tmp_path / "m.txt"
     manifest.write_text("u = ordinal:5\nv = ordinal:5\nw = continuous\n")
     out = tmp_path / "out"
-    code = main([
-        "graph", "--data", str(path), "--manifest", str(manifest),
-        "--out-dir", str(out), "--allow-partial",
-    ])
-    assert code != 0
-    err = json.loads((out / "errors.json").read_text())
-    assert err["unsupported_pairs"]
+    code = main(["graph", "--data", str(path), "--manifest", str(manifest), "--out-dir", str(out)])
+    assert code == 0
+    lines = (out / "correlation.tsv").read_text().strip().split("\n")[1:]
+    values = np.array([[float(v) for v in line.split("\t")[1:]] for line in lines])
+    assert values.shape == (3, 3) and np.isfinite(values).all()
+    assert "ordinal5_ordinal5" in (out / "method_report.tsv").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +434,18 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "estimate" in proc.stdout
+
+
+def test_readme_documents_every_cli_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command-line interface\n", 1)[1].split("\n## ", 1)[0]
+    subparsers = next(a for a in cli.build_parser()._actions if a.choices and a.dest == "command")
+    options = {
+        option
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+    }
+    tokens = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", section))
+    assert sorted(options - tokens) == []  # options the README does not mention
+    assert sorted({t for t in tokens if t.startswith("--")} - options) == []  # flags the CLI lacks

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from latentcorr import bridge, estimator, kendall, simulate
-from latentcorr.bridge import UnsupportedPairError
 from latentcorr.estimator import ColumnSpec
 
 # ---------------------------------------------------------------------------
@@ -124,28 +123,20 @@ def test_tau_b_names_pair_left_constant_by_pairwise_deletion():
         estimator.estimate_latent_correlation(data, specs, variant="b")
 
 
-def test_unsupported_pair_modes():
-    rng = np.random.default_rng(5)
-    n = 300
-    data = np.column_stack(
-        [rng.integers(0, 5, n).astype(float), rng.integers(0, 5, n).astype(float)]
-    )
-    with pytest.raises(UnsupportedPairError, match=r"pair \(0, 1\)"):
-        estimator.estimate_latent_correlation(data)
-    est = estimator.estimate_latent_correlation(data, on_unsupported="missing")
-    assert np.isnan(est.values[0, 1])
-    assert est.method[0, 1] == "unsupported"
-    est = estimator.estimate_latent_correlation(data, on_unsupported="fallback")
-    assert np.isfinite(est.values[0, 1])
-    assert est.method[0, 1] == "sin_fallback"
+def test_many_level_ordinal_pair_is_estimated():
+    sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
+    spec = simulate.CopulaSpec(sigma, (simulate.equal_mass_cutoffs(5), simulate.equal_mass_cutoffs(7)))
+    data = simulate.sample_copula(spec, 20_000, 2)
+    est = estimator.estimate_latent_correlation(data)
+    assert est.values[0, 1] == pytest.approx(0.5, abs=0.03)
+    assert est.method[0, 1] == "ordinal5_ordinal7"
+    est_b = estimator.estimate_latent_correlation(data, variant="b")
+    assert est_b.values[0, 1] == est.values[0, 1]
+    assert est_b.method[0, 1] == "ordinal5_ordinal7:tau_a_fallback"
 
 
-@pytest.mark.parametrize(
-    "variant, on_unsupported, tau_calls",
-    [("a", "fallback", 3), ("b", "fallback", 3), ("a", "missing", 2), ("b", "missing", 2)],
-    ids=["a", "b", "a-missing", "b-missing"],
-)
-def test_fallback_counts_tau_once_per_pair(variant, on_unsupported, tau_calls, monkeypatch):
+@pytest.mark.parametrize("variant", ["a", "b"])
+def test_tau_counted_once_per_pair(variant, monkeypatch):
     rng = np.random.default_rng(5)
     n = 300
     data = np.column_stack(
@@ -155,10 +146,10 @@ def test_fallback_counts_tau_once_per_pair(variant, on_unsupported, tau_calls, m
     calls = []
     tau_a = kendall.tau_a
     monkeypatch.setattr(kendall, "tau_a", lambda x, y: calls.append(1) or tau_a(x, y))
-    est = estimator.estimate_latent_correlation(data, variant=variant, on_unsupported=on_unsupported)
-    assert est.method[0, 1] == ("sin_fallback" if on_unsupported == "fallback" else "unsupported")
-    # one per pair; the unsupported (0, 1) only when its tau is used
-    assert len(calls) == tau_calls
+    est = estimator.estimate_latent_correlation(data, variant=variant)
+    assert est.method[0, 1] == "ordinal5_ordinal5" + (":tau_a_fallback" if variant == "b" else "")
+    assert np.isfinite(est.values).all()
+    assert len(calls) == 3  # no pair of 5-level and continuous columns has a tau-b bridge
 
 
 def _four_column_sample():
