@@ -41,7 +41,7 @@ from scipy.special import gammaln, ndtr
 
 from .normal_dist import (
     _phi3_batch,
-    _phi3_c0_grad,
+    _phi3_grad,
     bivariate_cdf,
     bivariate_pdf,
     std_cdf,
@@ -70,10 +70,11 @@ CLAMP = 1e-6
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 200
 
-# Largest number of rows handed to one vector evaluation: trivariate
-# quadrature rows (one per cutoff of an ordinal-continuous pair), or rows
-# of the bivariate CDF grids of ordinal-ordinal pairs (p_j + 1 per pair).
-# This bounds the memory of a forward evaluation whatever the batch size.
+# Largest number of rows handed to one vector evaluation: trivariate CDF
+# rows (one per cutoff of an ordinal-continuous pair, each a fixed 64-node
+# rule), or rows of the bivariate CDF grids of ordinal-ordinal pairs
+# (p_j + 1 per pair).  This bounds the memory of a forward evaluation
+# whatever the batch size.
 MAX_QUADRATURE_ROWS = 256
 
 # Tractability ceiling for the exact second-order tau-b sum: C(n,2) <= 1e4.
@@ -163,14 +164,14 @@ def estimate_cutoffs(column, p: int) -> np.ndarray:
         raise ValueError("need at least one observation")
     if np.any((codes < 0) | (codes > p - 1)):
         raise ValueError(f"ordinal codes outside range 0..{p - 1}")
-    n = codes.size
-    cum = np.array([np.sum(codes <= l - 1) / n for l in range(1, p)])
-    return std_quantile(cum)
+    below = np.searchsorted(np.sort(codes), np.arange(p - 1), side="right")
+    return std_quantile(below / codes.size)
 
 
 def _check_cutoffs(kind: BridgeKind, cutoffs_j, cutoffs_k):
     checked = []
-    for levels, cuts in ((kind.levels_j, cutoffs_j), (kind.levels_k, cutoffs_k)):
+    sides = (("cutoffs_j", kind.levels_j, cutoffs_j), ("cutoffs_k", kind.levels_k, cutoffs_k))
+    for name, levels, cuts in sides:
         cuts = None if cuts is None else np.asarray(cuts, dtype=float).ravel()
         if levels is not None:
             if cuts is None or cuts.size != levels - 1:
@@ -178,6 +179,8 @@ def _check_cutoffs(kind: BridgeKind, cutoffs_j, cutoffs_k):
                     f"expected {levels - 1} cutoffs for a {levels}-level "
                     f"variable, got {None if cuts is None else cuts.size}"
                 )
+            if np.any(np.isnan(cuts)):
+                raise ValueError(f"{name} must not be NaN, got {cuts.tolist()}")
             if np.any(np.diff(cuts) < 0):
                 raise ValueError("cutoffs must be nondecreasing")
         checked.append(cuts)
@@ -402,10 +405,9 @@ class _Bridges:
         sizes = self.size[idx[pos]]
         first = np.cumsum(sizes) - sizes
         rows = np.repeat(self.start[idx[pos]] - first, sizes) + np.arange(sizes.sum())
-        owner = np.repeat(pos, sizes)
-        lower, upper, r_rows = self.lower[rows], self.upper[rows], r[owner]
-        terms = 4.0 * _phi3_batch(lower, upper, 0.0, r_rows, pair_ids=owner) - self.const[rows]
-        grads = 4.0 * _phi3_c0_grad(lower, upper, r_rows)
+        lower, upper, r_rows = self.lower[rows], self.upper[rows], np.repeat(r[pos], sizes)
+        terms = 4.0 * _phi3_batch(lower, upper, 0.0, r_rows) - self.const[rows]
+        grads = 4.0 * _phi3_grad(lower, upper, 0.0, r_rows)
         # pos is sorted by size, so the rows of equal-size evaluations are
         # adjacent; summing each along one row of a 2-D block adds them in
         # the same order as np.sum over that evaluation's rows alone

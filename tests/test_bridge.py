@@ -294,6 +294,36 @@ def test_estimate_cutoffs_matches_quantiles():
     assert cuts3 == pytest.approx([nd.std_quantile(0.2), nd.std_quantile(0.5)], abs=1e-12)
 
 
+def test_estimate_cutoffs_matches_the_counting_loop():
+    # one pass per cutoff, counting the codes <= l - 1: the reference for
+    # the sorted search, including empty levels and fractional codes
+    def counting_loop(codes, p):
+        codes = codes[~np.isnan(codes)]
+        return nd.std_quantile(np.array([np.sum(codes <= l - 1) / codes.size for l in range(1, p)]))
+
+    rng = np.random.default_rng(11)
+    for p in (2, 3, 5, 16):
+        for n in (1, 7, 100):
+            codes = rng.integers(0, p, n).astype(float)
+            codes[rng.random(n) < 0.1] = np.nan
+            codes[0] = rng.integers(0, p)
+            assert np.array_equal(bridge.estimate_cutoffs(codes, p), counting_loop(codes, p))
+            empty = np.where(codes == 1, 0.0, codes)  # level 1 empty
+            assert np.array_equal(bridge.estimate_cutoffs(empty, p), counting_loop(empty, p))
+            halves = rng.integers(0, 2 * p - 1, n) / 2.0
+            assert np.array_equal(bridge.estimate_cutoffs(halves, p), counting_loop(halves, p))
+
+
+def test_nan_cutoffs_are_rejected_when_the_task_is_built():
+    with pytest.raises(ValueError, match=r"cutoffs_j must not be NaN, got \[nan\]"):
+        bridge.InversionTask(0.1, BridgeKind(2, None), np.array([np.nan]))
+    with pytest.raises(ValueError, match="cutoffs_k must not be NaN"):
+        bridge.invert_bridge(0.1, BridgeKind.ordinal_ordinal(2, 3), np.array([0.0]), np.array([0.2, np.nan]))
+    # infinite cutoffs stay legal
+    task = bridge.InversionTask(0.1, BridgeKind.ordinal_continuous(3), np.array([-np.inf, 0.5]))
+    assert task.cutoffs_j[0] == -np.inf
+
+
 def test_tau_b_requires_binary_side():
     kind = BridgeKind.ordinal_ordinal(3, 3)
     cuts = np.array([-0.5, 0.5])

@@ -7,6 +7,7 @@ from scipy import integrate
 from scipy.stats import multivariate_normal
 
 from latentcorr import normal_dist as nd
+from latentcorr.bridge import CLAMP
 
 # ---------------------------------------------------------------------------
 # Oracles (independent computation routes, defined before any use)
@@ -155,27 +156,57 @@ def trivariate_cdf_by_nested_quadrature(a, b, c, r):
 
 @pytest.mark.parametrize(
     "a,b,c,r",
-    [(0.5, -0.4, 0.2, 0.6), (-1.2, 0.8, 0.0, -0.75), (1.5, 1.1, -0.9, 0.3)],
+    [
+        (0.5, -0.4, 0.2, 0.6),
+        (-1.2, 0.8, 0.0, -0.75),
+        (1.5, 1.1, -0.9, 0.3),
+        (0.5, -0.4, 0.2, 0.95),
+        (-1.2, 0.8, 0.7, -0.95),
+        (1.5, 1.1, -0.9, 0.999),
+        (0.3, -0.2, 0.4, -0.999),
+    ],
 )
 def test_trivariate_cdf_matches_nested_quadrature(a, b, c, r):
     want = trivariate_cdf_by_nested_quadrature(a, b, c, r)
     got = nd.trivariate_cdf(a, b, c, r)
-    assert got == pytest.approx(want, abs=1e-8)
+    assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_trivariate_cdf_at_zero_c_matches_a_dense_rule(monkeypatch):
+    # the same Plackett integral with 512 Gauss-Legendre nodes is the
+    # reference (numpy's leggauss itself loses accuracy well above that);
+    # rows span the whole grid of bounds plus nearly coincident cutoffs,
+    # and r reaches the bridges' clamp
+    grid = np.linspace(-8.5, 8.5, 69)
+    a, b = (v.ravel() for v in np.meshgrid(grid, grid))
+    base = np.repeat(np.linspace(-4.0, 4.0, 33), 6)
+    close = base + np.tile([1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1], 33)
+    a, b = np.concatenate([a, base, close]), np.concatenate([b, close, base])
+    edge = 1.0 - CLAMP
+    rs = [1e-8, 0.01, 0.3, 0.6, 0.9, 0.99, 0.999, 0.99999, edge]
+    got = {r: nd._phi3_batch(a, b, 0.0, r) for r in rs + [-r for r in rs]}
+    u, w = np.polynomial.legendre.leggauss(512)
+    monkeypatch.setattr(nd, "_PHI3_U", 0.5 * (1.0 + u))
+    monkeypatch.setattr(nd, "_PHI3_W", 0.5 * w)
+    for r, value in got.items():
+        want = np.concatenate([nd._phi3_batch(a[i : i + 256], b[i : i + 256], 0.0, r)
+                               for i in range(0, a.size, 256)])
+        assert np.abs(value - want).max() <= 1e-12, r
 
 
 def test_trivariate_cdf_infinite_bound_reductions():
-    r = 0.55
-    rho = r / np.sqrt(2.0)
-    assert nd.trivariate_cdf(np.inf, 0.4, -0.3, r) == pytest.approx(
-        nd.bivariate_cdf(0.4, -0.3, -rho), abs=1e-12
-    )
-    assert nd.trivariate_cdf(0.4, np.inf, -0.3, r) == pytest.approx(
-        nd.bivariate_cdf(0.4, -0.3, rho), abs=1e-12
-    )
-    assert nd.trivariate_cdf(0.4, -0.3, np.inf, r) == pytest.approx(
-        nd.std_cdf(0.4) * nd.std_cdf(-0.3), abs=1e-12
-    )
-    assert nd.trivariate_cdf(-np.inf, 0.4, 0.3, r) == 0.0
+    for r in (0.55, -0.999, 1.0 - CLAMP):
+        rho = r / np.sqrt(2.0)
+        assert nd.trivariate_cdf(np.inf, 0.4, -0.3, r) == pytest.approx(
+            nd.bivariate_cdf(0.4, -0.3, -rho), abs=1e-12
+        )
+        assert nd.trivariate_cdf(0.4, np.inf, -0.3, r) == pytest.approx(
+            nd.bivariate_cdf(0.4, -0.3, rho), abs=1e-12
+        )
+        assert nd.trivariate_cdf(0.4, -0.3, np.inf, r) == pytest.approx(
+            nd.std_cdf(0.4) * nd.std_cdf(-0.3), abs=1e-12
+        )
+        assert nd.trivariate_cdf(-np.inf, 0.4, 0.3, r) == 0.0
 
 
 def test_trivariate_exchange_identity():
@@ -188,6 +219,12 @@ def test_trivariate_exchange_identity():
         r = rng.uniform(-0.95, 0.95)
         total = nd.trivariate_cdf(a, b, 0.0, r) + nd.trivariate_cdf(b, a, 0.0, r)
         assert total == pytest.approx(nd.std_cdf(a) * nd.std_cdf(b), abs=1e-10)
+    # near the clamp, where the third coordinate is nearly (U1 - U2)/sqrt(2)
+    for r in (1.0 - CLAMP, -1.0 + CLAMP, 0.99999, -0.99999):
+        for _ in range(20):
+            a, b = rng.uniform(-4.0, 4.0, 2)
+            total = nd.trivariate_cdf(a, b, 0.0, r) + nd.trivariate_cdf(b, a, 0.0, r)
+            assert total == pytest.approx(nd.std_cdf(a) * nd.std_cdf(b), abs=1e-14), (a, b, r)
 
 
 def test_trivariate_cdf_rejects_degenerate_r():
@@ -212,31 +249,15 @@ def test_trivariate_gradient_matches_finite_differences():
 
 def test_phi3_batch_pair_value_does_not_depend_on_the_batch():
     # rows of four pairs, each with its own r; two pairs share an r, and
-    # the last pair has an infinite bound resolved analytically
+    # the last pair has an infinite bound
     a = np.array([-0.8, 0.3, 1.2, -1.5, 0.1, 0.7, 2.0, 0.4])
     b = np.array([0.3, 1.2, np.inf, 0.1, 0.7, 2.0, np.inf, 0.9])
     r = np.array([0.95, 0.95, 0.95, -0.4, -0.4, 0.95, 0.95, 0.2])
     pairs = np.array([0, 0, 0, 1, 1, 2, 2, 3])
-    together = nd._phi3_batch(a, b, 0.0, r, pair_ids=pairs)
+    together = nd._phi3_batch(a, b, 0.0, r)
     for pair in range(4):
         rows = pairs == pair
         alone = nd._phi3_batch(a[rows], b[rows], 0.0, r[rows])
         assert np.array_equal(together[rows], alone)
-    grad = nd._phi3_c0_grad(a, b, r)
+    grad = nd._phi3_grad(a, b, 0.0, r)
     assert np.array_equal(grad, [nd.trivariate_cdf_grad(x, y, s) for x, y, s in zip(a, b, r)])
-
-
-def test_phi3_batch_reports_quadrature_that_misses_tolerance():
-    a = np.array([0.5, -0.2, 0.3])
-    b = np.array([0.1, 0.4, np.inf])
-    r = np.array([0.6, 0.6, -0.3])
-    with pytest.warns(nd.QuadratureWarning) as caught:
-        got = nd._phi3_batch(a, b, 0.0, r, tol=0.0, pair_ids=np.array([7, 7, 8]))
-    # one warning, for the pair with finite rows, naming its r and worst difference
-    assert len(caught) == 1
-    message = str(caught[0].message)
-    assert "r = 0.6" in message and "worst node difference" in message
-    assert issubclass(nd.QuadratureWarning, RuntimeWarning)
-    # the 512-node estimate is kept
-    assert got[:2] == pytest.approx([nd.trivariate_cdf(0.5, 0.1, 0.0, 0.6),
-                                     nd.trivariate_cdf(-0.2, 0.4, 0.0, 0.6)], abs=1e-12)
