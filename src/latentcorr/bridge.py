@@ -229,13 +229,25 @@ def _forward_one(r, kind, cutoffs_j, cutoffs_k, variant) -> BridgeEval:
     return BridgeEval(float(value[0]), float(deriv[0]))
 
 
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    """P(K = k), k = 0..n, for K ~ Binomial(n, p) with 0 < p < 1."""
+    k = np.arange(n + 1)
+    log_pmf = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    return np.exp(log_pmf + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
 def tau_b_second_order(r: float, delta_j: float, n: int) -> float:
     """Second-order Taylor approximation of E(tau_b-hat), binary-continuous.
 
     Uses the ratio expansion E(Y/X) ~ mY/mX + (var(X)*mY/mX - cov(Y,X))/mX^2
-    with Y = sqrt(N)*tau_a-hat and X = sqrt(C + D), N = C(n, 2).  The
-    (C, D) sum runs over the multinomial support C + D <= N with terms
-    below relative 1e-16 pruned via a moment window.
+    with Y = sqrt(N)*tau_a-hat, X = sqrt(C + D) and N = C(n, 2), under a
+    trinomial model of the concordant and discordant counts (C, D).  With
+    phi = Phi(delta_j), three identities make every moment a binomial sum:
+    N - ties = n0*(n - n0) with n0 ~ Binomial(n, phi) zeros on the binary
+    side; p_con - p_dis = 4*Phi2(delta_j, 0; r/sqrt(2)) - 2*phi; and a pair
+    is untied on the binary side with p_con + p_dis = 2*phi*(1 - phi) at
+    every r, so C + D ~ Binomial(N, 2*phi*(1 - phi)) and
+    E[(C - D)*sqrt(C + D)] = (p_con - p_dis)/(p_con + p_dis) * E[(C + D)^1.5].
     """
     n = int(n)
     if n < 2:
@@ -251,53 +263,16 @@ def tau_b_second_order(r: float, delta_j: float, n: int) -> float:
     if not 0.0 < phi < 1.0:
         raise DegenerateBridgeError("binary cutoff at +-inf")
 
-    # E(T) over the binomial count of zeros; T = sqrt(N - ties)
+    untied = 2.0 * phi * (1.0 - phi)
     n0 = np.arange(n + 1)
-    ties = n0 * (n0 - 1) // 2 + (n - n0) * (n - n0 - 1) // 2
-    log_pmf = (
-        gammaln(n + 1)
-        - gammaln(n0 + 1)
-        - gammaln(n - n0 + 1)
-        + n0 * math.log(phi)
-        + (n - n0) * math.log1p(-phi)
-    )
-    e_t = float(np.sum(np.sqrt(n_pairs - ties) * np.exp(log_pmf)))
-    var_t = n_pairs * (2.0 * phi - 2.0 * phi * phi) - e_t * e_t
+    e_t = float(np.sum(np.sqrt(n0 * (n - n0)) * _binomial_pmf(n, phi)))
+    var_t = n_pairs * untied - e_t * e_t
 
-    rho = r / _SQRT2
-    phi3 = _phi3_batch(delta_j, delta_j, 0.0, r)[0]
-    p_con = 2.0 * (bivariate_cdf(delta_j, 0.0, rho) - phi3)
-    p_dis = 2.0 * (bivariate_cdf(delta_j, 0.0, -rho) - phi3)
-    p_rest = 1.0 - p_con - p_dis
+    p_diff = 4.0 * bivariate_cdf(delta_j, 0.0, r / _SQRT2) - 2.0 * phi  # p_con - p_dis
+    m = np.arange(n_pairs + 1)
+    e_y_x = p_diff / untied * float(np.sum(m * np.sqrt(m) * _binomial_pmf(n_pairs, untied)))
 
-    # windowed multinomial sum for E[(C - D) * sqrt(C + D)]
-    def window(p):
-        mean = n_pairs * p
-        sd = math.sqrt(max(n_pairs * p * (1.0 - p), 1.0))
-        lo = max(0, int(mean - 12.0 * sd))
-        hi = min(n_pairs, int(mean + 12.0 * sd) + 1)
-        return np.arange(lo, hi + 1)
-
-    c_vals = window(p_con)
-    d_vals = window(p_dis)
-    C = c_vals[:, None].astype(float)
-    D = d_vals[None, :].astype(float)
-    rest = n_pairs - C - D
-    valid = rest >= 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mult = (
-            gammaln(n_pairs + 1)
-            - gammaln(C + 1)
-            - gammaln(D + 1)
-            - gammaln(np.where(valid, rest, 0.0) + 1)
-            + C * math.log(p_con)
-            + D * math.log(p_dis)
-            + np.where(valid, rest, 0.0) * math.log(p_rest)
-        )
-    pmf = np.where(valid, np.exp(log_mult), 0.0)
-    e_y_x = float(np.sum((C - D) * np.sqrt(C + D) * pmf))
-
-    mu_y = math.sqrt(n_pairs) * (p_con - p_dis)  # sqrt(N) * E(tau_a-hat)
+    mu_y = math.sqrt(n_pairs) * p_diff  # sqrt(N) * E(tau_a-hat)
     cov_yx = e_y_x / math.sqrt(n_pairs) - mu_y * e_t
     return mu_y / e_t + (var_t * mu_y / e_t - cov_yx) / (e_t * e_t)
 

@@ -62,6 +62,9 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
         header = [h.strip() for h in header]
         if not header or any(not h for h in header):
             raise CliError("parse", f"{path}: line 1: blank column name in header", path=path, line=1)
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        if dupes:
+            raise CliError("parse", f"{path}: line 1: duplicate column names {dupes}", path=path, line=1)
         rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row:

@@ -214,6 +214,10 @@ def project_psd(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        j, k = bad[0]
+        raise ValueError(f"matrix entry ({j}, {k}) is not finite: {a[j, k]}")
     a = 0.5 * (a + a.T)
     eigval, eigvec = np.linalg.eigh(a)
     if eigval[0] >= 0.0:

@@ -199,6 +199,18 @@ def _fit_core(r: np.ndarray, lam: np.ndarray):
     return omega, sweeps, converged
 
 
+def _check_correlation(r) -> np.ndarray:
+    """r as a float array; raises ValueError unless square and finite."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ValueError("correlation matrix must be square")
+    bad = np.argwhere(~np.isfinite(r))
+    if bad.size:
+        j, k = bad[0]
+        raise ValueError(f"correlation matrix entry ({j}, {k}) is not finite: {r[j, k]}")
+    return r
+
+
 def _check_penalty(lam: float) -> None:
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError(f"penalty must be finite and nonnegative, got {lam}")
@@ -206,10 +218,8 @@ def _check_penalty(lam: float) -> None:
 
 def glasso_fit(r: np.ndarray, lam: float) -> PrecisionEstimate:
     """Fit one penalized precision matrix at penalty lam."""
-    r = np.asarray(r, dtype=float)
+    r = _check_correlation(r)
     d = r.shape[0]
-    if r.shape != (d, d):
-        raise ValueError("correlation matrix must be square")
     _check_penalty(lam)
     omega, sweeps, converged = _fit_core(r, np.full((d, d), float(lam)))
     return PrecisionEstimate(
@@ -229,7 +239,7 @@ def refit_support(r: np.ndarray, edges) -> np.ndarray:
     the support are unpenalized.  Warns with ConvergenceWarning when the
     fit stopped at MAX_SWEEPS.
     """
-    r = np.asarray(r, dtype=float)
+    r = _check_correlation(r)
     d = r.shape[0]
     lam = np.full((d, d), np.inf)
     np.fill_diagonal(lam, 0.0)
@@ -288,7 +298,7 @@ def select_hbic(
     data).  Ties break toward the smallest penalty.  Returns the winner
     and the full path ordered from smallest to largest penalty.
     """
-    r = np.asarray(r, dtype=float)
+    r = _check_correlation(r)
     if n < 3:
         raise ValueError(f"need n >= 3 observations for HBIC, got {n}")
     cn = config.hbic_cn

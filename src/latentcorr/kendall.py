@@ -33,12 +33,13 @@ class TauStatistics:
     n_pairs: int
 
 
-def _tie_pairs(sorted_vals: np.ndarray) -> int:
-    """Sum of C(run, 2) over runs of equal values in a sorted array."""
-    if sorted_vals.size < 2:
-        return 0
-    boundaries = np.flatnonzero(np.diff(sorted_vals) != 0)
-    run_lengths = np.diff(np.concatenate(([0], boundaries + 1, [sorted_vals.size])))
+def _tie_pairs(new_run: np.ndarray) -> int:
+    """Sum of C(run, 2) over runs of equal values in a sorted array.
+
+    new_run[i] is True where entry i + 1 differs from entry i.  Built with
+    !=, so equal infinite values form a run (their difference is NaN).
+    """
+    run_lengths = np.diff(np.concatenate(([0], np.flatnonzero(new_run) + 1, [new_run.size + 1])))
     return int(np.sum(run_lengths * (run_lengths - 1) // 2))
 
 
@@ -59,12 +60,13 @@ def _tau_counts(x, y) -> tuple[int, int, int, int, int]:
     n_pairs = x.size * (x.size - 1) // 2
     order = np.lexsort((y, x))
     xs, ys = x[order], y[order]
-    t_x = _tie_pairs(xs)
-    # joint ties: runs equal in both coordinates
-    joint = xs + 1j * ys  # lexsorted, so equal (x, y) pairs are adjacent
-    t_xy = _tie_pairs(joint)
+    new_x = xs[1:] != xs[:-1]
+    t_x = _tie_pairs(new_x)
+    # joint ties: lexsorted, so equal (x, y) pairs are adjacent
+    t_xy = _tie_pairs(new_x | (ys[1:] != ys[:-1]))
     discordant = count_inversions(ys)
-    t_y = _tie_pairs(np.sort(ys))
+    y_sorted = np.sort(ys)
+    t_y = _tie_pairs(y_sorted[1:] != y_sorted[:-1])
     return n_pairs, n_pairs - t_x - t_y + t_xy - 2 * discordant, discordant, t_x, t_y
 
 

@@ -150,7 +150,7 @@ def check_discretization_options(p_values, r_grid, n, reps):
     return p_values, r_grid
 
 
-def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse_from=None):
+def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=False):
     """Shared harness for both discretization protocols.
 
     For every (r, replicate) one latent bivariate sample is drawn and
@@ -158,12 +158,13 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse_fro
     different p are directly comparable and the uncollapsed p=16 curve is
     identical across protocols under the same seed.  Each replicate makes
     one estimator call covering the (ordinal, continuous) pair of every p.
+    collapse selects the collapse-from-16 protocol over equal-mass levels.
     """
     p_values, r_grid = check_discretization_options(p_values, r_grid, n, reps)
     root = np.random.SeedSequence(seed)
     children = root.spawn(r_grid.size * reps)
     pop_cuts = {p: equal_mass_cutoffs(p) for p in p_values}
-    base_cuts = equal_mass_cutoffs(16) if collapse_from else None
+    base_cuts = equal_mass_cutoffs(16) if collapse else None
     # one ordinal column per p, then the continuous column
     specs = [ColumnSpec(f"p{p}", p) for p in p_values] + [ColumnSpec("z")]
     last = len(p_values)
@@ -172,14 +173,12 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse_fro
     sq_err_base = np.zeros(r_grid.size)
     for i, r in enumerate(r_grid):
         sigma = np.array([[1.0, r], [r, 1.0]])
-        chol = np.linalg.cholesky(sigma)
         for rep in range(reps):
-            rng = _rng(children[i * reps + rep])
-            z = rng.standard_normal((n, 2)) @ chol.T
+            z = _sample_latent(sigma, n, _rng(children[i * reps + rep]))
             tau_c = kendall.tau_a(z[:, 0], z[:, 1])
             r_base = float(invert_bridge(tau_c, BridgeKind.continuous_continuous()))
             sq_err_base[i] += (r_base - r) ** 2
-            if collapse_from:
+            if collapse:
                 codes16 = np.digitize(z[:, 0], base_cuts).astype(float)
                 codes = [np.minimum(codes16, p - 1) for p in p_values]
             else:
@@ -207,7 +206,7 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse_fro
             mse=binned, reps=reps, label=label,
         )
 
-    tag = "collapsed" if collapse_from else "equal_mass"
+    tag = "collapsed" if collapse else "equal_mass"
     curves = [_curve(sq_err[p], p, tag) for p in p_values]
     curves.append(_curve(sq_err_base, 0, "continuous_baseline"))
     return curves
@@ -226,9 +225,7 @@ def scenario2(p_values=range(2, 17), r_grid=None, n=100, reps=80, seed=0):
     """Collapse-from-16: discretize at 16 equal-mass levels, then merge the
     highest levels down until p remain.  The p=16 curve is identical to
     the equal-mass protocol under the same seed."""
-    return _run_discretization_experiment(
-        p_values, r_grid, n, reps, seed, collapse_from=16
-    )
+    return _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=True)
 
 
 def concentration_check(
@@ -276,9 +273,8 @@ def mc_population_tau_a(r, cutoffs_j=None, cutoffs_k=None, n_draws=10**6, seed=0
     seq = np.random.SeedSequence(seed)
     rng = _rng(seq)
     sigma = np.array([[1.0, r], [r, 1.0]])
-    chol = np.linalg.cholesky(sigma)
-    z1 = rng.standard_normal((n_draws, 2)) @ chol.T
-    z2 = rng.standard_normal((n_draws, 2)) @ chol.T
+    z1 = _sample_latent(sigma, n_draws, rng)
+    z2 = _sample_latent(sigma, n_draws, rng)
     x1 = _discretize(z1, (cutoffs_j, cutoffs_k))
     x2 = _discretize(z2, (cutoffs_j, cutoffs_k))
     signs = np.sign(x1[:, 0] - x2[:, 0]) * np.sign(x1[:, 1] - x2[:, 1])
@@ -294,11 +290,9 @@ def mc_tau_b_replicates(r, cutoffs_j, cutoffs_k=None, n=84, reps=10**4, seed=0):
     root = np.random.SeedSequence(seed)
     children = root.spawn(reps)
     sigma = np.array([[1.0, r], [r, 1.0]])
-    chol = np.linalg.cholesky(sigma)
     vals = []
     for k in range(reps):
-        rng = _rng(children[k])
-        z = rng.standard_normal((n, 2)) @ chol.T
+        z = _sample_latent(sigma, n, _rng(children[k]))
         x = _discretize(z, (cutoffs_j, cutoffs_k))
         try:
             vals.append(kendall.tau_b(x[:, 0], x[:, 1]).tau_b)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from latentcorr import bridge, simulate
 from latentcorr import normal_dist as nd
@@ -272,6 +273,50 @@ def test_tau_b_second_order_close_to_first_order():
     second = bridge.tau_b_second_order(0.5, 0.0, 84)
     assert abs(second - first) < 1e-3
     assert bridge.tau_b_second_order(0.0, 0.0, 84) == pytest.approx(0.0, abs=1e-12)
+
+
+def tau_b_second_order_by_trinomial_sum(r, delta, n):
+    """The ratio expansion of tau_b_second_order with its cross moment
+    E[(C - D) * sqrt(C + D)] summed over every (C, D), C + D <= C(n, 2), of
+    the trinomial model (p_con, p_dis, p_rest) of the pair counts."""
+    n_pairs = n * (n - 1) // 2
+    phi = nd.std_cdf(delta)
+    n0 = np.arange(n + 1)
+    ties = n0 * (n0 - 1) // 2 + (n - n0) * (n - n0 - 1) // 2
+    log_pmf = (
+        gammaln(n + 1) - gammaln(n0 + 1) - gammaln(n - n0 + 1)
+        + n0 * math.log(phi) + (n - n0) * math.log1p(-phi)
+    )
+    e_t = float(np.sum(np.sqrt(n_pairs - ties) * np.exp(log_pmf)))
+    var_t = n_pairs * (2.0 * phi - 2.0 * phi * phi) - e_t * e_t
+
+    rho = r / math.sqrt(2.0)
+    phi3 = nd.trivariate_cdf(delta, delta, 0.0, r)
+    p_con = 2.0 * (nd.bivariate_cdf(delta, 0.0, rho) - phi3)
+    p_dis = 2.0 * (nd.bivariate_cdf(delta, 0.0, -rho) - phi3)
+    p_rest = 1.0 - p_con - p_dis
+    C, D = np.meshgrid(np.arange(n_pairs + 1.0), np.arange(n_pairs + 1.0), indexing="ij")
+    valid = C + D <= n_pairs
+    C, D = C[valid], D[valid]
+    rest = n_pairs - C - D
+    log_mult = (
+        gammaln(n_pairs + 1) - gammaln(C + 1) - gammaln(D + 1) - gammaln(rest + 1)
+        + C * math.log(p_con) + D * math.log(p_dis) + rest * math.log(p_rest)
+    )
+    e_y_x = float(np.sum((C - D) * np.sqrt(C + D) * np.exp(log_mult)))
+
+    mu_y = math.sqrt(n_pairs) * (p_con - p_dis)
+    cov_yx = e_y_x / math.sqrt(n_pairs) - mu_y * e_t
+    return mu_y / e_t + (var_t * mu_y / e_t - cov_yx) / (e_t * e_t)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 20])
+def test_tau_b_second_order_matches_the_full_trinomial_sum(n):
+    for delta in (-1.0, 0.0, 0.7):
+        for r in (-0.9, -0.3, 0.0, 0.4, 0.95):
+            want = tau_b_second_order_by_trinomial_sum(r, delta, n)
+            got = bridge.tau_b_second_order(r, delta, n)
+            assert got == pytest.approx(want, abs=1e-13), (n, delta, r)
 
 
 def test_tau_b_second_order_rejects_oversize_n():

@@ -112,6 +112,17 @@ def test_estimate_reports_bad_cell_line(tmp_path):
     assert "oops" in err["message"]
 
 
+def test_estimate_rejects_duplicate_column_names(tmp_path):
+    path = tmp_path / "dupes.csv"
+    rows = [(0.5 * i, (7 * i) % 11 + 0.25, i % 3) for i in range(12)]
+    write_csv(path, ["a", " a", "b"], rows)
+    out = tmp_path / "out"
+    assert main(["estimate", "--data", str(path), "--out-dir", str(out)]) == 2
+    err = json.loads((out / "errors.json").read_text())
+    assert (err["stage"], err["line"]) == ("parse", 1)
+    assert "duplicate column names ['a']" in err["message"]
+
+
 def test_estimate_reports_ragged_row(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("a,b\n1,2\n3\n")

@@ -244,3 +244,9 @@ def test_projection_accepts_estimate_object():
 def test_projection_rejects_nonsquare():
     with pytest.raises(ValueError):
         estimator.project_psd(np.zeros((2, 3)))
+
+
+def test_projection_rejects_entries_left_out_by_pairs():
+    part = estimator.estimate_latent_correlation(_four_column_sample(), pairs=[(0, 1), (0, 3)])
+    with pytest.raises(ValueError, match=r"entry \(0, 2\) is not finite: nan"):
+        estimator.project_psd(part)

@@ -253,6 +253,23 @@ def test_rejects_bad_inputs():
             glasso.select_hbic(np.eye(3), 100, GlassoConfig(lambda_path=path))
 
 
+def test_rejects_non_finite_correlation_entries():
+    r = np.eye(3)
+    r[0, 2] = r[2, 0] = np.nan  # a pair left out by estimate_latent_correlation(pairs=...)
+    match = r"entry \(0, 2\) is not finite: nan"
+    with pytest.raises(ValueError, match=match):
+        glasso.glasso_fit(r, 0.1)
+    with pytest.raises(ValueError, match=match):
+        glasso.refit_support(r, [(0, 1)])
+    for config in (GlassoConfig(), GlassoConfig(lambda_path=(0.1, 0.2))):
+        with pytest.raises(ValueError, match=match):
+            glasso.select_hbic(r, 100, config)
+    r[0, 2] = r[2, 0] = 0.2
+    r[1, 1] = np.inf
+    with pytest.raises(ValueError, match=r"entry \(1, 1\) is not finite: inf"):
+        glasso.glasso_fit(r, 0.1)
+
+
 def test_one_by_one():
     fit = glasso.glasso_fit(np.array([[2.0]]), 0.3)
     assert fit.omega[0, 0] == pytest.approx(0.5)

@@ -1,5 +1,7 @@
 """Kendall rank statistics, checked against exhaustive pair enumeration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,36 @@ def test_degenerate_column_raises():
         kendall.tau_b(varying, const)
     # tau_a is defined (zero) for a constant column
     assert kendall.tau_a(const, varying) == 0.0
+
+
+def comparison_counts(x, y):
+    """brute_force_counts with signs from comparisons, not differences, so
+    equal infinite values tie (inf - inf is NaN)."""
+    def signs(v):
+        return (v[:, None] > v[None, :]).astype(int) - (v[:, None] < v[None, :]).astype(int)
+
+    iu = np.triu_indices(len(x), 1)
+    dx, dy = signs(x)[iu], signs(y)[iu]
+    prod = dx * dy
+    return int((prod > 0).sum()), int((prod < 0).sum()), int((dx == 0).sum()), int((dy == 0).sum())
+
+
+def test_equal_infinite_values_tie():
+    x = np.array([1.0, np.inf, np.inf, 2.0, -np.inf, -np.inf])
+    y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 0.5])
+    rng = np.random.default_rng(5)
+    levels = np.array([-np.inf, -1.0, 0.0, 2.5, np.inf])
+    cases = [(x, y), (y, x)] + [tuple(rng.choice(levels, (2, int(n)))) for n in rng.integers(2, 40, 40)]
+    for x, y in cases:
+        conc, disc, tx, ty = comparison_counts(x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = kendall.tau_a(x, y)
+            if tx < x.size * (x.size - 1) // 2 and ty < y.size * (y.size - 1) // 2:
+                stats = kendall.tau_b(x, y)
+                assert (stats.concordant, stats.discordant, stats.ties_j, stats.ties_k) == (conc, disc, tx, ty)
+        assert tau == (conc - disc) / (x.size * (x.size - 1) // 2)
+    assert kendall.tau_a(*cases[0]) == 1 / 15
 
 
 def test_input_validation():
