@@ -98,20 +98,21 @@ class BridgeKind:
     levels_j: int | None = None
     levels_k: int | None = None
 
+    def __post_init__(self):
+        for levels in (self.levels_j, self.levels_k):
+            if levels is not None and not (isinstance(levels, (int, np.integer)) and levels >= 2):
+                raise ValueError(f"ordinal level count must be None or an integer >= 2, got {levels!r}")
+
     @classmethod
     def continuous_continuous(cls) -> "BridgeKind":
         return cls(None, None)
 
     @classmethod
     def ordinal_continuous(cls, p: int) -> "BridgeKind":
-        if p < 2:
-            raise ValueError(f"ordinal level count must be >= 2, got {p}")
         return cls(p, None)
 
     @classmethod
     def ordinal_ordinal(cls, p_j: int, p_k: int) -> "BridgeKind":
-        if p_j < 2 or p_k < 2:
-            raise ValueError(f"ordinal level counts must be >= 2, got ({p_j}, {p_k})")
         return cls(p_j, p_k)
 
     @property
@@ -183,7 +184,7 @@ def _check_cutoffs(kind: BridgeKind, cutoffs_j, cutoffs_k):
                 raise ValueError(f"{name} must not be NaN, got {cuts.tolist()}")
             if np.any(np.diff(cuts) < 0):
                 raise ValueError("cutoffs must be nondecreasing")
-        checked.append(cuts)
+        checked.append(None if levels is None else cuts)  # a continuous side has none
     return tuple(checked)
 
 
@@ -320,77 +321,56 @@ class InversionTask:
 class _Bridges:
     """Forward bridges of a batch of non-continuous tasks, evaluated together.
 
-    An ordinal-continuous bridge is a sum of one trivariate term per
-    cutoff of the ordinal side; an ordinal-ordinal one is a sum over the
-    cells of its bivariate CDF grid (see the module docstring).  Tasks
-    whose grids have the same shape are evaluated together.
+    Each task keeps its ordinal cutoffs as padded grids -inf, D_1, ...,
+    D_{p-1}, +inf, then +inf up to the widest task.  An ordinal-ordinal
+    task fills grid_j and grid_k (levels (p_j, p_k)); its bridge sums the
+    cells of its bivariate CDF grid, and tasks of one grid shape are
+    evaluated together.  An ordinal-continuous task puts its ordinal side
+    in grid_j (levels (p, 0)); its bridge sums one trivariate term per
+    cutoff l, with bounds grid_j[l + 1] and grid_j[l + 2].  Those terms are
+    evaluated in fixed slices of MAX_QUADRATURE_ROWS, which may split a
+    pair, and np.bincount adds each pair's terms in order, so a pair gets
+    the same value alone or in any batch.
     """
 
     def __init__(self, tasks):
         n = len(tasks)
         self.scale = np.array([t.scale for t in tasks])
-        self.size = np.zeros(n, dtype=int)  # quadrature rows; 0 for ordinal-ordinal
-        self.levels = np.zeros((n, 2), dtype=int)  # (p_j, p_k) of ordinal-ordinal tasks
-        lower = []
-        for i, t in enumerate(tasks):
-            if t.kind.levels_j is None or t.kind.levels_k is None:
-                cuts = t.cutoffs_j if t.kind.levels_k is None else t.cutoffs_k
-                lower.append(cuts)
-                self.size[i] = cuts.size
-            else:
-                self.levels[i] = t.kind.levels_j, t.kind.levels_k
-        self.start = np.cumsum(self.size) - self.size
-        self.lower = np.concatenate(lower) if lower else np.empty(0)
-        self.upper = np.concatenate([np.append(c[1:], np.inf) for c in lower]) if lower else np.empty(0)
-        self.const = 2.0 * ndtr(self.lower) * ndtr(self.upper)
-        # grid cutoffs -inf, D_1, ..., D_{p-1}, +inf, padded on the right with +inf
+        # the cutoffs of each task's ordinal sides, j before k
+        sides = [[c for c in (t.cutoffs_j, t.cutoffs_k) if c is not None] for t in tasks]
+        self.levels = np.zeros((n, 2), dtype=int)
+        for i, cuts in enumerate(sides):
+            self.levels[i, : len(cuts)] = [c.size + 1 for c in cuts]
         self.grid_j = np.full((n, self.levels[:, 0].max(initial=0) + 1), np.inf)
         self.grid_k = np.full((n, self.levels[:, 1].max(initial=0) + 1), np.inf)
         self.grid_j[:, 0] = self.grid_k[:, 0] = -np.inf
-        for i in np.flatnonzero(self.size == 0):
-            self.grid_j[i, 1 : self.levels[i, 0]] = tasks[i].cutoffs_j
-            self.grid_k[i, 1 : self.levels[i, 1]] = tasks[i].cutoffs_k
+        for i, cuts in enumerate(sides):
+            for grid, c in zip((self.grid_j, self.grid_k), cuts):
+                grid[i, 1 : c.size + 1] = c
 
     def evaluate(self, r: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bridge values and derivatives of tasks idx at r (aligned, repeats allowed)."""
-        value = np.empty(idx.size)
-        deriv = np.empty(idx.size)
-        size = self.size[idx]
-        oc = np.flatnonzero(size)
-        oc = oc[np.argsort(size[oc], kind="stable")]
-        first, rows = 0, 0
-        for m, s in enumerate(size[oc]):
-            if rows and rows + s > MAX_QUADRATURE_ROWS:
-                self._ordinal_continuous(r, idx, oc[first:m], value, deriv)
-                first, rows = m, 0
-            rows += s
-        if rows:
-            self._ordinal_continuous(r, idx, oc[first:], value, deriv)
-        oo = np.flatnonzero(size == 0)
-        levels = self.levels[idx[oo]]
-        for p_j, p_k in np.unique(levels, axis=0):
-            same = oo[(levels == (p_j, p_k)).all(axis=1)]
+        levels = self.levels[idx]
+        # one row per cutoff of each ordinal-continuous task; np.nonzero is
+        # row-major, so each task's rows are contiguous and in cutoff order
+        row_of = (levels[:, 1:] == 0) & (np.arange(self.grid_j.shape[1]) < levels[:, :1] - 1)
+        owner, cut = np.nonzero(row_of)
+        lower, upper = self.grid_j[idx[owner], cut + 1], self.grid_j[idx[owner], cut + 2]
+        terms, grads = np.empty(owner.size), np.empty(owner.size)
+        for first in range(0, owner.size, MAX_QUADRATURE_ROWS):
+            s = slice(first, first + MAX_QUADRATURE_ROWS)
+            lo, up, r_s = lower[s], upper[s], r[owner[s]]
+            terms[s] = 4.0 * _phi3_batch(lo, up, 0.0, r_s) - 2.0 * ndtr(lo) * ndtr(up)
+            grads[s] = 4.0 * _phi3_grad(lo, up, 0.0, r_s)
+        value = np.bincount(owner, terms, minlength=idx.size).astype(float)  # int if no rows
+        deriv = np.bincount(owner, grads, minlength=idx.size).astype(float)
+        for p_j, p_k in np.unique(levels[levels[:, 1] > 0], axis=0):
+            same = np.flatnonzero((levels == (p_j, p_k)).all(axis=1))
             per = max(1, MAX_QUADRATURE_ROWS // (p_j + 1))
             for first in range(0, same.size, per):
                 self._ordinal_ordinal(r, idx, same[first : first + per], p_j, p_k, value, deriv)
         scale = self.scale[idx]
         return value / scale, deriv / scale
-
-    def _ordinal_continuous(self, r, idx, pos, value, deriv):
-        sizes = self.size[idx[pos]]
-        first = np.cumsum(sizes) - sizes
-        rows = np.repeat(self.start[idx[pos]] - first, sizes) + np.arange(sizes.sum())
-        lower, upper, r_rows = self.lower[rows], self.upper[rows], np.repeat(r[pos], sizes)
-        terms = 4.0 * _phi3_batch(lower, upper, 0.0, r_rows) - self.const[rows]
-        grads = 4.0 * _phi3_grad(lower, upper, 0.0, r_rows)
-        # pos is sorted by size, so the rows of equal-size evaluations are
-        # adjacent; summing each along one row of a 2-D block adds them in
-        # the same order as np.sum over that evaluation's rows alone
-        for s in np.unique(sizes):
-            same = sizes == s
-            block = np.repeat(same, sizes)
-            value[pos[same]] = terms[block].reshape(-1, s).sum(axis=1)
-            deriv[pos[same]] = grads[block].reshape(-1, s).sum(axis=1)
 
     def _ordinal_ordinal(self, r, idx, pos, p_j, p_k, value, deriv):
         dj = self.grid_j[idx[pos], : p_j + 1, None]

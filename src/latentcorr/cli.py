@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -47,7 +48,7 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Comma-separated, first row header, empty cell = missing value.
 
     Raises CliError naming the 1-based line of the first malformed row
-    or cell.
+    or cell; a cell reading NaN (e.g. 'nan') is malformed.
     """
     try:
         fh = open(path, newline="")
@@ -82,13 +83,17 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
                     values.append(np.nan)
                     continue
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = np.nan
+                if math.isnan(value):  # unparsable, or a NaN spelled out
                     raise CliError(
                         "parse",
-                        f"{path}: line {line_no}: column {col!r}: not a number: {cell!r}",
+                        f"{path}: line {line_no}: column {col!r}: not a number: {cell!r} "
+                        "(missing values are empty cells)",
                         path=path, line=line_no, column=col,
-                    ) from None
+                    )
+                values.append(value)
             rows.append(values)
     if not rows:
         raise CliError("parse", f"{path}: no data rows", path=path, line=2)
@@ -99,11 +104,12 @@ def read_manifest(path: str) -> tuple[dict[str, int | None], dict[str, str]]:
     """Flat 'name = kind' text: kind is 'continuous' or 'ordinal:p'.
 
     Reserved option keys (tau, hbic_cn, lambda_path) may also
-    appear; command-line flags take precedence over them.  Returns
-    (column kinds, options).
+    appear; command-line flags take precedence over them.  A name or key
+    may be set once.  Returns (column kinds, options).
     """
     kinds: dict[str, int | None] = {}
     options: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -118,6 +124,11 @@ def read_manifest(path: str) -> tuple[dict[str, int | None], dict[str, str]]:
                 path=path, line=line_no,
             )
         name, value = (part.strip() for part in line.split("=", 1))
+        if first_line.setdefault(name, line_no) != line_no:
+            raise CliError(
+                "parse", f"{path}: line {line_no}: {name!r} already set on line {first_line[name]}",
+                path=path, line=line_no,
+            )
         if name in _OPTION_KEYS:
             options[name] = value
             continue

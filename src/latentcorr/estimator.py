@@ -67,7 +67,10 @@ class LatentCorrelationMatrix:
 
 
 def infer_column_specs(data: np.ndarray, names=None) -> list[ColumnSpec]:
-    """Ordinal if all finite values are integers with few distinct levels."""
+    """Ordinal if all values are finite integers with few distinct levels.
+
+    NaN is missing; a column holding +-inf is continuous.
+    """
     data = np.asarray(data, dtype=float)
     n, d = data.shape
     names = names or [f"x{j}" for j in range(d)]
@@ -79,7 +82,7 @@ def infer_column_specs(data: np.ndarray, names=None) -> list[ColumnSpec]:
         if (
             distinct.size >= 2
             and distinct.size <= ORDINAL_INFERENCE_MAX_LEVELS
-            and np.all(distinct == np.round(distinct))
+            and np.all(np.isfinite(distinct) & (distinct == np.round(distinct)))
         ):
             specs.append(ColumnSpec(names[j], levels=distinct.size))
         else:

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kendall
-# estimate_cutoffs is unused here but stays bound: perfbench/spans.py wraps it by name.
-from .bridge import BridgeKind, estimate_cutoffs, invert_bridge
+# estimate_cutoffs and invert_bridge are unused here but stay bound:
+# perfbench/spans.py wraps them by name.
+from .bridge import estimate_cutoffs, invert_bridge
 from .estimator import ColumnSpec, estimate_latent_correlation
 from .normal_dist import std_quantile
 
@@ -157,7 +158,8 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=Fal
     reused across all p values and the continuous baseline, so curves for
     different p are directly comparable and the uncollapsed p=16 curve is
     identical across protocols under the same seed.  Each replicate makes
-    one estimator call covering the (ordinal, continuous) pair of every p.
+    one estimator call covering the (ordinal, continuous) pair of every p
+    and the continuous baseline pair (z0, z).
     collapse selects the collapse-from-16 protocol over equal-mass levels.
     """
     p_values, r_grid = check_discretization_options(p_values, r_grid, n, reps)
@@ -165,9 +167,9 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=Fal
     children = root.spawn(r_grid.size * reps)
     pop_cuts = {p: equal_mass_cutoffs(p) for p in p_values}
     base_cuts = equal_mass_cutoffs(16) if collapse else None
-    # one ordinal column per p, then the continuous column
-    specs = [ColumnSpec(f"p{p}", p) for p in p_values] + [ColumnSpec("z")]
-    last = len(p_values)
+    # one ordinal column per p, then the two latent columns z0 and z
+    specs = [ColumnSpec(f"p{p}", p) for p in p_values] + [ColumnSpec("z0"), ColumnSpec("z")]
+    base, last = len(p_values), len(p_values) + 1
 
     sq_err = {p: np.zeros(r_grid.size) for p in p_values}
     sq_err_base = np.zeros(r_grid.size)
@@ -175,9 +177,6 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=Fal
         sigma = np.array([[1.0, r], [r, 1.0]])
         for rep in range(reps):
             z = _sample_latent(sigma, n, _rng(children[i * reps + rep]))
-            tau_c = kendall.tau_a(z[:, 0], z[:, 1])
-            r_base = float(invert_bridge(tau_c, BridgeKind.continuous_continuous()))
-            sq_err_base[i] += (r_base - r) ** 2
             if collapse:
                 codes16 = np.digitize(z[:, 0], base_cuts).astype(float)
                 codes = [np.minimum(codes16, p - 1) for p in p_values]
@@ -187,8 +186,10 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=Fal
             # all-ties tau maps to 0, so such a column gets no pair
             varied = [m for m, c in enumerate(codes) if c.min() < c.max()]
             est = estimate_latent_correlation(
-                np.column_stack(codes + [z[:, 1]]), specs, pairs=[(m, last) for m in varied]
+                np.column_stack(codes + [z[:, 0], z[:, 1]]), specs,
+                pairs=[(m, last) for m in varied] + [(base, last)],
             )
+            sq_err_base[i] += (est.values[base, last] - r) ** 2
             for m, p in enumerate(p_values):
                 r_hat = est.values[m, last] if m in varied else 0.0
                 sq_err[p][i] += (r_hat - r) ** 2

@@ -63,6 +63,15 @@ def test_continuous_pair_closed_form():
     assert not res.clamped
 
 
+@pytest.mark.parametrize(
+    "levels, bad", [((1, None), "1"), ((None, 0), "0"), ((3, -2), "-2"), ((2.0, None), "2.0"), ((None, True), "True")]
+)
+def test_bridge_kind_rejects_bad_level_counts(levels, bad):
+    with pytest.raises(ValueError, match=f"integer >= 2, got {bad}$"):
+        BridgeKind(*levels)
+    assert BridgeKind(np.int64(3), 2).tag == "ordinal3_ordinal2"
+
+
 # ---------------------------------------------------------------------------
 # Reduction identities
 # ---------------------------------------------------------------------------
@@ -450,6 +459,8 @@ def scalar_newton(task):
 
 @pytest.mark.parametrize("max_rows", [bridge.MAX_QUADRATURE_ROWS, 7])
 def test_batched_inversion_matches_each_task_alone(max_rows, monkeypatch):
+    """A cap of 7 rows also splits one pair's cutoff rows across calls,
+    which the per-pair sum must survive: every result is the task's alone."""
     monkeypatch.setattr(bridge, "MAX_QUADRATURE_ROWS", max_rows)
     tasks = mixed_batch()
     together = bridge.invert_bridges(tasks)

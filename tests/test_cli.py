@@ -112,6 +112,25 @@ def test_estimate_reports_bad_cell_line(tmp_path):
     assert "oops" in err["message"]
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", " -nan"])
+def test_estimate_rejects_a_nan_cell(tmp_path, cell):
+    path = tmp_path / "nan.csv"
+    path.write_text(f"a,b\n1,0.5\n{cell},1.5\n2,0.25\n0,2.5\n3,1.25\n")
+    out = tmp_path / "out"
+    assert main(["estimate", "--data", str(path), "--out-dir", str(out)]) == 2
+    err = json.loads((out / "errors.json").read_text())
+    assert (err["stage"], err["line"], err["column"]) == ("parse", 3, "a")
+    assert "missing values are empty cells" in err["message"]
+
+
+def test_estimate_reads_an_infinite_column_as_continuous(tmp_path):
+    path = tmp_path / "inf.csv"
+    write_csv(path, ["a", "b"], [(1, 0.5), ("inf", 1.5), (2, 0.25), (0, 2.5), (3, 1.25), (1, 0.75)])
+    out = tmp_path / "out"
+    assert main(["estimate", "--data", str(path), "--out-dir", str(out)]) == 0
+    assert (out / "method_report.tsv").read_text().split("\n")[1].split("\t")[4] == "sin"
+
+
 def test_estimate_rejects_duplicate_column_names(tmp_path):
     path = tmp_path / "dupes.csv"
     rows = [(0.5 * i, (7 * i) % 11 + 0.25, i % 3) for i in range(12)]
@@ -188,6 +207,24 @@ def test_manifest_errors(tmp_path):
         ])
         assert code != 0
         assert frag in json.loads((out / "errors.json").read_text())["message"]
+
+
+@pytest.mark.parametrize(
+    "text, line, first",
+    [("a = ordinal:3\n# note\nb = continuous\na = continuous\n", 4, 1),
+     ("tau = b\na = ordinal:2\ntau = a\n", 3, 1)],
+)
+def test_manifest_rejects_a_repeated_name(tmp_path, text, line, first):
+    path = tmp_path / "d.csv"
+    write_csv(path, ["a", "b"], [(j % 3, 0.5 * j) for j in range(12)])
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(text)
+    out = tmp_path / "out"
+    code = main(["estimate", "--data", str(path), "--manifest", str(manifest), "--out-dir", str(out)])
+    assert code == 2
+    err = json.loads((out / "errors.json").read_text())
+    assert (err["stage"], err["line"]) == ("parse", line)
+    assert f"already set on line {first}" in err["message"]
 
 
 def test_estimate_has_no_seed(tmp_path):

@@ -26,6 +26,12 @@ def test_infer_column_specs():
     assert [s.name for s in specs] == ["a", "b", "c", "d"]
 
 
+def test_infer_column_specs_treats_an_infinite_column_as_continuous():
+    col = np.array([1.0, np.inf, 2.0, 0.0, 3.0, 1.0])
+    specs = estimator.infer_column_specs(np.column_stack([col, -col, np.arange(6.0) % 3]))
+    assert [s.levels for s in specs] == [None, None, 3]
+
+
 def test_recode_collapses_empty_levels():
     col = np.array([0.0, 5.0, 5.0, 9.0, np.nan])
     recoded, p = estimator._recode_ordinal(col)
