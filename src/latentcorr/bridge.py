@@ -103,18 +103,6 @@ class BridgeKind:
             if levels is not None and not (isinstance(levels, (int, np.integer)) and levels >= 2):
                 raise ValueError(f"ordinal level count must be None or an integer >= 2, got {levels!r}")
 
-    @classmethod
-    def continuous_continuous(cls) -> "BridgeKind":
-        return cls(None, None)
-
-    @classmethod
-    def ordinal_continuous(cls, p: int) -> "BridgeKind":
-        return cls(p, None)
-
-    @classmethod
-    def ordinal_ordinal(cls, p_j: int, p_k: int) -> "BridgeKind":
-        return cls(p_j, p_k)
-
     @property
     def is_continuous_pair(self) -> bool:
         return self.levels_j is None and self.levels_k is None

@@ -122,9 +122,10 @@ def estimate_latent_correlation(
     pairs lists the column pairs (j, k) to estimate (default: every
     j < k).  Other off-diagonal entries are NaN, tagged "not_estimated",
     and only columns in a listed pair are checked and given cutoffs.
-    Kendall's tau is counted pair by pair.  Continuous pairs are inverted
-    in closed form as they come; all other pairs need Newton and are
-    inverted together in one batch (bridge.invert_bridges) after the loop.
+    One kendall call counts the tau of every pair of those columns at once.
+    Continuous pairs are inverted in closed form as they come; all other
+    pairs need Newton and are inverted together in one batch
+    (bridge.invert_bridges) after the loop.
     """
     if variant not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
@@ -150,7 +151,8 @@ def estimate_latent_correlation(
     cols = np.array(data, dtype=float)
     eff_levels = [0] * d
     cutoffs: list[np.ndarray | None] = [None] * d
-    for j in sorted({c for pair in pairs for c in pair}):
+    used = sorted({c for pair in pairs for c in pair})
+    for j in used:
         spec = specs[j]
         if spec.is_ordinal:
             cols[:, j], eff_levels[j] = _recode_ordinal(data[:, j])
@@ -171,6 +173,14 @@ def estimate_latent_correlation(
     np.fill_diagonal(method, "diag")
     clamped = np.zeros((d, d), dtype=bool)
 
+    block = cols[:, used]
+    if variant == "b":
+        stats = kendall.tau_b(block, block)
+        taus = {"a": stats.tau_a, "b": stats.tau_b}
+    else:
+        taus = {"a": kendall.tau_a(block, block)}
+    at = {c: i for i, c in enumerate(used)}
+
     tasks, batched = [], []
     for j, k in pairs:
         kind = BridgeKind(eff_levels[j] or None, eff_levels[k] or None)
@@ -180,10 +190,10 @@ def estimate_latent_correlation(
             tag += ":tau_b" if use_variant == "b" else ":tau_a_fallback"
         method[j, k] = method[k, j] = tag
         try:
-            if use_variant == "b":
-                tau = kendall.tau_b(cols[:, j], cols[:, k]).tau_b
-            else:
-                tau = kendall.tau_a(cols[:, j], cols[:, k])
+            tau = float(taus[use_variant][at[j], at[k]])
+            if np.isnan(tau):  # fewer than 2 complete rows, or constant under tau-b:
+                # the pair's own count raises the error that says which
+                (kendall.tau_b if use_variant == "b" else kendall.tau_a)(cols[:, j], cols[:, k])
             if kind.is_continuous_pair:  # closed form, so nothing to batch
                 res = invert_bridge(tau, kind)
                 values[j, k] = values[k, j] = res.r

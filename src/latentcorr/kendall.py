@@ -1,9 +1,14 @@
 """Sample Kendall statistics with tie accounting.
 
-``tau_a`` and ``tau_b`` run in O(n log n) via merge-sort inversion
-counting (Knight's algorithm); the O(n^2) pair enumeration used as a test
-oracle lives in the test suite.  Rows with a missing (NaN) entry in
-either column of a pair are dropped pairwise.
+``tau_a`` and ``tau_b`` take two columns, or two (n, p) and (n, q) blocks
+of columns and then give the statistics of every column pair at once.
+Rows with a missing (NaN) entry in either column of a pair are dropped
+pairwise.  A block is counted by one of two exact kernels, chosen by
+GRAM_MAX_CELLS_PER_PAIR_ROW: a sign Gram over all row pairs, or the
+O(n log n) merge-sort inversion count (Knight's algorithm) once per column
+pair, which also counts two columns.  Both produce the same integer
+counts, so every statistic is the same bit for bit whichever kernel ran.
+The O(n^2) pair enumeration used as a test oracle lives in the test suite.
 """
 
 from __future__ import annotations
@@ -17,6 +22,17 @@ from ._kernels import count_inversions
 
 __all__ = ["TauStatistics", "DegenerateColumnError", "tau_a", "tau_b"]
 
+# A block is counted by the sign Gram while its sign matrix, C(n, 2) row
+# pairs by the block's columns, holds fewer than this many cells per column
+# pair and row, and otherwise by the merge kernel, whose cost per column
+# pair grows about as n.  Set from the timings in CHANGES.md.
+GRAM_MAX_CELLS_PER_PAIR_ROW = 75
+
+# Sign cells per chunk of the Gram.  It bounds the kernel's temporaries at a
+# few bytes per cell, and as it is below 2**24, each chunk's Gram entries are
+# sums of fewer than 2**24 terms in {-1, 0, 1}, exact in float32.
+GRAM_CHUNK_CELLS = 1 << 16
+
 
 class DegenerateColumnError(ValueError):
     """A column is constant, so tau_b's tie correction divides by zero."""
@@ -24,6 +40,8 @@ class DegenerateColumnError(ValueError):
 
 @dataclass(frozen=True)
 class TauStatistics:
+    """Counts and taus of one column pair, or (p, q) arrays of them for blocks."""
+
     tau_a: float
     tau_b: float
     concordant: int
@@ -41,6 +59,12 @@ def _tie_pairs(new_run: np.ndarray) -> int:
     """
     run_lengths = np.diff(np.concatenate(([0], np.flatnonzero(new_run) + 1, [new_run.size + 1])))
     return int(np.sum(run_lengths * (run_lengths - 1) // 2))
+
+
+def _ties(v) -> int:
+    """Tied pairs of a 1-D array."""
+    v = np.sort(v)
+    return _tie_pairs(v[1:] != v[:-1])
 
 
 def _clean_pair(x, y):
@@ -65,23 +89,152 @@ def _tau_counts(x, y) -> tuple[int, int, int, int, int]:
     # joint ties: lexsorted, so equal (x, y) pairs are adjacent
     t_xy = _tie_pairs(new_x | (ys[1:] != ys[:-1]))
     discordant = count_inversions(ys)
-    y_sorted = np.sort(ys)
-    t_y = _tie_pairs(y_sorted[1:] != y_sorted[:-1])
+    t_y = _ties(ys)
     return n_pairs, n_pairs - t_x - t_y + t_xy - 2 * discordant, discordant, t_x, t_y
 
 
-def tau_a(x, y) -> float:
-    """Kendall's tau-a: (C - D) / C(n, 2), ties contributing zero."""
-    x, y = _clean_pair(x, y)
-    n_pairs, con_minus_dis, *_ = _tau_counts(x, y)
-    return con_minus_dis / n_pairs
+def _blocks(x, y):
+    """(x, y, y is x) for two (n, p) and (n, q) blocks; None for two columns."""
+    same = y is x
+    x = np.asarray(x, dtype=float)
+    y = x if same else np.asarray(y, dtype=float)
+    if x.ndim != 2 and y.ndim != 2:
+        return None
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError(
+            f"need two columns or two blocks of equal row count, got shapes {x.shape} and {y.shape}"
+        )
+    return x, y, same
+
+
+def _row_pair_chunks(n: int, rows: int):
+    """Lists of (h, lo, hi), the row pairs (i, i + h) for lo <= i < hi, of
+    at most rows pairs each, covering every row pair once."""
+    chunk, used = [], 0
+    for h in range(1, n):
+        lo = 0
+        while lo < n - h:
+            hi = min(n - h, lo + rows - used)
+            chunk.append((h, lo, hi))
+            used += hi - lo
+            lo = hi
+            if used == rows:
+                yield chunk
+                chunk, used = [], 0
+    if chunk:
+        yield chunk
+
+
+def _signs(v, observed, chunk, ties: bool):
+    """float32 sign(v[i + h] - v[i]) over a chunk's row pairs, 0 where a row
+    is blank or the two values are equal (also equal infinities); with ties,
+    also its absolute value and the both-rows-observed indicator."""
+    m = sum(hi - lo for _, lo, hi in chunk)
+    flags = np.empty((3 if ties else 2, m, v.shape[1]), dtype=bool)
+    gt, lt, both = flags[0], flags[1], flags[-1]
+    at = 0
+    for h, lo, hi in chunk:
+        rows = slice(at, at + hi - lo)
+        np.greater(v[lo + h:hi + h], v[lo:hi], out=gt[rows])
+        np.less(v[lo + h:hi + h], v[lo:hi], out=lt[rows])
+        if ties:
+            np.logical_and(observed[lo + h:hi + h], observed[lo:hi], out=both[rows])
+        at += hi - lo
+    sign = np.subtract(gt, lt, dtype=np.float32)
+    if not ties:
+        return (sign,)
+    return sign, np.add(gt, lt, dtype=np.float32), both.astype(np.float32)
+
+
+def _block_counts(x, y, same: bool, ties: bool):
+    """(C(n, 2), C - D, discordant, ties in x, ties in y) of every column pair
+    of the blocks x and y, as (p, q) int64 arrays; the last three are None
+    unless ties.
+
+    Sign Gram: with S the row-pair signs of a block's columns, C - D is
+    SᵀS, C + D is |S|ᵀ|S|, and the pairs tied in x are C(n, 2) minus
+    |Sx|ᵀBy, where B marks the row pairs observed in both rows.  Every sum
+    is an integer below 2**53, exact in floats.  Merge: one inversion count
+    per column pair (per unordered pair when y is x).
+    """
+    n, p = x.shape
+    q = y.shape[1]
+    width, col_pairs = (p, p * (p - 1) // 2) if same else (p + q, p * q)
+    # C(n, 2) * width / n < GRAM_MAX_CELLS_PER_PAIR_ROW * col_pairs
+    if (n - 1) * width < 2 * GRAM_MAX_CELLS_PER_PAIR_ROW * col_pairs:
+        obs_x = ~np.isnan(x)
+        obs_y = obs_x if same else ~np.isnan(y)
+        complete = (obs_x.T.astype(float) @ obs_y).astype(np.int64)
+        n_pairs = complete * (complete - 1) // 2
+        grams = np.zeros((4 if ties else 1, p, q))
+        for chunk in _row_pair_chunks(n, max(1, GRAM_CHUNK_CELLS // width)):
+            sx = _signs(x, obs_x, chunk, ties)
+            sy = sx if same else _signs(y, obs_y, chunk, ties)
+            grams[0] += sx[0].T @ sy[0]
+            if ties:
+                grams[1] += sx[1].T @ sy[1]
+                grams[2] += sx[1].T @ sy[2]
+                grams[3] += sx[2].T @ sy[1]
+        g = grams.astype(np.int64)
+        if not ties:
+            return n_pairs, g[0], None, None, None
+        return n_pairs, g[0], (g[1] - g[0]) // 2, n_pairs - g[2], n_pairs - g[3]
+
+    counts = np.zeros((5, p, q), dtype=np.int64)
+    for j in range(p):
+        for k in range(j if same else 0, q):
+            keep = ~(np.isnan(x[:, j]) | np.isnan(y[:, k]))
+            xj, yk = x[keep, j], y[keep, k]
+            if same and j == k:  # the column with itself: every untied pair concords
+                n_pairs, t = xj.size * (xj.size - 1) // 2, _ties(xj)
+                counts[:, j, j] = n_pairs, n_pairs - t, 0, t, t
+            else:
+                counts[:, j, k] = _tau_counts(xj, yk)
+                if same:
+                    counts[:, k, j] = counts[[0, 1, 2, 4, 3], j, k]
+    return tuple(counts)
+
+
+def tau_a(x, y):
+    """Kendall's tau-a: (C - D) / C(n, 2), ties contributing zero.
+
+    Two columns give a float.  Blocks x (n, p) and y (n, q) give the (p, q)
+    array of every column pair, NaN where a pair has fewer than 2 complete
+    rows; pass the same block as x and y to count each pair once.
+    """
+    blocks = _blocks(x, y)
+    if blocks is None:
+        x, y = _clean_pair(x, y)
+        n_pairs, con_minus_dis, *_ = _tau_counts(x, y)
+        return con_minus_dis / n_pairs
+    n_pairs, con_minus_dis, *_ = _block_counts(*blocks, ties=False)
+    with np.errstate(invalid="ignore"):
+        return con_minus_dis / n_pairs
 
 
 def tau_b(x, y) -> TauStatistics:
     """Kendall's tau-b with full concordance/tie counts.
 
-    Raises DegenerateColumnError when either column is constant.
+    Two columns: raises DegenerateColumnError when either column is
+    constant.  Blocks x (n, p) and y (n, q): every field is a (p, q) array,
+    with NaN taus where a pair has fewer than 2 complete rows and NaN tau_b
+    where either column is constant over them.
     """
+    blocks = _blocks(x, y)
+    if blocks is not None:
+        n_pairs, con_minus_dis, discordant, t_x, t_y = _block_counts(*blocks, ties=True)
+        with np.errstate(invalid="ignore"):
+            return TauStatistics(
+                tau_a=con_minus_dis / n_pairs,
+                # the factors are integers below 2**53, so their float product
+                # rounds as math.sqrt rounds the exact product in the column path
+                tau_b=con_minus_dis / np.sqrt((n_pairs - t_x).astype(float) * (n_pairs - t_y)),
+                concordant=con_minus_dis + discordant,
+                discordant=discordant,
+                ties_j=t_x,
+                ties_k=t_y,
+                n_pairs=n_pairs,
+            )
     x, y = _clean_pair(x, y)
     n_pairs, con_minus_dis, discordant, t_x, t_y = _tau_counts(x, y)
     if n_pairs == t_x or n_pairs == t_y:

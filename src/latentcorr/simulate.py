@@ -194,7 +194,8 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=Fal
                 r_hat = est.values[m, last] if m in varied else 0.0
                 sq_err[p][i] += (r_hat - r) ** 2
 
-    bins = np.linspace(0.0, 1.0, N_BINS + 1)
+    # l / N_BINS is the float nearest each edge, so r = 0.3 lands in [0.3, 0.4)
+    bins = np.arange(N_BINS + 1) / N_BINS
     which = np.clip(np.digitize(r_grid, bins) - 1, 0, N_BINS - 1)
     counts = np.bincount(which, minlength=N_BINS).astype(float)
     counts[counts == 0] = np.nan

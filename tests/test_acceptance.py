@@ -30,14 +30,14 @@ from latentcorr.normal_dist import bivariate_cdf, std_cdf
 # Every supported pair kind with representative level counts, including the
 # largest level count exercised by the error-curve experiments.
 ROUND_TRIP_KINDS = [
-    ("continuous/continuous", BridgeKind.continuous_continuous(), 0, 0),
-    ("binary/continuous", BridgeKind.ordinal_continuous(2), 2, 0),
-    ("ternary/continuous", BridgeKind.ordinal_continuous(3), 3, 0),
-    ("5-level/continuous", BridgeKind.ordinal_continuous(5), 5, 0),
-    ("16-level/continuous", BridgeKind.ordinal_continuous(16), 16, 0),
-    ("binary/binary", BridgeKind.ordinal_ordinal(2, 2), 2, 2),
-    ("binary/ternary", BridgeKind.ordinal_ordinal(2, 3), 2, 3),
-    ("ternary/ternary", BridgeKind.ordinal_ordinal(3, 3), 3, 3),
+    ("continuous/continuous", BridgeKind(None, None), 0, 0),
+    ("binary/continuous", BridgeKind(2, None), 2, 0),
+    ("ternary/continuous", BridgeKind(3, None), 3, 0),
+    ("5-level/continuous", BridgeKind(5, None), 5, 0),
+    ("16-level/continuous", BridgeKind(16, None), 16, 0),
+    ("binary/binary", BridgeKind(2, 2), 2, 2),
+    ("binary/ternary", BridgeKind(2, 3), 2, 3),
+    ("ternary/ternary", BridgeKind(3, 3), 3, 3),
 ]
 
 
@@ -142,14 +142,14 @@ def test_criterion_03_reduction_identities():
     for delta in (-1.0, 0.0, 0.8):
         cj = np.array([delta])
         for r in r_values:
-            general = bridge_forward(r, BridgeKind.ordinal_continuous(2), cj).value
+            general = bridge_forward(r, BridgeKind(2, None), cj).value
             closed = 4.0 * bivariate_cdf(delta, 0.0, r / np.sqrt(2.0)) - 2.0 * std_cdf(delta)
             worst = max(worst, abs(general - closed))
     # general ordinal/ordinal sum at (2, 2) vs the closed binary/binary form
     for dj, dk in itertools.product((-0.7, 0.0, 0.6), repeat=2):
         cj, ck = np.array([dj]), np.array([dk])
         for r in r_values:
-            general = bridge_forward(r, BridgeKind.ordinal_ordinal(2, 2), cj, ck).value
+            general = bridge_forward(r, BridgeKind(2, 2), cj, ck).value
             closed = 2.0 * (bivariate_cdf(dj, dk, r) - std_cdf(dj) * std_cdf(dk))
             worst = max(worst, abs(general - closed))
     record_acceptance(
@@ -227,7 +227,7 @@ def test_criterion_08_tau_b_taylor_agreement():
     n = 84
     delta = 0.0
     cj = np.array([delta])
-    kind = BridgeKind.ordinal_continuous(2)
+    kind = BridgeKind(2, None)
     r_grid = np.arange(-0.9, 0.91, 0.3)
     max_gap = 0.0
     worst_z = 0.0

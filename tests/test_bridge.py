@@ -54,7 +54,7 @@ def mc_tau(r, cuts_j, cuts_k, n_draws=200_000, seed=0):
 
 
 def test_continuous_pair_closed_form():
-    kind = BridgeKind.continuous_continuous()
+    kind = BridgeKind(None, None)
     for r in (-0.95, -0.3, 0.0, 0.4, 0.9):
         ev = bridge.bridge_forward(r, kind)
         assert ev.value == pytest.approx(2.0 / math.pi * math.asin(r), abs=1e-15)
@@ -78,7 +78,7 @@ def test_bridge_kind_rejects_bad_level_counts(levels, bad):
 
 
 def test_two_level_sum_reduces_to_single_cutoff_form():
-    kind = BridgeKind.ordinal_continuous(2)
+    kind = BridgeKind(2, None)
     for delta in (-1.2, 0.0, 0.8):
         cuts = np.array([delta])
         for r in np.linspace(-0.95, 0.95, 21):
@@ -87,7 +87,7 @@ def test_two_level_sum_reduces_to_single_cutoff_form():
 
 
 def test_ordinal_ordinal_with_infinite_cutoffs_reduces_to_binary_form():
-    kind = BridgeKind.ordinal_ordinal(2, 2)
+    kind = BridgeKind(2, 2)
     for dj, dk in [(-0.7, 0.3), (0.0, 0.0), (1.1, -1.4)]:
         for r in np.linspace(-0.9, 0.9, 13):
             got = bridge.bridge_forward(r, kind, np.array([dj]), np.array([dk])).value
@@ -107,7 +107,7 @@ def test_grid_sum_matches_closed_form_up_to_three_levels():
 
 
 def test_forward_is_odd_in_r_at_symmetric_cutoffs():
-    kind = BridgeKind.ordinal_continuous(3)
+    kind = BridgeKind(3, None)
     cuts = np.array([-0.6, 0.6])
     for r in (0.2, 0.5, 0.8):
         f_pos = bridge.bridge_forward(r, kind, cuts).value
@@ -153,7 +153,7 @@ def test_many_level_ordinal_pairs_match_monte_carlo(pj, pk, r):
 
 def test_example_four_level_continuous_at_point_six():
     cuts = simulate.equal_mass_cutoffs(4)
-    kind = BridgeKind.ordinal_continuous(4)
+    kind = BridgeKind(4, None)
     want, se = simulate.mc_population_tau_a(0.6, cuts, None, n_draws=10**6, seed=5)
     got = bridge.bridge_forward(0.6, kind, cuts).value
     assert abs(got - want) < 3.0 * se
@@ -168,15 +168,15 @@ def test_forward_derivative_matches_finite_differences():
     rng = np.random.default_rng(7)
     eps = 1e-6
     cases = [
-        (BridgeKind.ordinal_continuous(3), np.sort(rng.uniform(-1.5, 1.5, 2)), None),
-        (BridgeKind.ordinal_continuous(5), np.sort(rng.uniform(-1.5, 1.5, 4)), None),
+        (BridgeKind(3, None), np.sort(rng.uniform(-1.5, 1.5, 2)), None),
+        (BridgeKind(5, None), np.sort(rng.uniform(-1.5, 1.5, 4)), None),
         (
-            BridgeKind.ordinal_ordinal(3, 3),
+            BridgeKind(3, 3),
             np.sort(rng.uniform(-1.5, 1.5, 2)),
             np.sort(rng.uniform(-1.5, 1.5, 2)),
         ),
-        (BridgeKind.ordinal_ordinal(2, 2), np.array([0.4]), np.array([-0.2])),
-        (BridgeKind.ordinal_ordinal(5, 7), simulate.equal_mass_cutoffs(5), simulate.equal_mass_cutoffs(7)),
+        (BridgeKind(2, 2), np.array([0.4]), np.array([-0.2])),
+        (BridgeKind(5, 7), simulate.equal_mass_cutoffs(5), simulate.equal_mass_cutoffs(7)),
     ]
     for kind, cj, ck in cases:
         for r in (-0.7, 0.1, 0.6):
@@ -193,7 +193,7 @@ def test_forward_strictly_increasing():
     grid = np.linspace(-0.98, 0.98, 40)
     for _ in range(10):
         cuts = np.sort(rng.uniform(-1.5, 1.5, 2))
-        kind = BridgeKind.ordinal_continuous(3)
+        kind = BridgeKind(3, None)
         vals = [bridge.bridge_forward(float(r), kind, cuts).value for r in grid]
         assert np.all(np.diff(vals) > 0)
 
@@ -215,10 +215,10 @@ def test_many_level_ordinal_pairs_strictly_increasing():
 
 def test_round_trip_across_kinds():
     cases = [
-        (BridgeKind.ordinal_continuous(2), np.array([0.3]), None),
-        (BridgeKind.ordinal_continuous(4), np.array([-0.9, 0.0, 0.9]), None),
-        (BridgeKind.ordinal_ordinal(2, 3), np.array([0.0]), np.array([-0.5, 0.7])),
-        (BridgeKind.ordinal_ordinal(3, 3), np.array([-1.0, 0.2]), np.array([-0.2, 1.0])),
+        (BridgeKind(2, None), np.array([0.3]), None),
+        (BridgeKind(4, None), np.array([-0.9, 0.0, 0.9]), None),
+        (BridgeKind(2, 3), np.array([0.0]), np.array([-0.5, 0.7])),
+        (BridgeKind(3, 3), np.array([-1.0, 0.2]), np.array([-0.2, 1.0])),
     ]
     for kind, cj, ck in cases:
         for r in (-0.9, -0.5, 0.0, 0.5, 0.9):
@@ -246,7 +246,7 @@ def test_every_ordinal_pair_round_trips():
 
 
 def test_out_of_range_tau_clamps():
-    kind = BridgeKind.ordinal_continuous(2)
+    kind = BridgeKind(2, None)
     cuts = np.array([0.0])
     res = bridge.invert_bridge(0.99, kind, cuts)  # above the achievable max (0.5)
     assert res.clamped
@@ -258,7 +258,7 @@ def test_out_of_range_tau_clamps():
 
 
 def test_tau_b_bridge_binary_continuous():
-    kind = BridgeKind.ordinal_continuous(2)
+    kind = BridgeKind(2, None)
     cuts = np.array([0.0])
     # tie-probability denominator at a balanced cutoff is sqrt(1/2)
     ev_a = bridge.bridge_forward(0.5, kind, cuts)
@@ -269,14 +269,14 @@ def test_tau_b_bridge_binary_continuous():
 
 
 def test_tau_b_binary_binary_saturates_at_unity():
-    kind = BridgeKind.ordinal_ordinal(2, 2)
+    kind = BridgeKind(2, 2)
     cuts = np.array([0.0])
     val = bridge.bridge_forward_tau_b(1.0 - 1e-9, kind, cuts, cuts).value
     assert val == pytest.approx(1.0, abs=1e-4)
 
 
 def test_tau_b_second_order_close_to_first_order():
-    kind = BridgeKind.ordinal_continuous(2)
+    kind = BridgeKind(2, None)
     cuts = np.array([0.0])
     first = bridge.bridge_forward_tau_b(0.5, kind, cuts).value
     second = bridge.tau_b_second_order(0.5, 0.0, 84)
@@ -372,14 +372,14 @@ def test_nan_cutoffs_are_rejected_when_the_task_is_built():
     with pytest.raises(ValueError, match=r"cutoffs_j must not be NaN, got \[nan\]"):
         bridge.InversionTask(0.1, BridgeKind(2, None), np.array([np.nan]))
     with pytest.raises(ValueError, match="cutoffs_k must not be NaN"):
-        bridge.invert_bridge(0.1, BridgeKind.ordinal_ordinal(2, 3), np.array([0.0]), np.array([0.2, np.nan]))
+        bridge.invert_bridge(0.1, BridgeKind(2, 3), np.array([0.0]), np.array([0.2, np.nan]))
     # infinite cutoffs stay legal
-    task = bridge.InversionTask(0.1, BridgeKind.ordinal_continuous(3), np.array([-np.inf, 0.5]))
+    task = bridge.InversionTask(0.1, BridgeKind(3, None), np.array([-np.inf, 0.5]))
     assert task.cutoffs_j[0] == -np.inf
 
 
 def test_tau_b_requires_binary_side():
-    kind = BridgeKind.ordinal_ordinal(3, 3)
+    kind = BridgeKind(3, 3)
     cuts = np.array([-0.5, 0.5])
     with pytest.raises(bridge.UnsupportedPairError):
         bridge.bridge_forward_tau_b(0.3, kind, cuts, cuts)
@@ -387,9 +387,9 @@ def test_tau_b_requires_binary_side():
 
 def test_invert_rejects_invalid_tau():
     with pytest.raises(ValueError):
-        bridge.invert_bridge(1.5, BridgeKind.continuous_continuous())
+        bridge.invert_bridge(1.5, BridgeKind(None, None))
     with pytest.raises(ValueError):
-        bridge.invert_bridge(np.nan, BridgeKind.continuous_continuous())
+        bridge.invert_bridge(np.nan, BridgeKind(None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +405,9 @@ def mixed_batch():
     for p in range(2, 17):
         # equal-mass cutoffs, and the p-level collapse of 16 equal-mass levels
         for cuts in (simulate.equal_mass_cutoffs(p), simulate.equal_mass_cutoffs(16)[: p - 1]):
-            tasks += [task(tau, BridgeKind.ordinal_continuous(p), cuts) for tau in rng.uniform(-0.6, 0.6, 2)]
+            tasks += [task(tau, BridgeKind(p, None), cuts) for tau in rng.uniform(-0.6, 0.6, 2)]
         tasks.append(task(rng.uniform(-0.6, 0.6), BridgeKind(None, p), None, simulate.equal_mass_cutoffs(p)))
-    tasks.append(task(0.2, BridgeKind.ordinal_continuous(4), np.array([-0.5, -0.5, 0.7])))  # an empty level
+    tasks.append(task(0.2, BridgeKind(4, None), np.array([-0.5, -0.5, 0.7])))  # an empty level
     # ordinal-ordinal grids of many shapes, one of them (5 x 7) with two cutoff sets
     for pj, pk in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 7), (7, 5), (10, 3), (16, 16), (5, 7)):
         cj, ck = np.sort(rng.uniform(-1, 1, pj - 1)), np.sort(rng.uniform(-1, 1, pk - 1))
@@ -421,10 +421,10 @@ def mixed_batch():
     ):
         tasks += [task(tau, kind, cj, ck, "b") for tau in (-0.5, 0.1, 0.6)]
     for tau in (-1.0, -0.7, 0.7, 1.0):  # clamped at both ends
-        tasks.append(task(tau, BridgeKind.ordinal_continuous(3), np.array([-0.5, 0.5])))
+        tasks.append(task(tau, BridgeKind(3, None), np.array([-0.5, 0.5])))
         tasks.append(task(tau, BridgeKind(2, 3), np.array([0.0]), np.array([-0.5, 0.5])))
         tasks.append(task(tau, BridgeKind(6, 4), simulate.equal_mass_cutoffs(6), np.array([-0.5, 0.0, 0.5])))
-        tasks.append(task(tau, BridgeKind.continuous_continuous()))
+        tasks.append(task(tau, BridgeKind(None, None)))
     return tasks
 
 
@@ -477,8 +477,8 @@ def test_batched_inversion_matches_each_task_alone(max_rows, monkeypatch):
 def test_batched_inversion_names_the_unconverged_task(monkeypatch):
     monkeypatch.setattr(bridge, "NEWTON_MAX_ITER", 0)
     tasks = [
-        bridge.InversionTask(0.5, BridgeKind.continuous_continuous()),
-        bridge.InversionTask(0.3, BridgeKind.ordinal_continuous(3), np.array([-0.5, 0.5])),
+        bridge.InversionTask(0.5, BridgeKind(None, None)),
+        bridge.InversionTask(0.3, BridgeKind(3, None), np.array([-0.5, 0.5])),
     ]
     with pytest.raises(bridge.BridgeInversionError, match="no convergence after 0") as caught:
         bridge.invert_bridges(tasks)
@@ -487,8 +487,8 @@ def test_batched_inversion_names_the_unconverged_task(monkeypatch):
 
 def test_inversion_task_checks_its_inputs():
     with pytest.raises(ValueError, match="variant"):
-        bridge.InversionTask(0.1, BridgeKind.ordinal_continuous(2), np.array([0.0]), variant="c")
+        bridge.InversionTask(0.1, BridgeKind(2, None), np.array([0.0]), variant="c")
     with pytest.raises(ValueError, match="nondecreasing"):
-        bridge.InversionTask(0.1, BridgeKind.ordinal_continuous(3), np.array([0.5, -0.5]))
+        bridge.InversionTask(0.1, BridgeKind(3, None), np.array([0.5, -0.5]))
     with pytest.raises(bridge.UnsupportedPairError, match="tau-b"):
-        bridge.InversionTask(0.1, BridgeKind.continuous_continuous(), variant="b")
+        bridge.InversionTask(0.1, BridgeKind(None, None), variant="b")

@@ -142,7 +142,7 @@ def test_many_level_ordinal_pair_is_estimated():
 
 
 @pytest.mark.parametrize("variant", ["a", "b"])
-def test_tau_counted_once_per_pair(variant, monkeypatch):
+def test_tau_counted_once_per_estimate(variant, monkeypatch):
     rng = np.random.default_rng(5)
     n = 300
     data = np.column_stack(
@@ -150,12 +150,49 @@ def test_tau_counted_once_per_pair(variant, monkeypatch):
          rng.standard_normal(n)]
     )
     calls = []
-    tau_a = kendall.tau_a
-    monkeypatch.setattr(kendall, "tau_a", lambda x, y: calls.append(1) or tau_a(x, y))
+    for name in ("tau_a", "tau_b"):
+        fn = getattr(kendall, name)
+        def counted(x, y, fn=fn, name=name):
+            calls.append((name, np.shape(x), y is x))
+            return fn(x, y)
+
+        monkeypatch.setattr(kendall, name, counted)
     est = estimator.estimate_latent_correlation(data, variant=variant)
     assert est.method[0, 1] == "ordinal5_ordinal5" + (":tau_a_fallback" if variant == "b" else "")
     assert np.isfinite(est.values).all()
-    assert len(calls) == 3  # no pair of 5-level and continuous columns has a tau-b bridge
+    assert calls == [("tau_" + variant, (n, 3), True)]  # one block call, the block passed as x and y
+
+
+@pytest.mark.parametrize("variant", ["a", "b"])
+def test_error_names_the_first_listed_pair_without_two_complete_rows(variant):
+    data = np.random.default_rng(7).standard_normal((100, 4))
+    data[50:, 0] = np.nan
+    data[:49, 2] = np.nan  # (a, c) share row 49 only
+    data[:60, 3] = np.nan  # (a, d) share no row; (b, d) share 40
+    specs = [ColumnSpec(name) for name in "abcd"]
+    message = r"^pair \(0, 2\) \['a', 'c'\]: need at least 2 complete observations, got 1$"
+    with pytest.raises(ValueError, match=message):
+        estimator.estimate_latent_correlation(data, specs, variant=variant)
+
+
+def test_tau_b_error_names_the_first_listed_pair_left_constant():
+    rng = np.random.default_rng(8)
+    n = 100
+    u, v = rng.standard_normal((2, n))
+    u[50:] = np.nan
+    v[:50] = 1.0  # constant over the rows of (u, v), a tau-a fallback pair: no error
+    a = np.tile([0.0, 1.0], n // 2)
+    c = rng.standard_normal(n)
+    c[a == 1.0] = np.nan  # (a, c) is left with a == 0 only
+    e = np.tile([0.0, 0.0, 1.0, 1.0], n // 4)
+    f = rng.standard_normal(n)
+    f[e == 0.0] = np.nan  # (e, f) is left with e == 1 only
+    data = np.column_stack([u, v, a, c, e, f])
+    specs = [ColumnSpec(name, levels) for name, levels in zip("uvacef", (None, None, 2, None, 2, None))]
+    message = r"^pair \(2, 3\) \['a', 'c'\]: first column is constant"
+    with pytest.raises(kendall.DegenerateColumnError, match=message):
+        estimator.estimate_latent_correlation(data, specs, variant="b")
+    assert np.isfinite(estimator.estimate_latent_correlation(data, specs).values).all()
 
 
 def _four_column_sample():

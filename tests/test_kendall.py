@@ -1,5 +1,6 @@
 """Kendall rank statistics, checked against exhaustive pair enumeration."""
 
+import math
 import warnings
 
 import numpy as np
@@ -207,3 +208,128 @@ def test_tau_b_at_large_n_matches_contingency_counts():
     expected = (conc - disc) / np.sqrt(float(n_pairs - ties_x) * float(n_pairs - ties_y))
     assert stats.tau_b == pytest.approx(expected, rel=1e-12)
     assert stats.tau_a == (conc - disc) / n_pairs
+
+
+# ---------------------------------------------------------------------------
+# Blocks of columns: both kernels against enumeration and the column calls
+# ---------------------------------------------------------------------------
+
+FIELDS = ("tau_a", "tau_b", "concordant", "discordant", "ties_j", "ties_k", "n_pairs")
+
+
+def _mixed_block(rng, n, p):
+    """Continuous, coarse integer, +-inf-laden, constant and all-blank
+    columns, with blanks at a few rates."""
+    cols = []
+    for j in range(p):
+        kind = j % 5
+        if kind == 0:
+            col = rng.standard_normal(n)
+        elif kind == 1:
+            col = rng.integers(0, 3, n).astype(float)
+        elif kind == 2:
+            col = rng.choice([-np.inf, -1.0, 0.0, np.inf], n)
+        elif kind == 3:
+            col = np.full(n, 2.0)
+        else:
+            col = np.full(n, np.nan) if j == 4 else rng.standard_normal(n)
+        col[rng.random(n) < (0.0, 0.05, 0.3)[j % 3]] = np.nan
+        cols.append(col)
+    return np.column_stack(cols) if cols else np.empty((n, 0))
+
+
+def _enumerated_stats(x, y):
+    """The block statistics by enumerating each pair's complete rows."""
+    out = {f: np.zeros((x.shape[1], y.shape[1])) for f in FIELDS}
+    for j in range(x.shape[1]):
+        for k in range(y.shape[1]):
+            keep = ~(np.isnan(x[:, j]) | np.isnan(y[:, k]))
+            m = int(keep.sum())
+            n_pairs = m * (m - 1) // 2
+            conc, disc, tx, ty = comparison_counts(x[keep, j], y[keep, k]) if m else (0, 0, 0, 0)
+            undefined = n_pairs == tx or n_pairs == ty
+            row = {
+                "tau_a": (conc - disc) / n_pairs if n_pairs else np.nan,
+                "tau_b": np.nan if undefined else (conc - disc) / math.sqrt((n_pairs - tx) * (n_pairs - ty)),
+                "concordant": conc, "discordant": disc, "ties_j": tx, "ties_k": ty, "n_pairs": n_pairs,
+            }
+            for f in FIELDS:
+                out[f][j, k] = row[f]
+    return out
+
+
+@pytest.mark.parametrize("kernel", ["gram", "merge"])
+def test_block_statistics_match_enumeration_and_column_calls(kernel, monkeypatch):
+    monkeypatch.setattr(kendall, "GRAM_MAX_CELLS_PER_PAIR_ROW", 10**9 if kernel == "gram" else 0)
+    monkeypatch.setattr(kendall, "GRAM_CHUNK_CELLS", 37)  # chunks that end inside a lag
+    rng = np.random.default_rng(12)
+    for n, p, q in [(41, 6, 3), (30, 5, None), (3, 2, 4), (2, 3, None), (1, 2, 2), (25, 1, None), (9, 0, 2)]:
+        x = _mixed_block(rng, n, p)
+        y = x if q is None else _mixed_block(rng, n, q)[:, ::-1]
+        want = _enumerated_stats(x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = kendall.tau_a(x, y)
+            stats = kendall.tau_b(x, y)
+        assert tau.shape == (x.shape[1], y.shape[1])
+        assert np.array_equal(tau, want["tau_a"], equal_nan=True)
+        for f in FIELDS:
+            assert np.array_equal(getattr(stats, f), want[f], equal_nan=True), f
+        for j in range(x.shape[1]):
+            for k in range(y.shape[1]):
+                if want["n_pairs"][j, k] == 0:
+                    with pytest.raises(ValueError, match="need at least 2 complete observations"):
+                        kendall.tau_a(x[:, j], y[:, k])
+                    continue
+                assert tau[j, k] == kendall.tau_a(x[:, j], y[:, k])
+                if np.isnan(stats.tau_b[j, k]):
+                    with pytest.raises(kendall.DegenerateColumnError):
+                        kendall.tau_b(x[:, j], y[:, k])
+                    continue
+                column = kendall.tau_b(x[:, j], y[:, k])
+                assert all(getattr(stats, f)[j, k] == getattr(column, f) for f in FIELDS)
+        if q is None:  # the symmetric pass counts each pair once and mirrors it
+            other = kendall.tau_b(x, x.copy())
+            for f in FIELDS:
+                assert np.array_equal(getattr(stats, f), getattr(other, f), equal_nan=True), f
+
+
+def test_gram_chunks_cover_each_row_pair_once_within_the_cap():
+    for n in range(8):
+        for rows in (1, 3, 7, 100):
+            seen = []
+            for chunk in kendall._row_pair_chunks(n, rows):
+                size = sum(hi - lo for _, lo, hi in chunk)
+                assert 0 < size <= rows
+                seen += [(i, i + h) for h, lo, hi in chunk for i in range(lo, hi)]
+            assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def test_both_kernels_agree_on_a_wide_block_with_blanks(monkeypatch):
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((150, 20))
+    x[:, ::3] = np.round(x[:, ::3])  # tied columns
+    x[rng.random(x.shape) < 0.01] = np.nan
+    results = []
+    for crossover in (10**9, 0):
+        monkeypatch.setattr(kendall, "GRAM_MAX_CELLS_PER_PAIR_ROW", crossover)
+        results.append((kendall.tau_a(x, x), kendall.tau_b(x, x)))
+    (gram_a, gram_b), (merge_a, merge_b) = results
+    assert np.array_equal(gram_a, merge_a)
+    for f in FIELDS:
+        assert np.array_equal(getattr(gram_b, f), getattr(merge_b, f)), f
+    assert np.array_equal(gram_a, gram_a.T)
+
+
+def test_column_calls_keep_scalar_results():
+    x, y = np.array([0.0, 1.0, 2.0, 2.0]), np.array([1.0, 0.0, 3.0, 4.0])
+    assert type(kendall.tau_a(x, y)) is float
+    stats = kendall.tau_b(x, y)
+    assert type(stats.tau_b) is float and type(stats.concordant) is int
+
+
+def test_block_shape_validation():
+    with pytest.raises(ValueError, match="two columns or two blocks"):
+        kendall.tau_a(np.zeros((5, 2)), np.zeros(5))
+    with pytest.raises(ValueError, match="two columns or two blocks"):
+        kendall.tau_b(np.zeros((5, 2)), np.zeros((4, 2)))

@@ -80,6 +80,15 @@ def test_error_curve_shape_and_determinism():
         assert np.array_equal(np.nan_to_num(c1.mse), np.nan_to_num(c2.mse))
 
 
+def test_every_bin_holds_one_r_at_step_one_tenth():
+    # the grid `simulate --r-step 0.1` builds: ten r values for ten bins, so
+    # ten finite bins means one r in each, with r = 0.3 and 0.7 in their own
+    r_grid = np.round(np.arange(0.0, simulate.R_GRID_CAP + 1e-9, 0.1), 10)
+    for curve in simulate.scenario1(p_values=(2,), r_grid=r_grid, n=30, reps=1, seed=3):
+        assert np.isfinite(curve.mse).all()
+        assert np.array_equal(curve.bin_low, r_grid)
+
+
 def test_collapse_protocol_matches_equal_mass_at_sixteen():
     kw = dict(r_grid=[0.25, 0.85], n=100, reps=6, seed=11)
     s1 = {c.p: c.mse for c in simulate.scenario1(p_values=(16,), **kw)}
