@@ -7,6 +7,7 @@ produced it and whether its tau fell outside the achievable range.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ from .bridge import (
     invert_bridge,
     invert_bridges,
 )
+from .glasso import _check_correlation
 
 __all__ = [
     "ColumnSpec",
@@ -50,8 +52,9 @@ class ColumnSpec:
         return self.levels is not None
 
     def __post_init__(self):
-        if self.levels is not None and self.levels < 2:
-            raise ValueError(f"ordinal column {self.name!r} needs >= 2 levels")
+        levels = self.levels
+        if levels is not None and not (isinstance(levels, numbers.Integral) and levels >= 2):
+            raise ValueError(f"ordinal column {self.name!r} needs integer levels >= 2, got {levels!r}")
 
 
 @dataclass
@@ -74,6 +77,8 @@ def infer_column_specs(data: np.ndarray, names=None) -> list[ColumnSpec]:
     data = np.asarray(data, dtype=float)
     n, d = data.shape
     names = names or [f"x{j}" for j in range(d)]
+    if len(names) != d:
+        raise ValueError(f"{len(names)} names for {d} columns")
     specs = []
     for j in range(d):
         col = data[:, j]
@@ -224,13 +229,7 @@ def project_psd(matrix) -> np.ndarray:
     """
     if isinstance(matrix, LatentCorrelationMatrix):
         matrix = matrix.values
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    bad = np.argwhere(~np.isfinite(a))
-    if bad.size:
-        j, k = bad[0]
-        raise ValueError(f"matrix entry ({j}, {k}) is not finite: {a[j, k]}")
+    a = _check_correlation(matrix)
     a = 0.5 * (a + a.T)
     eigval, eigvec = np.linalg.eigh(a)
     if eigval[0] >= 0.0:

@@ -19,7 +19,8 @@ Each column starts from the previous sweep's b.
 computes the exact maximum likelihood estimate under a zero pattern (ESL
 Algorithm 17.1): the penalty is 0 on the support, whose coordinates are
 always active, and infinite off it, so those are never admitted and each
-column solve is W11[A, A] b_A = s12[A].
+column solve is W11[A, A] b_A = s12[A].  Both return a PrecisionEstimate
+(a refit's has lam = 0) that says whether the fit converged.
 
 Both first split the variables into the connected components of
 {|R_jk| > lam_jk} (for a refit: the support edges).  The solution is block
@@ -29,13 +30,11 @@ so each component is fitted alone and a single variable j gets 1 / R_jj.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ConvergenceWarning",
     "GlassoConfig",
     "PrecisionEstimate",
     "glasso_fit",
@@ -57,10 +56,6 @@ EDGE_THRESHOLD = 1e-8
 LAMBDA_PATH_POINTS = 10
 
 
-class ConvergenceWarning(RuntimeWarning):
-    """A fit stopped at MAX_SWEEPS before it converged."""
-
-
 @dataclass(frozen=True)
 class GlassoConfig:
     lambda_path: tuple[float, ...] | None = None
@@ -71,10 +66,11 @@ class GlassoConfig:
 class PrecisionEstimate:
     """One fitted precision matrix plus its selection bookkeeping.
 
-    `sweeps` counts the block coordinate descent sweeps of the slowest
-    component (0 when every variable is its own component).  `converged`
-    is false when the fit, its support refit or one of their column
-    solves stopped at MAX_SWEEPS.
+    From `glasso_fit`, or from `refit_support` with lam = 0.  `sweeps`
+    counts the block coordinate descent sweeps of the slowest component
+    (0 when every variable is its own component).  `converged` is false
+    when the fit or one of its column solves stopped at MAX_SWEEPS; on
+    the path of `select_hbic` it also covers the fit's support refit.
     """
 
     lam: float
@@ -200,10 +196,12 @@ def _fit_core(r: np.ndarray, lam: np.ndarray):
 
 
 def _check_correlation(r) -> np.ndarray:
-    """r as a float array; raises ValueError unless square and finite."""
+    """r as a float array; raises ValueError unless square, nonempty and finite."""
     r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError("correlation matrix must be square")
+    if r.size == 0:
+        raise ValueError("correlation matrix is empty (0 x 0)")
     bad = np.argwhere(~np.isfinite(r))
     if bad.size:
         j, k = bad[0]
@@ -216,14 +214,11 @@ def _check_penalty(lam: float) -> None:
         raise ValueError(f"penalty must be finite and nonnegative, got {lam}")
 
 
-def glasso_fit(r: np.ndarray, lam: float) -> PrecisionEstimate:
-    """Fit one penalized precision matrix at penalty lam."""
-    r = _check_correlation(r)
-    d = r.shape[0]
-    _check_penalty(lam)
-    omega, sweeps, converged = _fit_core(r, np.full((d, d), float(lam)))
+def _estimate(r: np.ndarray, lam: float, penalty: np.ndarray) -> PrecisionEstimate:
+    """Fit under the per-entry penalty matrix; lam is the objective's penalty."""
+    omega, sweeps, converged = _fit_core(r, penalty)
     return PrecisionEstimate(
-        lam=float(lam),
+        lam=lam,
         omega=omega,
         objective=glasso_objective(r, omega, lam),
         edges=_edges(omega, EDGE_THRESHOLD),
@@ -232,25 +227,29 @@ def glasso_fit(r: np.ndarray, lam: float) -> PrecisionEstimate:
     )
 
 
-def refit_support(r: np.ndarray, edges) -> np.ndarray:
+def glasso_fit(r: np.ndarray, lam: float) -> PrecisionEstimate:
+    """Fit one penalized precision matrix at penalty lam."""
+    r = _check_correlation(r)
+    d = r.shape[0]
+    _check_penalty(lam)
+    return _estimate(r, float(lam), np.full((d, d), float(lam)))
+
+
+def refit_support(r: np.ndarray, edges) -> PrecisionEstimate:
     """Unpenalized MLE of the precision matrix constrained to a support.
 
-    Off-diagonal entries outside the edge set are exact zeros; entries on
-    the support are unpenalized.  Warns with ConvergenceWarning when the
-    fit stopped at MAX_SWEEPS.
+    Off-diagonal entries of `omega` outside the edge set are exact zeros;
+    entries on the support are unpenalized.  The estimate has lam = 0, so
+    its objective is the unpenalized negative log-likelihood, and
+    `converged` is false when the refit stopped at MAX_SWEEPS.
     """
     r = _check_correlation(r)
     d = r.shape[0]
-    lam = np.full((d, d), np.inf)
-    np.fill_diagonal(lam, 0.0)
+    penalty = np.full((d, d), np.inf)
+    np.fill_diagonal(penalty, 0.0)
     for j, k in edges:
-        lam[j, k] = lam[k, j] = 0.0
-    omega, _, converged = _fit_core(r, lam)
-    if not converged:
-        warnings.warn(
-            f"support refit stopped at {MAX_SWEEPS} sweeps", ConvergenceWarning, stacklevel=2
-        )
-    return omega
+        penalty[j, k] = penalty[k, j] = 0.0
+    return _estimate(r, 0.0, penalty)
 
 
 def _edges(omega: np.ndarray, threshold: float) -> list[tuple[int, int]]:
@@ -274,13 +273,12 @@ def default_lambda_path(r: np.ndarray) -> tuple[float, ...]:
 
 def hbic_score(r: np.ndarray, omega: np.ndarray, n: int, cn: float = 3.0) -> float:
     """tr(R Omega) - log det Omega + cn * |E| * log(log n) * log d / n."""
+    if n < 3:  # log(log n) must be positive
+        raise ValueError(f"need n >= 3 observations for HBIC, got {n}")
     d = r.shape[0]
-    sign, logdet = np.linalg.slogdet(omega)
-    if sign <= 0:
-        return np.inf
     n_edges = len(_edges(omega, 0.0))
     penalty = cn * n_edges * np.log(np.log(n)) * np.log(d) / n
-    return float(np.trace(r @ omega) - logdet + penalty)
+    return float(glasso_objective(r, omega, 0.0) + penalty)
 
 
 def select_hbic(
@@ -295,12 +293,11 @@ def select_hbic(
     that edge set, not at the shrunken penalized estimate (shrinkage
     grows with the penalty and would otherwise dominate the score,
     making selection collapse to the smallest penalty regardless of the
-    data).  Ties break toward the smallest penalty.  Returns the winner
-    and the full path ordered from smallest to largest penalty.
+    data).  Each distinct penalty is fitted once and each distinct edge
+    set refitted once.  Ties break toward the smallest penalty.  Returns
+    the winner and the full path ordered from smallest to largest penalty.
     """
     r = _check_correlation(r)
-    if n < 3:
-        raise ValueError(f"need n >= 3 observations for HBIC, got {n}")
     cn = config.hbic_cn
     if not (np.isfinite(cn) and cn >= 0):
         raise ValueError(f"hbic_cn must be finite and nonnegative, got {cn}")
@@ -308,20 +305,16 @@ def select_hbic(
     for lam in path:
         _check_penalty(lam)
     fits = []
-    refits: dict[tuple, tuple[float, bool]] = {}
-    for lam in sorted(path):
+    refits: dict[tuple, PrecisionEstimate] = {}
+    for lam in sorted(set(path)):
         fit = glasso_fit(r, lam)
         support = tuple(fit.edges)
-        if support not in refits:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", ConvergenceWarning)
-                omega = refit_support(r, support)
-            refit_converged = not any(
-                issubclass(w.category, ConvergenceWarning) for w in caught
-            )
-            refits[support] = (hbic_score(r, omega, n, cn), refit_converged)
-        fit.hbic, refit_converged = refits[support]
-        fit.converged = fit.converged and refit_converged
+        refit = refits.get(support)
+        if refit is None:
+            refit = refits[support] = refit_support(r, support)
+            refit.hbic = hbic_score(r, refit.omega, n, cn)
+        fit.hbic = refit.hbic
+        fit.converged = fit.converged and refit.converged
         fits.append(fit)
     best = min(fits, key=lambda f: (f.hbic, f.lam))
     return best, fits

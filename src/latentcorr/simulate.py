@@ -48,7 +48,7 @@ def _rng(seed_seq: np.random.SeedSequence) -> np.random.Generator:
 class CopulaSpec:
     """Sampling recipe: latent correlation plus per-column discretization.
 
-    cutoffs[j] is None for a continuous column, else the increasing latent
+    cutoffs[j] is None for a continuous column, else the nondecreasing latent
     thresholds producing codes 0..p-1.
     """
 
@@ -68,11 +68,14 @@ class CopulaSpec:
         cuts = self.cutoffs or (None,) * d
         if len(cuts) != d:
             raise ValueError(f"{len(cuts)} cutoff entries for {d} columns")
-        object.__setattr__(
-            self,
-            "cutoffs",
-            tuple(None if c is None else np.asarray(c, dtype=float) for c in cuts),
-        )
+        cuts = tuple(None if c is None else np.asarray(c, dtype=float) for c in cuts)
+        for j, c in enumerate(cuts):
+            if c is not None and (c.size == 0 or np.any(np.isnan(c)) or np.any(np.diff(c) < 0)):
+                raise ValueError(
+                    f"column x{j}: cutoffs must be one or more nondecreasing, non-NaN values, "
+                    f"got {c.tolist()}"
+                )
+        object.__setattr__(self, "cutoffs", cuts)
 
     @property
     def d(self) -> int:

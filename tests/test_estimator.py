@@ -43,6 +43,14 @@ def test_recode_collapses_empty_levels():
 def test_column_spec_validation():
     with pytest.raises(ValueError):
         ColumnSpec("x", levels=1)
+    with pytest.raises(ValueError, match=r"'a' needs integer levels >= 2, got 2.5"):
+        ColumnSpec("a", 2.5)
+    assert ColumnSpec("b", np.int64(3)).levels == 3
+
+
+def test_infer_column_specs_rejects_a_wrong_number_of_names():
+    with pytest.raises(ValueError, match="2 names for 3 columns"):
+        estimator.infer_column_specs(np.zeros((4, 3)), ["a", "b"])
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +295,11 @@ def test_projection_accepts_estimate_object():
 def test_projection_rejects_nonsquare():
     with pytest.raises(ValueError):
         estimator.project_psd(np.zeros((2, 3)))
+
+
+def test_projection_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="empty"):
+        estimator.project_psd(np.zeros((0, 0)))
 
 
 def test_projection_rejects_entries_left_out_by_pairs():

@@ -2,6 +2,7 @@
 model selection."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -181,7 +182,7 @@ def test_refit_support_matches_brute_force_on_a_cycle():
     rng = np.random.default_rng(11)
     r = np.corrcoef(rng.standard_normal((4, 50)))
     support = [(0, 1), (1, 2), (2, 3), (0, 3)]  # a 4-cycle: not chordal
-    got = glasso.refit_support(r, support)
+    got = glasso.refit_support(r, support).omega
     assert np.abs(got - brute_force_refit(r, support)).max() < 1e-6
     assert got[0, 2] == 0.0 and got[1, 3] == 0.0
 
@@ -192,8 +193,7 @@ def test_max_sweeps_one_is_reported_unconverged(monkeypatch, tmp_path):
     x[:, 1:] += x[:, :-1]
     monkeypatch.setattr(glasso, "MAX_SWEEPS", 1)
     assert not glasso.glasso_fit(np.corrcoef(x.T), 0.05).converged
-    with pytest.warns(glasso.ConvergenceWarning):
-        glasso.refit_support(np.corrcoef(x.T), [(0, 1), (1, 2)])
+    assert not glasso.refit_support(np.corrcoef(x.T), [(0, 1), (1, 2)]).converged
 
     path = tmp_path / "x.csv"
     np.savetxt(path, x, delimiter=",", header="a,b,c,d,e", comments="", fmt="%.6f")
@@ -242,6 +242,14 @@ def test_rejects_bad_inputs():
         glasso.glasso_fit(np.eye(3), -0.1)
     with pytest.raises(ValueError):
         glasso.glasso_fit(np.zeros((2, 3)), 0.1)
+    empty = np.zeros((0, 0))
+    for call in (
+        lambda: glasso.glasso_fit(empty, 0.1),
+        lambda: glasso.refit_support(empty, []),
+        lambda: glasso.select_hbic(empty, 100),
+    ):
+        with pytest.raises(ValueError, match="empty"):
+            call()
     for lam in (np.nan, np.inf):
         with pytest.raises(ValueError, match="penalty"):
             glasso.glasso_fit(np.eye(3), lam)
@@ -315,6 +323,36 @@ def test_hbic_tie_breaks_to_smallest_lambda():
 def test_hbic_requires_enough_observations():
     with pytest.raises(ValueError):
         glasso.select_hbic(np.eye(3), 2)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="n >= 3"):
+            glasso.hbic_score(np.eye(3), np.eye(3), n)
+
+
+def test_repeated_penalties_are_fitted_once():
+    rng = np.random.default_rng(9)
+    r = np.corrcoef(rng.standard_normal((5, 100)))
+    _, fits = glasso.select_hbic(r, 100, GlassoConfig(lambda_path=(0.2, 0.1, 0.2)))
+    assert [f.lam for f in fits] == [0.1, 0.2]
+
+
+def test_warnings_inside_a_refit_reach_the_caller(monkeypatch):
+    fit_core = glasso._fit_core
+    raised = []
+
+    def warning_fit_core(r, lam):
+        raised.append(f"fit {len(raised)}")
+        warnings.warn(raised[-1], RuntimeWarning)
+        return fit_core(r, lam)
+
+    monkeypatch.setattr(glasso, "_fit_core", warning_fit_core)
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((40, 6))
+    x[:, 1:] += x[:, :-1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, fits = glasso.select_hbic(np.corrcoef(x.T), 40)
+    assert len(raised) > len(fits)  # the refits ran too
+    assert [str(w.message) for w in caught] == raised
 
 
 def test_refit_support_constrained_mle():
@@ -322,12 +360,15 @@ def test_refit_support_constrained_mle():
     r = np.corrcoef(rng.standard_normal((4, 500)))
     # full support: unconstrained MLE is inv(R)
     full = [(j, k) for j in range(4) for k in range(j + 1, 4)]
-    assert np.abs(glasso.refit_support(r, full) - np.linalg.inv(r)).max() < 1e-6
+    refit = glasso.refit_support(r, full)
+    assert np.abs(refit.omega - np.linalg.inv(r)).max() < 1e-6
+    assert refit.converged and refit.lam == 0.0
+    assert refit.objective == glasso.glasso_objective(r, refit.omega, 0.0)
     # empty support: diagonal MLE
-    empty = glasso.refit_support(r, [])
+    empty = glasso.refit_support(r, []).omega
     assert np.abs(empty - np.diag(1.0 / np.diag(r))).max() < 1e-10
     # partial support: exact zeros off support, inverse matches R on support
-    part = glasso.refit_support(r, [(0, 1)])
+    part = glasso.refit_support(r, [(0, 1)]).omega
     assert part[0, 2] == 0.0 and part[1, 3] == 0.0 and part[2, 3] == 0.0
     w = np.linalg.inv(part)
     assert w[0, 1] == pytest.approx(r[0, 1], abs=1e-6)

@@ -60,6 +60,9 @@ def test_copula_spec_validation():
         CopulaSpec(np.array([[2.0, 0.0], [0.0, 1.0]]))  # diagonal not 1
     with pytest.raises(ValueError):
         CopulaSpec(np.eye(2), (None,))  # wrong cutoff count
+    for cuts in ([1.0, -1.0], [np.nan], []):
+        with pytest.raises(ValueError, match="column x1: cutoffs must be one or more"):
+            CopulaSpec(np.eye(2), (None, cuts))
 
 
 # ---------------------------------------------------------------------------
