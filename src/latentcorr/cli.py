@@ -182,8 +182,11 @@ def _write_matrix(path: Path, names, matrix) -> None:
             fh.write("\t".join([name, *(f"{v:.12g}" for v in row)]) + "\n")
 
 
-def _write_method_report(path: Path, names, est) -> None:
-    with open(path, "w") as fh:
+def _write_estimate(out: Path, names, est, report) -> None:
+    """correlation.tsv and method_report.tsv, listed in the report with the
+    count of clamped entries."""
+    _write_matrix(out / "correlation.tsv", names, est.values)
+    with open(out / "method_report.tsv", "w") as fh:
         fh.write("j\tk\tname_j\tname_k\tmethod\tclamped\n")
         d = len(names)
         for j in range(d):
@@ -192,6 +195,8 @@ def _write_method_report(path: Path, names, est) -> None:
                     f"{j}\t{k}\t{names[j]}\t{names[k]}\t"
                     f"{est.method[j, k]}\t{int(est.clamped[j, k])}\n"
                 )
+    report["artifacts"] += ["correlation.tsv", "method_report.tsv"]
+    report["clamped_entries"] = int(np.triu(est.clamped, 1).sum())
 
 
 def _read_inputs(args):
@@ -215,12 +220,7 @@ def _estimate(data, specs, tau):
 
 def cmd_estimate(args, report):
     names, data, specs, tau, _ = _read_inputs(args)
-    est = _estimate(data, specs, tau)
-    out = Path(args.out_dir)
-    _write_matrix(out / "correlation.tsv", names, est.values)
-    _write_method_report(out / "method_report.tsv", names, est)
-    report["artifacts"] += ["correlation.tsv", "method_report.tsv"]
-    report["clamped_entries"] = int(np.triu(est.clamped, 1).sum())
+    _write_estimate(Path(args.out_dir), names, _estimate(data, specs, tau), report)
     return 0
 
 
@@ -258,14 +258,14 @@ def cmd_graph(args, report):
     except Exception as exc:
         raise CliError("glasso", str(exc)) from exc
 
-    _write_matrix(out / "correlation.tsv", names, est.values)
-    _write_method_report(out / "method_report.tsv", names, est)
-    _write_matrix(out / "precision.tsv", names, best.omega)
+    _write_estimate(out, names, est, report)
+    omega = best.omega
+    _write_matrix(out / "precision.tsv", names, omega)
+    partial = [(j, k, -omega[j, k] / np.sqrt(omega[j, j] * omega[k, k])) for j, k in best.edges]
     with open(out / "edges.tsv", "w") as fh:
         fh.write("j\tk\tname_j\tname_k\tomega\tpartial_correlation\n")
-        for j, k in best.edges:
-            pc = -best.omega[j, k] / np.sqrt(best.omega[j, j] * best.omega[k, k])
-            fh.write(f"{j}\t{k}\t{names[j]}\t{names[k]}\t{best.omega[j, k]:.12g}\t{pc:.12g}\n")
+        for j, k, pc in partial:
+            fh.write(f"{j}\t{k}\t{names[j]}\t{names[k]}\t{omega[j, k]:.12g}\t{pc:.12g}\n")
     with open(out / "hbic_trace.tsv", "w") as fh:
         # `selected` stays the last column.
         fh.write("lambda\thbic\tn_edges\tobjective\tsweeps\tconverged\tselected\n")
@@ -275,12 +275,8 @@ def cmd_graph(args, report):
                 f"{fit.objective:.12g}\t{fit.sweeps}\t{int(fit.converged)}\t"
                 f"{int(fit.lam == best.lam)}\n"
             )
-    _write_dot(out / "graph.dot", names, best.omega, best.edges)
-    report["artifacts"] += [
-        "correlation.tsv", "method_report.tsv", "precision.tsv",
-        "edges.tsv", "hbic_trace.tsv", "graph.dot",
-    ]
-    report["clamped_entries"] = int(np.triu(est.clamped, 1).sum())
+    _write_dot(out / "graph.dot", names, partial)
+    report["artifacts"] += ["precision.tsv", "edges.tsv", "hbic_trace.tsv", "graph.dot"]
     report["selected_lambda"] = best.lam
     report["n_edges"] = best.n_edges
     report["unconverged_lambdas"] = [fit.lam for fit in fits if not fit.converged]
@@ -301,12 +297,12 @@ def cmd_graph(args, report):
     return 0
 
 
-def _write_dot(path: Path, names, omega, edges) -> None:
+def _write_dot(path: Path, names, partial) -> None:
+    """The graph with each edge (j, k, partial correlation) labelled."""
     lines = ["graph latent_conditional_independence {"]
     for name in names:
         lines.append(f'  "{name}";')
-    for j, k in edges:
-        pc = -omega[j, k] / np.sqrt(omega[j, j] * omega[k, k])
+    for j, k, pc in partial:
         lines.append(f'  "{names[j]}" -- "{names[k]}" [label="{pc:.2f}"];')
     lines.append("}")
     path.write_text("\n".join(lines) + "\n")

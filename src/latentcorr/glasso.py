@@ -87,9 +87,13 @@ class PrecisionEstimate:
 
 
 def glasso_objective(r: np.ndarray, omega: np.ndarray, lam: float) -> float:
-    sign, logdet = np.linalg.slogdet(omega)
-    if sign <= 0:
+    """tr(R Omega) - log det Omega + lam * sum_{j != k} |Omega_jk|, inf
+    unless Omega is positive definite."""
+    try:
+        np.linalg.cholesky(omega)
+    except np.linalg.LinAlgError:
         return np.inf
+    logdet = np.linalg.slogdet(omega)[1]
     penalty = lam * (np.abs(omega).sum() - np.abs(np.diag(omega)).sum())
     return float(np.trace(r @ omega) - logdet + penalty)
 
@@ -275,6 +279,10 @@ def hbic_score(r: np.ndarray, omega: np.ndarray, n: int, cn: float = 3.0) -> flo
     """tr(R Omega) - log det Omega + cn * |E| * log(log n) * log d / n."""
     if n < 3:  # log(log n) must be positive
         raise ValueError(f"need n >= 3 observations for HBIC, got {n}")
+    r = _check_correlation(r)
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != r.shape:
+        raise ValueError(f"precision matrix shape {omega.shape} does not match correlation shape {r.shape}")
     d = r.shape[0]
     n_edges = len(_edges(omega, 0.0))
     penalty = cn * n_edges * np.log(np.log(n)) * np.log(d) / n

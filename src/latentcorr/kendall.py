@@ -1,19 +1,18 @@
 """Sample Kendall statistics with tie accounting.
 
-``tau_a`` and ``tau_b`` take two columns, or two (n, p) and (n, q) blocks
-of columns and then give the statistics of every column pair at once.
-Rows with a missing (NaN) entry in either column of a pair are dropped
-pairwise.  A block is counted by one of two exact kernels, chosen by
-GRAM_MAX_CELLS_PER_PAIR_ROW: a sign Gram over all row pairs, or the
-O(n log n) merge-sort inversion count (Knight's algorithm) once per column
-pair, which also counts two columns.  Both produce the same integer
-counts, so every statistic is the same bit for bit whichever kernel ran.
-The O(n^2) pair enumeration used as a test oracle lives in the test suite.
+``tau_a`` and ``tau_b`` take two (n, p) and (n, q) blocks of columns and
+give the statistics of every column pair at once; two columns are counted
+as one-column blocks.  Rows with a missing (NaN) entry in either column of
+a pair are dropped pairwise.  A block is counted by one of two exact
+kernels, chosen by GRAM_MAX_CELLS_PER_PAIR_ROW: a sign Gram over all row
+pairs, or the O(n log n) merge-sort inversion count (Knight's algorithm)
+once per column pair.  Both produce the same integer counts, so every
+statistic is the same bit for bit whichever kernel ran.  The O(n^2) pair
+enumeration used as a test oracle lives in the test suite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,18 +66,6 @@ def _ties(v) -> int:
     return _tie_pairs(v[1:] != v[:-1])
 
 
-def _clean_pair(x, y):
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    keep = ~(np.isnan(x) | np.isnan(y))
-    x, y = x[keep], y[keep]
-    if x.size < 2:
-        raise ValueError(f"need at least 2 complete observations, got {x.size}")
-    return x, y
-
-
 def _tau_counts(x, y) -> tuple[int, int, int, int, int]:
     """(C(n, 2), C - D, discordant, ties in x, ties in y) over all pairs."""
     n_pairs = x.size * (x.size - 1) // 2
@@ -94,17 +81,33 @@ def _tau_counts(x, y) -> tuple[int, int, int, int, int]:
 
 
 def _blocks(x, y):
-    """(x, y, y is x) for two (n, p) and (n, q) blocks; None for two columns."""
+    """(x, y, y is x, column) for two (n, p) and (n, q) blocks, or for two
+    columns (neither input 2-D, so both raveled) as (n, 1) blocks."""
     same = y is x
     x = np.asarray(x, dtype=float)
     y = x if same else np.asarray(y, dtype=float)
-    if x.ndim != 2 and y.ndim != 2:
-        return None
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
+    column = x.ndim != 2 and y.ndim != 2
+    if column:
+        if x.size != y.size:
+            raise ValueError(f"length mismatch: {x.size} vs {y.size}")
+        x = x.reshape(-1, 1)
+        y = x if same else y.reshape(-1, 1)
+    elif x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError(
             f"need two columns or two blocks of equal row count, got shapes {x.shape} and {y.shape}"
         )
-    return x, y, same
+    return x, y, same, column
+
+
+def _check_column(x, y, n_pairs, t_x=None, t_y=None) -> None:
+    """Raise a column call's errors from its (1, 1) counts: fewer than 2
+    complete rows, or, given the tie counts, a constant column."""
+    if n_pairs[0, 0] == 0:  # for m = 0 and m = 1 alike, so m is counted here
+        m = int(np.count_nonzero(~(np.isnan(x) | np.isnan(y))))
+        raise ValueError(f"need at least 2 complete observations, got {m}")
+    for which, ties in (("first", t_x), ("second", t_y)):
+        if ties is not None and ties[0, 0] == n_pairs[0, 0]:
+            raise DegenerateColumnError(f"{which} column is constant; tau_b undefined")
 
 
 def _row_pair_chunks(n: int, rows: int):
@@ -198,55 +201,45 @@ def _block_counts(x, y, same: bool, ties: bool):
 def tau_a(x, y):
     """Kendall's tau-a: (C - D) / C(n, 2), ties contributing zero.
 
-    Two columns give a float.  Blocks x (n, p) and y (n, q) give the (p, q)
-    array of every column pair, NaN where a pair has fewer than 2 complete
-    rows; pass the same block as x and y to count each pair once.
+    Blocks x (n, p) and y (n, q) give the (p, q) array of every column
+    pair, NaN where a pair has fewer than 2 complete rows; pass the same
+    block as x and y to count each pair once.  Two columns give a float
+    and raise ValueError below 2 complete rows.
     """
-    blocks = _blocks(x, y)
-    if blocks is None:
-        x, y = _clean_pair(x, y)
-        n_pairs, con_minus_dis, *_ = _tau_counts(x, y)
-        return con_minus_dis / n_pairs
-    n_pairs, con_minus_dis, *_ = _block_counts(*blocks, ties=False)
+    x, y, same, column = _blocks(x, y)
+    n_pairs, con_minus_dis, *_ = _block_counts(x, y, same, ties=False)
+    if column:
+        _check_column(x, y, n_pairs)
     with np.errstate(invalid="ignore"):
-        return con_minus_dis / n_pairs
+        tau = con_minus_dis / n_pairs
+    return tau.item() if column else tau
 
 
 def tau_b(x, y) -> TauStatistics:
     """Kendall's tau-b with full concordance/tie counts.
 
-    Two columns: raises DegenerateColumnError when either column is
-    constant.  Blocks x (n, p) and y (n, q): every field is a (p, q) array,
-    with NaN taus where a pair has fewer than 2 complete rows and NaN tau_b
-    where either column is constant over them.
+    Blocks x (n, p) and y (n, q): every field is a (p, q) array, with NaN
+    taus where a pair has fewer than 2 complete rows and NaN tau_b where
+    either column is constant over them.  Two columns give Python numbers
+    and raise ValueError below 2 complete rows and DegenerateColumnError
+    when either column is constant.
     """
-    blocks = _blocks(x, y)
-    if blocks is not None:
-        n_pairs, con_minus_dis, discordant, t_x, t_y = _block_counts(*blocks, ties=True)
-        with np.errstate(invalid="ignore"):
-            return TauStatistics(
-                tau_a=con_minus_dis / n_pairs,
-                # the factors are integers below 2**53, so their float product
-                # rounds as math.sqrt rounds the exact product in the column path
-                tau_b=con_minus_dis / np.sqrt((n_pairs - t_x).astype(float) * (n_pairs - t_y)),
-                concordant=con_minus_dis + discordant,
-                discordant=discordant,
-                ties_j=t_x,
-                ties_k=t_y,
-                n_pairs=n_pairs,
-            )
-    x, y = _clean_pair(x, y)
-    n_pairs, con_minus_dis, discordant, t_x, t_y = _tau_counts(x, y)
-    if n_pairs == t_x or n_pairs == t_y:
-        which = "first" if n_pairs == t_x else "second"
-        raise DegenerateColumnError(f"{which} column is constant; tau_b undefined")
-    return TauStatistics(
-        tau_a=con_minus_dis / n_pairs,
-        # the product can pass 2**64 from n = 92,682; math.sqrt takes any int
-        tau_b=con_minus_dis / math.sqrt((n_pairs - t_x) * (n_pairs - t_y)),
-        concordant=con_minus_dis + discordant,
-        discordant=discordant,
-        ties_j=t_x,
-        ties_k=t_y,
-        n_pairs=n_pairs,
-    )
+    x, y, same, column = _blocks(x, y)
+    n_pairs, con_minus_dis, discordant, t_x, t_y = _block_counts(x, y, same, ties=True)
+    if column:
+        _check_column(x, y, n_pairs, t_x, t_y)
+    with np.errstate(invalid="ignore"):
+        fields = (
+            con_minus_dis / n_pairs,
+            # the factors are integers below 2**53, so their float product is
+            # the exact product rounded once; it can pass 2**64 from n = 92,682
+            con_minus_dis / np.sqrt((n_pairs - t_x).astype(float) * (n_pairs - t_y)),
+            con_minus_dis + discordant,
+            discordant,
+            t_x,
+            t_y,
+            n_pairs,
+        )
+    if column:
+        fields = [f.item() for f in fields]
+    return TauStatistics(*fields)

@@ -366,6 +366,18 @@ def test_graph_rejects_bad_penalty_options(chain_csv, tmp_path, flag, manifest_l
     assert not (tmp_path / "out" / "hbic_trace.tsv").exists()
 
 
+def test_graph_glasso_failure_leaves_only_the_error_summary(chain_csv, tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("no fit")
+
+    monkeypatch.setattr(cli.glasso, "select_hbic", fail)
+    out = tmp_path / "out"
+    assert main(["graph", "--data", str(chain_csv), "--out-dir", str(out)]) == 2
+    assert [p.name for p in out.iterdir()] == ["errors.json"]
+    err = json.loads((out / "errors.json").read_text())
+    assert (err["stage"], err["message"]) == ("glasso", "no fit")
+
+
 @pytest.mark.parametrize(
     "flag, manifest_line",
     [(["--hbic-cn", "nan"], None), (None, "lambda_path = 0.1,inf")],

@@ -235,6 +235,9 @@ def test_symmetry_and_objective():
         noise = rng2.standard_normal((6, 6)) * 1e-3
         noise = 0.5 * (noise + noise.T)
         assert glasso.glasso_objective(r, fit.omega + noise, 0.1) >= fit.objective - 1e-9
+    # not positive definite: inf, also when the determinant is positive
+    assert glasso.glasso_objective(np.eye(2), -np.eye(2), 0.0) == np.inf
+    assert glasso.glasso_objective(np.eye(2), np.diag([1.0, 0.0]), 0.0) == np.inf
 
 
 def test_rejects_bad_inputs():
@@ -247,9 +250,12 @@ def test_rejects_bad_inputs():
         lambda: glasso.glasso_fit(empty, 0.1),
         lambda: glasso.refit_support(empty, []),
         lambda: glasso.select_hbic(empty, 100),
+        lambda: glasso.hbic_score(empty, empty, 100),
     ):
         with pytest.raises(ValueError, match="empty"):
             call()
+    with pytest.raises(ValueError, match=r"shape \(2, 2\) does not match correlation shape \(3, 3\)"):
+        glasso.hbic_score(np.eye(3), np.eye(2), 100)
     for lam in (np.nan, np.inf):
         with pytest.raises(ValueError, match="penalty"):
             glasso.glasso_fit(np.eye(3), lam)

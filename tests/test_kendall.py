@@ -263,6 +263,7 @@ def test_block_statistics_match_enumeration_and_column_calls(kernel, monkeypatch
     monkeypatch.setattr(kendall, "GRAM_MAX_CELLS_PER_PAIR_ROW", 10**9 if kernel == "gram" else 0)
     monkeypatch.setattr(kendall, "GRAM_CHUNK_CELLS", 37)  # chunks that end inside a lag
     rng = np.random.default_rng(12)
+    complete_rows_seen, constant_seen = set(), set()
     for n, p, q in [(41, 6, 3), (30, 5, None), (3, 2, 4), (2, 3, None), (1, 2, 2), (25, 1, None), (9, 0, 2)]:
         x = _mixed_block(rng, n, p)
         y = x if q is None else _mixed_block(rng, n, q)[:, ::-1]
@@ -278,13 +279,21 @@ def test_block_statistics_match_enumeration_and_column_calls(kernel, monkeypatch
         for j in range(x.shape[1]):
             for k in range(y.shape[1]):
                 if want["n_pairs"][j, k] == 0:
-                    with pytest.raises(ValueError, match="need at least 2 complete observations"):
-                        kendall.tau_a(x[:, j], y[:, k])
+                    m = int(np.sum(~(np.isnan(x[:, j]) | np.isnan(y[:, k]))))
+                    message = f"^need at least 2 complete observations, got {m}$"
+                    for call in (kendall.tau_a, kendall.tau_b):
+                        with pytest.raises(ValueError, match=message) as err:
+                            call(x[:, j], y[:, k])
+                        assert type(err.value) is ValueError
+                    complete_rows_seen.add(m)
                     continue
                 assert tau[j, k] == kendall.tau_a(x[:, j], y[:, k])
                 if np.isnan(stats.tau_b[j, k]):
-                    with pytest.raises(kendall.DegenerateColumnError):
+                    which = "first" if want["ties_j"][j, k] == want["n_pairs"][j, k] else "second"
+                    message = f"^{which} column is constant; tau_b undefined$"
+                    with pytest.raises(kendall.DegenerateColumnError, match=message):
                         kendall.tau_b(x[:, j], y[:, k])
+                    constant_seen.add(which)
                     continue
                 column = kendall.tau_b(x[:, j], y[:, k])
                 assert all(getattr(stats, f)[j, k] == getattr(column, f) for f in FIELDS)
@@ -292,6 +301,8 @@ def test_block_statistics_match_enumeration_and_column_calls(kernel, monkeypatch
             other = kendall.tau_b(x, x.copy())
             for f in FIELDS:
                 assert np.array_equal(getattr(stats, f), getattr(other, f), equal_nan=True), f
+    # column calls take the crossover's kernel too, and raise as before
+    assert complete_rows_seen == {0, 1} and constant_seen == {"first", "second"}
 
 
 def test_gram_chunks_cover_each_row_pair_once_within_the_cap():
