@@ -63,6 +63,12 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
         header = [h.strip() for h in header]
         if not header or any(not h for h in header):
             raise CliError("parse", f"{path}: line 1: blank column name in header", path=path, line=1)
+        for h in header:
+            if any(c in h for c in "\t\n\r"):  # would split a TSV artifact's fields or rows
+                raise CliError(
+                    "parse", f"{path}: line 1: column name {h!r} holds a tab or line break",
+                    path=path, line=1, column=h,
+                )
         dupes = sorted({h for h in header if header.count(h) > 1})
         if dupes:
             raise CliError("parse", f"{path}: line 1: duplicate column names {dupes}", path=path, line=1)
@@ -299,11 +305,12 @@ def cmd_graph(args, report):
 
 def _write_dot(path: Path, names, partial) -> None:
     """The graph with each edge (j, k, partial correlation) labelled."""
+    quoted = ['"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"' for name in names]
     lines = ["graph latent_conditional_independence {"]
-    for name in names:
-        lines.append(f'  "{name}";')
+    for name in quoted:
+        lines.append(f"  {name};")
     for j, k, pc in partial:
-        lines.append(f'  "{names[j]}" -- "{names[k]}" [label="{pc:.2f}"];')
+        lines.append(f'  {quoted[j]} -- {quoted[k]} [label="{pc:.2f}"];')
     lines.append("}")
     path.write_text("\n".join(lines) + "\n")
 

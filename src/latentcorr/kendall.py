@@ -4,11 +4,12 @@
 give the statistics of every column pair at once; two columns are counted
 as one-column blocks.  Rows with a missing (NaN) entry in either column of
 a pair are dropped pairwise.  A block is counted by one of two exact
-kernels, chosen by GRAM_MAX_CELLS_PER_PAIR_ROW: a sign Gram over all row
-pairs, or the O(n log n) merge-sort inversion count (Knight's algorithm)
-once per column pair.  Both produce the same integer counts, so every
-statistic is the same bit for bit whichever kernel ran.  The O(n^2) pair
-enumeration used as a test oracle lives in the test suite.
+kernels, chosen by GRAM_MAX_CELLS_PER_PAIR_ROW: a sign Gram over the row
+pairs (i, (i + h) mod n) of lags h = 1 .. n // 2, which meet each row pair
+once when lag n / 2 of an even n takes rows i < n / 2 only; or the
+O(n log n) merge-sort inversion count (Knight's algorithm) once per column
+pair.  Both produce the same integer counts, so every statistic is the same
+bit for bit whichever kernel ran.  The O(n^2) oracle is in the test suite.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._kernels import count_inversions
 
@@ -25,11 +27,13 @@ __all__ = ["TauStatistics", "DegenerateColumnError", "tau_a", "tau_b"]
 # pairs by the block's columns, holds fewer than this many cells per column
 # pair and row, and otherwise by the merge kernel, whose cost per column
 # pair grows about as n.  Set from the timings in CHANGES.md.
-GRAM_MAX_CELLS_PER_PAIR_ROW = 75
+GRAM_MAX_CELLS_PER_PAIR_ROW = 150
 
-# Sign cells per chunk of the Gram.  It bounds the kernel's temporaries at a
-# few bytes per cell, and as it is below 2**24, each chunk's Gram entries are
-# sums of fewer than 2**24 terms in {-1, 0, 1}, exact in float32.
+# Sign cells per Gram chunk of whole lags.  Temporaries take a few bytes per
+# cell of max(GRAM_CHUNK_CELLS, n * width): at most one lag, the input's size.
+# Gram entries sum at most max(GRAM_CHUNK_CELLS // width, n) terms in {-1, 0,
+# 1} per chunk, exact in float32 below 2**24: the Gram needs n - 1 < 2 * min(p,
+# q) * GRAM_MAX_CELLS_PER_PAIR_ROW, so n >= 2**24 needs over 2**47 / it cells.
 GRAM_CHUNK_CELLS = 1 << 16
 
 
@@ -110,43 +114,28 @@ def _check_column(x, y, n_pairs, t_x=None, t_y=None) -> None:
             raise DegenerateColumnError(f"{which} column is constant; tau_b undefined")
 
 
-def _row_pair_chunks(n: int, rows: int):
-    """Lists of (h, lo, hi), the row pairs (i, i + h) for lo <= i < hi, of
-    at most rows pairs each, covering every row pair once."""
-    chunk, used = [], 0
-    for h in range(1, n):
-        lo = 0
-        while lo < n - h:
-            hi = min(n - h, lo + rows - used)
-            chunk.append((h, lo, hi))
-            used += hi - lo
-            lo = hi
-            if used == rows:
-                yield chunk
-                chunk, used = [], 0
-    if chunk:
-        yield chunk
+def _circle(v):
+    """(n + 1, n, p) view of an (n, p) array whose [h, i] is row (i + h) mod n."""
+    doubled = np.ascontiguousarray(np.concatenate((v, v)))  # blocks may be column-major
+    return sliding_window_view(doubled, len(v), axis=0).transpose(0, 2, 1)
 
 
-def _signs(v, observed, chunk, ties: bool):
-    """float32 sign(v[i + h] - v[i]) over a chunk's row pairs, 0 where a row
-    is blank or the two values are equal (also equal infinities); with ties,
-    also its absolute value and the both-rows-observed indicator."""
-    m = sum(hi - lo for _, lo, hi in chunk)
-    flags = np.empty((3 if ties else 2, m, v.shape[1]), dtype=bool)
-    gt, lt, both = flags[0], flags[1], flags[-1]
-    at = 0
-    for h, lo, hi in chunk:
-        rows = slice(at, at + hi - lo)
-        np.greater(v[lo + h:hi + h], v[lo:hi], out=gt[rows])
-        np.less(v[lo + h:hi + h], v[lo:hi], out=lt[rows])
-        if ties:
-            np.logical_and(observed[lo + h:hi + h], observed[lo:hi], out=both[rows])
-        at += hi - lo
+def _signs(v, observed, h: int, step: int, ties: bool):
+    """float32 sign(v[(i + h) mod n] - v[i]) over up to step lags from h of
+    _circle views, as (pairs, p), lag n / 2 of an even n from rows i < n / 2;
+    0 where a row is blank or the values are equal (also equal infinities);
+    with ties, also its absolute value and the both-rows-observed indicator."""
+    n = v.shape[1]
+    lags = slice(h, min(h + step, n // 2 + 1))
+    flags = np.empty((3, *v[lags].shape), dtype=bool)
+    np.greater(v[lags], v[0], out=flags[0])
+    np.less(v[lags], v[0], out=flags[1])
+    if ties:
+        np.logical_and(observed[lags], observed[0], out=flags[2])
+    pairs = min(n * (n - 1) // 2, (lags.stop - 1) * n) - (h - 1) * n
+    gt, lt, both = flags.reshape(3, -1, v.shape[2])[:, :pairs]
     sign = np.subtract(gt, lt, dtype=np.float32)
-    if not ties:
-        return (sign,)
-    return sign, np.add(gt, lt, dtype=np.float32), both.astype(np.float32)
+    return (sign, np.add(gt, lt, dtype=np.float32), both.astype(np.float32)) if ties else (sign,)
 
 
 def _block_counts(x, y, same: bool, ties: bool):
@@ -156,23 +145,26 @@ def _block_counts(x, y, same: bool, ties: bool):
 
     Sign Gram: with S the row-pair signs of a block's columns, C - D is
     SᵀS, C + D is |S|ᵀ|S|, and the pairs tied in x are C(n, 2) minus
-    |Sx|ᵀBy, where B marks the row pairs observed in both rows.  Every sum
+    |Sx|ᵀBy, where B marks the row pairs observed in both rows; a pair's
+    order flips both factors of its terms, so it does not matter.  Every sum
     is an integer below 2**53, exact in floats.  Merge: one inversion count
     per column pair (per unordered pair when y is x).
     """
     n, p = x.shape
     q = y.shape[1]
     width, col_pairs = (p, p * (p - 1) // 2) if same else (p + q, p * q)
-    # C(n, 2) * width / n < GRAM_MAX_CELLS_PER_PAIR_ROW * col_pairs
     if (n - 1) * width < 2 * GRAM_MAX_CELLS_PER_PAIR_ROW * col_pairs:
         obs_x = ~np.isnan(x)
         obs_y = obs_x if same else ~np.isnan(y)
         complete = (obs_x.T.astype(float) @ obs_y).astype(np.int64)
         n_pairs = complete * (complete - 1) // 2
         grams = np.zeros((4 if ties else 1, p, q))
-        for chunk in _row_pair_chunks(n, max(1, GRAM_CHUNK_CELLS // width)):
-            sx = _signs(x, obs_x, chunk, ties)
-            sy = sx if same else _signs(y, obs_y, chunk, ties)
+        cx = _circle(x), _circle(obs_x) if ties else None
+        cy = cx if same else (_circle(y), _circle(obs_y) if ties else None)
+        step = max(1, GRAM_CHUNK_CELLS // max(1, n * width))
+        for h in range(1, n // 2 + 1, step):
+            sx = _signs(*cx, h, step, ties)
+            sy = sx if same else _signs(*cy, h, step, ties)
             grams[0] += sx[0].T @ sy[0]
             if ties:
                 grams[1] += sx[1].T @ sy[1]

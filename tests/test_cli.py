@@ -1,6 +1,8 @@
 """Command-line interface: artifacts, exit codes, and error reporting."""
 
+import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -142,6 +144,19 @@ def test_estimate_rejects_duplicate_column_names(tmp_path):
     assert "duplicate column names ['a']" in err["message"]
 
 
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\r\nb"])
+def test_estimate_rejects_a_tab_or_line_break_in_a_column_name(tmp_path, name):
+    path = tmp_path / "names.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([["x", name, "y"], *[[i, (7 * i) % 11, i % 3] for i in range(12)]])
+    out = tmp_path / "out"
+    assert main(["estimate", "--data", str(path), "--out-dir", str(out)]) == 2
+    err = json.loads((out / "errors.json").read_text())
+    assert (err["stage"], err["line"], err["column"]) == ("parse", 1, name)
+    assert f"column name {name!r} holds a tab or line break" in err["message"]
+    assert not (out / "correlation.tsv").exists()
+
+
 def test_estimate_reports_ragged_row(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("a,b\n1,2\n3\n")
@@ -280,6 +295,27 @@ def test_graph_pipeline_artifacts(chain_csv, tmp_path):
     # partial-correlation labels are 2-decimal
     labels = re.findall(r'label="(-?\d+\.\d{2})"', dot)
     assert len(labels) == len(edges) - 1
+
+
+def test_graph_dot_escapes_quotes_and_backslashes_in_names(chain_csv, tmp_path):
+    names = ['q"1', "c\\", "v2", 'a\\"b', "v4"]
+    rows = list(csv.reader(chain_csv.read_text().splitlines()))
+    path = tmp_path / "names.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([names, *rows[1:]])
+    out = tmp_path / "out"
+    assert main(["graph", "--data", str(path), "--out-dir", str(out)]) == 0
+    dot = (out / "graph.dot").read_text().splitlines()
+    quoted = r'"((?:[^"\\]|\\.)*)"'  # a DOT string, in which \" and \\ stand for " and \
+    nodes = [re.fullmatch(rf"  {quoted};", line) for line in dot[1:6]]
+    edges = [re.fullmatch(rf'  {quoted} -- {quoted} \[label="-?\d\.\d\d"\];', line) for line in dot[6:-1]]
+    assert all(nodes) and all(edges) and dot[-1] == "}"
+
+    def unescape(text):
+        return re.sub(r"\\(.)", r"\1", text)
+
+    assert [unescape(m[1]) for m in nodes] == names
+    assert {(unescape(m[1]), unescape(m[2])) for m in edges} == set(zip(names, names[1:]))
 
 
 def test_graph_identity_data_has_no_edges(tmp_path):
@@ -488,9 +524,11 @@ def test_invalid_scenario_rejected():
 
 
 def test_console_entry_point_runs():
+    # the child imports the package from where this process found it
+    package_root = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "latentcorr.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": package_root},
     )
     assert proc.returncode == 0
     assert "estimate" in proc.stdout

@@ -261,7 +261,8 @@ def _enumerated_stats(x, y):
 @pytest.mark.parametrize("kernel", ["gram", "merge"])
 def test_block_statistics_match_enumeration_and_column_calls(kernel, monkeypatch):
     monkeypatch.setattr(kendall, "GRAM_MAX_CELLS_PER_PAIR_ROW", 10**9 if kernel == "gram" else 0)
-    monkeypatch.setattr(kendall, "GRAM_CHUNK_CELLS", 37)  # chunks that end inside a lag
+    # one lag per chunk at n = 41; three at n = 30, the last with half lag 15
+    monkeypatch.setattr(kendall, "GRAM_CHUNK_CELLS", 450)
     rng = np.random.default_rng(12)
     complete_rows_seen, constant_seen = set(), set()
     for n, p, q in [(41, 6, 3), (30, 5, None), (3, 2, 4), (2, 3, None), (1, 2, 2), (25, 1, None), (9, 0, 2)]:
@@ -305,14 +306,28 @@ def test_block_statistics_match_enumeration_and_column_calls(kernel, monkeypatch
     assert complete_rows_seen == {0, 1} and constant_seen == {"first", "second"}
 
 
-def test_gram_chunks_cover_each_row_pair_once_within_the_cap():
-    for n in range(8):
-        for rows in (1, 3, 7, 100):
+def test_gram_chunks_cover_each_row_pair_once_within_the_cap(monkeypatch):
+    chunks, signs = [], kendall._signs
+
+    def record(*args):
+        chunks.append(signs(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(kendall, "_signs", record)
+    monkeypatch.setattr(kendall, "GRAM_MAX_CELLS_PER_PAIR_ROW", 10**9)
+    for n in range(10):
+        # column r of the identity is 1 on row r only, so the signs of the row
+        # pair (i, i') are nonzero in columns i and i' and nowhere else
+        x = np.eye(n)
+        for cap in (1, 3, 7, 20, 100):
+            monkeypatch.setattr(kendall, "GRAM_CHUNK_CELLS", cap * n)  # cap cells per column
+            chunks.clear()
+            kendall.tau_a(x, x)
             seen = []
-            for chunk in kendall._row_pair_chunks(n, rows):
-                size = sum(hi - lo for _, lo, hi in chunk)
-                assert 0 < size <= rows
-                seen += [(i, i + h) for h, lo, hi in chunk for i in range(lo, hi)]
+            for (sign,) in chunks:
+                assert 0 < len(sign) <= max(cap, n)
+                seen += [tuple(np.flatnonzero(row)) for row in sign]
+            # every pair once, the half lag n / 2 of an even n included
             assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
