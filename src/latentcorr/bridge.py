@@ -24,7 +24,10 @@ Each forward bridge is strictly increasing in r on (-1, 1), so inversion
 uses Newton iterations safeguarded by bisection on a maintained bracket.
 The iteration runs on a whole batch of pairs at once (invert_bridges):
 every pair keeps its own bracket and iterate, and each step evaluates the
-forward bridges of the pairs still unconverged in a few vector calls.
+forward bridges of the pairs still unconverged in a few vector calls.  A
+bracket end F(+-(1 - CLAMP)) is evaluated only for a pair whose iterates
+have not shown it below or above tau, once the pair converges, would step
+past that end or runs out of steps.
 
 Tau-b variants (first-order Taylor bridges) exist only for binary-binary
 and binary-continuous pairs; a second-order Taylor refinement of the
@@ -418,6 +421,13 @@ def invert_bridges(tasks) -> list[InversionResult]:
     nearest endpoint and flagged.  Each result is the one the task would
     get alone.  Raises BridgeInversionError, carrying the task's index,
     when a task misses 10*NEWTON_TOL after NEWTON_MAX_ITER steps.
+
+    F is strictly increasing, so an iterate with F(r) < tau shows the lower
+    end in range and one with F(r) > tau the upper.  An end not yet shown is
+    evaluated when its task converges, would step past it, or is left after
+    the last step, before any task is reported unconverged.  A tau out of
+    range there ends the task at that end with 0 iterations; every other
+    iterate is the one it would be with both ends evaluated first.
     """
     results: list[InversionResult | None] = [None] * len(tasks)
     newton = []
@@ -432,18 +442,28 @@ def invert_bridges(tasks) -> list[InversionResult]:
     bridges = _Bridges([tasks[i] for i in newton])
     tau = np.array([tasks[i].tau for i in newton])
     m = tau.size
-    every = np.arange(m)
-    lo = np.full(m, -1.0 + CLAMP)
-    hi = np.full(m, 1.0 - CLAMP)
-    ends = bridges.evaluate(np.concatenate((lo, hi)), np.concatenate((every, every)))[0]
-    f_lo, f_hi = ends[:m] - tau, ends[m:] - tau
-    at_lo = f_lo >= 0.0
-    r = np.where(at_lo, lo, hi)
-    clamped = np.where(at_lo, f_lo > 0.0, f_hi < 0.0)
-    active = ~(at_lo | (f_hi <= 0.0))
+    ends = np.array([-1.0 + CLAMP, 1.0 - CLAMP])
+    lo, hi = np.full(m, ends[0]), np.full(m, ends[1])
+    # F(end) - tau at each task's lower and upper end: NaN until evaluated,
+    # -inf / +inf once an iterate has shown the end in range
+    f_end = np.full((2, m), np.nan)
     start = np.array([math.sin(math.pi / 2.0 * t) for t in tau])
-    r[active] = np.minimum(np.maximum(start, lo + 1e-12), hi - 1e-12)[active]
-    iterations = np.zeros(m, dtype=int)
+    r = np.minimum(np.maximum(start, lo + 1e-12), hi - 1e-12)
+    clamped, iterations, active = np.zeros(m, bool), np.zeros(m, int), np.ones(m, bool)
+
+    def settle(idx):
+        """Evaluate the unknown ends of tasks idx and end each task whose tau
+        is out of range at its end; returns the mask of idx in range."""
+        side, pos = np.nonzero(np.isnan(f_end[:, idx]))
+        if pos.size:
+            f_end[side, idx[pos]] = bridges.evaluate(ends[side], idx[pos])[0] - tau[idx[pos]]
+        f_lo, f_hi = f_end[:, idx]
+        at_lo = f_lo >= 0.0
+        out = at_lo | (f_hi <= 0.0)
+        r[idx[out]] = np.where(at_lo, *ends)[out]
+        clamped[idx[out]] = np.where(at_lo, f_lo > 0.0, f_hi < 0.0)[out]
+        iterations[idx[out]], active[idx[out]] = 0, False
+        return ~out
 
     for it in range(1, NEWTON_MAX_ITER + 1):
         idx = np.flatnonzero(active)
@@ -451,19 +471,26 @@ def invert_bridges(tasks) -> list[InversionResult]:
             break
         value, deriv = bridges.evaluate(r[idx], idx)
         f = value - tau[idx]
+        f_end[0, idx[f < 0.0]] = -np.inf
+        f_end[1, idx[f > 0.0]] = np.inf
         done = np.abs(f) <= NEWTON_TOL
-        iterations[idx[done]] = it
-        active[idx[done]] = False
+        iterations[idx[done]], active[idx[done]] = it, False
+        settle(idx[done])
         idx, f, deriv = idx[~done], f[~done], deriv[~done]
         above = f > 0.0
         hi[idx[above]] = r[idx[above]]
         lo[idx[~above]] = r[idx[~above]]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             r_newton = r[idx] - f / deriv
-        step = (deriv > 0.0) & np.isfinite(deriv) & (lo[idx] < r_newton) & (r_newton < hi[idx])
+        usable = (deriv > 0.0) & np.isfinite(deriv)
+        step = usable & (lo[idx] < r_newton) & (r_newton < hi[idx])
         r[idx] = np.where(step, r_newton, 0.5 * (lo[idx] + hi[idx]))
+        # a Newton step past an end not yet shown in range, still the bracket's own
+        past = np.array([r_newton <= lo[idx], r_newton >= hi[idx]]) & np.isnan(f_end[:, idx])
+        settle(idx[usable & past.any(axis=0)])
 
     left = np.flatnonzero(active)
+    left = left[settle(left)]
     if left.size:
         residual = bridges.evaluate(r[left], left)[0] - tau[left]
         for i, res in zip(left, residual):

@@ -315,6 +315,14 @@ def _write_dot(path: Path, names, partial) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _simulated(experiment, **options):
+    """Run a simulate experiment; its errors name r or n and the replicate."""
+    try:
+        return experiment(**options)
+    except Exception as exc:
+        raise CliError("simulate", str(exc)) from exc
+
+
 def cmd_simulate(args, report):
     out = Path(args.out_dir)
     if args.scenario in ("1", "2"):
@@ -331,13 +339,14 @@ def cmd_simulate(args, report):
             simulate.check_discretization_options(p_values, r_grid, args.n, args.reps)
         except ValueError as exc:
             raise CliError("options", str(exc)) from None
-        curves = runner(p_values=p_values, r_grid=r_grid, n=args.n, reps=args.reps, seed=args.seed)
+        options = dict(p_values=p_values, r_grid=r_grid, n=args.n, reps=args.reps, seed=args.seed)
+        curves = _simulated(runner, **options)
         name = f"scenario{args.scenario}_curves.tsv"
         (out / name).write_text(simulate.error_curves_to_text(curves))
         report["artifacts"].append(name)
         report["curves"] = len(curves)
     else:  # concentration
-        n_grid, err, slope = simulate.concentration_check(seed=args.seed)
+        n_grid, err, slope = _simulated(simulate.concentration_check, seed=args.seed)
         with open(out / "concentration.tsv", "w") as fh:
             fh.write("n\tsup_error\n")
             for n, e in zip(n_grid, err):

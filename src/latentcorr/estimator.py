@@ -117,8 +117,13 @@ def estimate_latent_correlation(
     specs: list[ColumnSpec] | None = None,
     variant: str = "a",
     pairs=None,
-) -> LatentCorrelationMatrix:
+) -> LatentCorrelationMatrix | list[LatentCorrelationMatrix]:
     """Bridge-inverted latent correlation matrix of a mixed data matrix.
+
+    data is one (n, d) matrix, or a (reps, n, d) stack of replicates that
+    share specs and pairs (specs are inferred from all replicates at once).
+    A stack gives a list of one matrix per replicate, each equal to its own
+    2-D call, and its errors name the replicate as well as the pair.
 
     variant 'b' uses the first-order tau-b bridges where they exist
     (binary-binary, binary-continuous) and falls back to tau-a elsewhere,
@@ -127,19 +132,24 @@ def estimate_latent_correlation(
     pairs lists the column pairs (j, k) to estimate (default: every
     j < k).  Other off-diagonal entries are NaN, tagged "not_estimated",
     and only columns in a listed pair are checked and given cutoffs.
-    One kendall call counts the tau of every pair of those columns at once.
-    Continuous pairs are inverted in closed form as they come; all other
-    pairs need Newton and are inverted together in one batch
+    One kendall call counts the taus of every replicate at once: of every
+    pair of the listed pairs' columns when they are all listed, else of the
+    pairs' left columns against their right columns.  Continuous pairs are
+    inverted in closed form as they come; all other pairs of every
+    replicate need Newton and are inverted together in one batch
     (bridge.invert_bridges) after the loop.
     """
     if variant not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
     data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise ValueError("data must be a 2-D (n, d) matrix")
-    n, d = data.shape
+    if data.ndim not in (2, 3):
+        raise ValueError("data must be a 2-D (n, d) matrix or a 3-D (reps, n, d) stack")
+    d = data.shape[-1]
+    cols = np.array(data)  # ordinal columns are recoded in place
+    stack = cols if cols.ndim == 3 else cols[None]  # a view either way
+    where = [f"replicate {rep}: " if data.ndim == 3 else "" for rep in range(len(stack))]
     if specs is None:
-        specs = infer_column_specs(data)
+        specs = infer_column_specs(stack.reshape(-1, d))
     if len(specs) != d:
         raise ValueError(f"{len(specs)} specs for {d} columns")
     if pairs is None:
@@ -153,72 +163,84 @@ def estimate_latent_correlation(
             checked.add((j, k))
         pairs = sorted(checked)
 
-    cols = np.array(data, dtype=float)
-    eff_levels = [0] * d
-    cutoffs: list[np.ndarray | None] = [None] * d
+    eff_levels = [[0] * d for _ in stack]
+    cutoffs = {}  # (replicate, ordinal column) -> cutoffs
     used = sorted({c for pair in pairs for c in pair})
-    for j in used:
-        spec = specs[j]
-        if spec.is_ordinal:
-            cols[:, j], eff_levels[j] = _recode_ordinal(data[:, j])
-            if eff_levels[j] < 2:
-                raise kendall.DegenerateColumnError(
-                    f"ordinal column {spec.name!r} has a single observed level"
-                )
-            if eff_levels[j] > spec.levels:
-                raise ValueError(
-                    f"ordinal column {spec.name!r} declares {spec.levels} levels "
-                    f"but has {eff_levels[j]} observed levels"
-                )
-            cutoffs[j] = estimate_cutoffs(cols[~np.isnan(cols[:, j]), j], eff_levels[j])
+    for rep, sample in enumerate(stack):
+        for j in used:
+            spec = specs[j]
+            if spec.is_ordinal:
+                sample[:, j], levels = _recode_ordinal(sample[:, j])
+                if levels < 2:
+                    raise kendall.DegenerateColumnError(
+                        f"{where[rep]}ordinal column {spec.name!r} has a single observed level"
+                    )
+                if levels > spec.levels:
+                    raise ValueError(
+                        f"{where[rep]}ordinal column {spec.name!r} declares {spec.levels} levels "
+                        f"but has {levels} observed levels"
+                    )
+                eff_levels[rep][j] = levels
+                cutoffs[rep, j] = estimate_cutoffs(sample[~np.isnan(sample[:, j]), j], levels)
 
-    values = np.full((d, d), np.nan)
-    np.fill_diagonal(values, 1.0)
-    method = np.full((d, d), "not_estimated", dtype=object)
-    np.fill_diagonal(method, "diag")
-    clamped = np.zeros((d, d), dtype=bool)
+    reps, diag = len(stack), np.arange(d)
+    values = np.full((reps, d, d), np.nan)
+    values[:, diag, diag] = 1.0
+    method = np.full((reps, d, d), "not_estimated", dtype=object)
+    method[:, diag, diag] = "diag"
+    clamped = np.zeros((reps, d, d), dtype=bool)
 
-    block = cols[:, used]
+    every = len(pairs) == len(used) * (len(used) - 1) // 2
+    left = used if every else sorted({j for j, _ in pairs})
+    right = used if every else sorted({k for _, k in pairs})
+    x = cols[..., left]
+    y = x if every else cols[..., right]
     if variant == "b":
-        stats = kendall.tau_b(block, block)
+        stats = kendall.tau_b(x, y)
         taus = {"a": stats.tau_a, "b": stats.tau_b}
     else:
-        taus = {"a": kendall.tau_a(block, block)}
-    at = {c: i for i, c in enumerate(used)}
+        taus = {"a": kendall.tau_a(x, y)}
+    taus = {v: np.reshape(t, (reps, len(left), len(right))) for v, t in taus.items()}
+    row, col = {c: i for i, c in enumerate(left)}, {c: i for i, c in enumerate(right)}
 
     tasks, batched = [], []
-    for j, k in pairs:
-        kind = BridgeKind(eff_levels[j] or None, eff_levels[k] or None)
-        use_variant = "b" if variant == "b" and kind.has_tau_b else "a"
-        tag = kind.tag
-        if variant == "b":
-            tag += ":tau_b" if use_variant == "b" else ":tau_a_fallback"
-        method[j, k] = method[k, j] = tag
-        try:
-            tau = float(taus[use_variant][at[j], at[k]])
-            if np.isnan(tau):  # fewer than 2 complete rows, or constant under tau-b:
-                # the pair's own count raises the error that says which
-                (kendall.tau_b if use_variant == "b" else kendall.tau_a)(cols[:, j], cols[:, k])
-            if kind.is_continuous_pair:  # closed form, so nothing to batch
-                res = invert_bridge(tau, kind)
-                values[j, k] = values[k, j] = res.r
-                clamped[j, k] = clamped[k, j] = res.clamped
-            else:
-                tasks.append(InversionTask(tau, kind, cutoffs[j], cutoffs[k], use_variant))
-                batched.append((j, k))
-        except ValueError as exc:
-            raise type(exc)(f"{_pair_label(j, k, specs)}: {exc}") from exc
+    for rep, sample in enumerate(stack):
+        for j, k in pairs:
+            kind = BridgeKind(eff_levels[rep][j] or None, eff_levels[rep][k] or None)
+            use_variant = "b" if variant == "b" and kind.has_tau_b else "a"
+            tag = kind.tag
+            if variant == "b":
+                tag += ":tau_b" if use_variant == "b" else ":tau_a_fallback"
+            method[rep, j, k] = method[rep, k, j] = tag
+            try:
+                tau = float(taus[use_variant][rep, row[j], col[k]])
+                if np.isnan(tau):  # fewer than 2 complete rows, or constant under tau-b:
+                    # the pair's own count raises the error that says which
+                    (kendall.tau_b if use_variant == "b" else kendall.tau_a)(sample[:, j], sample[:, k])
+                if kind.is_continuous_pair:  # closed form, so nothing to batch
+                    res = invert_bridge(tau, kind)
+                    values[rep, j, k] = values[rep, k, j] = res.r
+                    clamped[rep, j, k] = clamped[rep, k, j] = res.clamped
+                else:
+                    cuts = cutoffs.get((rep, j)), cutoffs.get((rep, k))
+                    tasks.append(InversionTask(tau, kind, *cuts, use_variant))
+                    batched.append((rep, j, k))
+            except ValueError as exc:
+                raise type(exc)(f"{where[rep]}{_pair_label(j, k, specs)}: {exc}") from exc
 
     try:
         results = invert_bridges(tasks)
     except BridgeInversionError as exc:
-        j, k = batched[exc.index]
-        raise BridgeInversionError(f"{_pair_label(j, k, specs)}: {exc}", exc.index) from exc
-    for (j, k), res in zip(batched, results):
-        values[j, k] = values[k, j] = res.r
-        clamped[j, k] = clamped[k, j] = res.clamped
+        rep, j, k = batched[exc.index]
+        raise BridgeInversionError(f"{where[rep]}{_pair_label(j, k, specs)}: {exc}", exc.index) from exc
+    for (rep, j, k), res in zip(batched, results):
+        values[rep, j, k] = values[rep, k, j] = res.r
+        clamped[rep, j, k] = clamped[rep, k, j] = res.clamped
 
-    return LatentCorrelationMatrix(values=values, method=method, clamped=clamped, specs=list(specs))
+    estimates = [
+        LatentCorrelationMatrix(*fields, specs=list(specs)) for fields in zip(values, method, clamped)
+    ]
+    return estimates if data.ndim == 3 else estimates[0]
 
 
 def project_psd(matrix) -> np.ndarray:

@@ -154,15 +154,30 @@ def check_discretization_options(p_values, r_grid, n, reps):
     return p_values, r_grid
 
 
+def _estimate_replicates(samples, specs, pairs, where):
+    """One estimator call over the replicates {rep: sample}, stacked; an error
+    names where, and the first replicate that fails alone (as in the stack)."""
+    try:
+        return estimate_latent_correlation(np.stack(list(samples.values())), specs, pairs=pairs)
+    except Exception:
+        for rep, x in samples.items():
+            try:
+                estimate_latent_correlation(x, specs, pairs=pairs)
+            except Exception as exc:
+                raise type(exc)(f"{where}, replicate {rep}: {exc}") from exc
+        raise
+
+
 def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=False):
     """Shared harness for both discretization protocols.
 
     For every (r, replicate) one latent bivariate sample is drawn and
     reused across all p values and the continuous baseline, so curves for
     different p are directly comparable and the uncollapsed p=16 curve is
-    identical across protocols under the same seed.  Each replicate makes
-    one estimator call covering the (ordinal, continuous) pair of every p
-    and the continuous baseline pair (z0, z).
+    identical across protocols under the same seed.  Each r makes one
+    estimator call over its replicates, stacked, covering the (ordinal,
+    continuous) pair of every p and the continuous baseline pair (z0, z);
+    replicates whose pair lists differ go in separate stacks.
     collapse selects the collapse-from-16 protocol over equal-mass levels.
     """
     p_values, r_grid = check_discretization_options(p_values, r_grid, n, reps)
@@ -178,6 +193,8 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=Fal
     sq_err_base = np.zeros(r_grid.size)
     for i, r in enumerate(r_grid):
         sigma = np.array([[1.0, r], [r, 1.0]])
+        groups = {}  # replicates by pair list: {varied columns: {rep: sample}}
+        varied = []
         for rep in range(reps):
             z = _sample_latent(sigma, n, _rng(children[i * reps + rep]))
             if collapse:
@@ -187,14 +204,16 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=Fal
                 codes = [np.digitize(z[:, 0], pop_cuts[p]).astype(float) for p in p_values]
             # a single observed level carries no rank information; the
             # all-ties tau maps to 0, so such a column gets no pair
-            varied = [m for m, c in enumerate(codes) if c.min() < c.max()]
-            est = estimate_latent_correlation(
-                np.column_stack(codes + [z[:, 0], z[:, 1]]), specs,
-                pairs=[(m, last) for m in varied] + [(base, last)],
-            )
+            varied.append(tuple(m for m, c in enumerate(codes) if c.min() < c.max()))
+            groups.setdefault(varied[-1], {})[rep] = np.column_stack(codes + [z[:, 0], z[:, 1]])
+        estimates = {}
+        for columns, samples in groups.items():
+            pairs = [(m, last) for m in columns] + [(base, last)]
+            estimates.update(zip(samples, _estimate_replicates(samples, specs, pairs, f"r = {r:g}")))
+        for rep, est in sorted(estimates.items()):
             sq_err_base[i] += (est.values[base, last] - r) ** 2
             for m, p in enumerate(p_values):
-                r_hat = est.values[m, last] if m in varied else 0.0
+                r_hat = est.values[m, last] if m in varied[rep] else 0.0
                 sq_err[p][i] += (r_hat - r) ** 2
 
     # l / N_BINS is the float nearest each edge, so r = 0.3 lands in [0.3, 0.4)
@@ -252,10 +271,9 @@ def concentration_check(
     root = np.random.SeedSequence(seed)
     children = root.spawn(n_seeds * n_grid.size)
     sup_err = np.zeros((n_seeds, n_grid.size))
-    for s in range(n_seeds):
-        for i, n in enumerate(n_grid):
-            x = sample_copula(spec, int(n), children[s * n_grid.size + i])
-            est = estimate_latent_correlation(x, specs)
+    for i, n in enumerate(n_grid):  # one estimator call per n over the n_seeds replicates
+        samples = {s: sample_copula(spec, int(n), children[s * n_grid.size + i]) for s in range(n_seeds)}
+        for s, est in enumerate(_estimate_replicates(samples, specs, None, f"n = {n}")):
             sup_err[s, i] = np.abs(est.values - sigma).max()
     mean_err = sup_err.mean(axis=0)
     slope = np.polyfit(np.log(n_grid), np.log(mean_err), 1)[0]
@@ -292,16 +310,14 @@ def mc_tau_b_replicates(r, cutoffs_j, cutoffs_k=None, n=84, reps=10**4, seed=0):
     Degenerate replicates (a side with a single observed level) are
     excluded.  Returns (mean, standard_error_of_mean).
     """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     root = np.random.SeedSequence(seed)
     children = root.spawn(reps)
     sigma = np.array([[1.0, r], [r, 1.0]])
-    vals = []
-    for k in range(reps):
-        z = _sample_latent(sigma, n, _rng(children[k]))
-        x = _discretize(z, (cutoffs_j, cutoffs_k))
-        try:
-            vals.append(kendall.tau_b(x[:, 0], x[:, 1]).tau_b)
-        except kendall.DegenerateColumnError:
-            continue
-    vals = np.asarray(vals)
+    # one stacked count; a constant side gives a NaN tau_b
+    x = np.stack([_discretize(_sample_latent(sigma, n, _rng(c)), (cutoffs_j, cutoffs_k))
+                  for c in children])
+    vals = kendall.tau_b(x[:, :, :1], x[:, :, 1:]).tau_b.ravel()
+    vals = vals[~np.isnan(vals)]
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))

@@ -425,6 +425,30 @@ def mixed_batch():
         tasks.append(task(tau, BridgeKind(2, 3), np.array([0.0]), np.array([-0.5, 0.5])))
         tasks.append(task(tau, BridgeKind(6, 4), simulate.equal_mass_cutoffs(6), np.array([-0.5, 0.0, 0.5])))
         tasks.append(task(tau, BridgeKind(None, None)))
+    return tasks + near_end_tasks()
+
+
+END_OFFSETS = (0.0, 1e-16, 1e-12, 5e-9, bridge.NEWTON_TOL, 2e-8, 1e-6, 1e-3)
+
+
+def near_end_tasks():
+    """Tasks whose tau is F(+-(1 - CLAMP)) + delta for delta = +-END_OFFSETS,
+    just in and just out of range, plus tau = 0 and +-1."""
+    tasks = []
+    for kind, cj, ck, variant in (
+        (BridgeKind(3, None), np.array([-0.5, 0.5]), None, "a"),
+        (BridgeKind(None, 16), None, simulate.equal_mass_cutoffs(16), "a"),
+        (BridgeKind(2, 3), np.array([0.0]), np.array([-0.5, 0.5]), "a"),
+        (BridgeKind(6, 4), simulate.equal_mass_cutoffs(6), np.array([-0.5, 0.0, 0.5]), "a"),
+        (BridgeKind(2, None), np.array([0.4]), None, "b"),
+        (BridgeKind(2, 2), np.array([0.4]), np.array([-0.3]), "b"),
+    ):
+        forward = bridge.bridge_forward if variant == "a" else bridge.bridge_forward_tau_b
+        taus = [0.0, -1.0, 1.0]
+        for end in (-1.0 + bridge.CLAMP, 1.0 - bridge.CLAMP):
+            at_end = forward(end, kind, cj, ck).value
+            taus += [at_end + sign * delta for delta in END_OFFSETS for sign in (1, -1)]
+        tasks += [bridge.InversionTask(t, kind, cj, ck, variant) for t in taus if -1.0 <= t <= 1.0]
     return tasks
 
 
@@ -468,10 +492,52 @@ def test_batched_inversion_matches_each_task_alone(max_rows, monkeypatch):
     assert together == alone  # r, clamped and iterations, exactly
     newton = [(t, res) for t, res in zip(tasks, together) if not t.kind.is_continuous_pair]
     assert [res for _, res in newton] == [scalar_newton(t) for t, _ in newton]
-    assert {res.r for res in together if res.clamped} == {-1.0 + bridge.CLAMP, 1.0 - bridge.CLAMP}
-    newton = [res for t, res in zip(tasks, together) if not (t.kind.is_continuous_pair or res.clamped)]
-    assert len(newton) > 60 and all(res.iterations > 0 for res in newton)
+    ends = {-1.0 + bridge.CLAMP, 1.0 - bridge.CLAMP}
+    assert {res.r for res in together if res.clamped} == ends
+    # a tau exactly at F(end) ends there unflagged, as it did before iterating
+    newton = [res for t, res in zip(tasks, together) if not (t.kind.is_continuous_pair or res.r in ends)]
+    assert len(newton) > 60 and all(res.iterations > 0 and not res.clamped for res in newton)
     assert bridge.invert_bridges([]) == []
+
+
+def _count_end_rows(monkeypatch):
+    """Count the forward rows evaluated at r = +-(1 - CLAMP)."""
+    rows = {"ends": 0, "all": 0}
+    evaluate = bridge._Bridges.evaluate
+
+    def counted(self, r, idx):
+        rows["ends"] += int(np.sum(np.abs(r) == 1.0 - bridge.CLAMP))
+        rows["all"] += r.size
+        return evaluate(self, r, idx)
+
+    monkeypatch.setattr(bridge._Bridges, "evaluate", counted)
+    return rows
+
+
+def test_bracket_ends_are_evaluated_only_where_a_task_needs_them(monkeypatch):
+    tasks = mixed_batch()[: -len(near_end_tasks())]
+    tasks = [t for t, res in zip(tasks, bridge.invert_bridges(tasks)) if res.iterations > 0]
+    rows = _count_end_rows(monkeypatch)
+    assert len(tasks) > 60 and all(res.iterations > 0 for res in bridge.invert_bridges(tasks))
+    assert rows["ends"] <= 0.1 * 2 * len(tasks), rows
+    # the scenario-1 experiment at the benchmark's size: 1,200 Newton tasks
+    rows.update(ends=0, all=0)
+    r_grid = np.round(np.arange(0.0, simulate.R_GRID_CAP + 1e-9, 0.1), 10)
+    simulate.scenario1(r_grid=r_grid, n=100, reps=8, seed=0)
+    assert rows["all"] > 1200 and rows["ends"] <= 0.1 * 2 * 1200, rows
+
+
+def test_out_of_range_tasks_clamp_without_newton_steps(monkeypatch):
+    tasks = near_end_tasks()
+    eager = [scalar_newton(t) for t in tasks]
+    outside = [t for t, res in zip(tasks, eager) if res.iterations == 0]
+    assert len(outside) > 20
+    monkeypatch.setattr(bridge, "NEWTON_MAX_ITER", 0)
+    assert bridge.invert_bridges(outside) == [res for res in eager if res.iterations == 0]
+    inside = bridge.InversionTask(0.3, BridgeKind(3, None), np.array([-0.5, 0.5]))
+    with pytest.raises(bridge.BridgeInversionError, match="no convergence after 0") as caught:
+        bridge.invert_bridges(outside + [inside])
+    assert caught.value.index == len(outside)
 
 
 def test_batched_inversion_names_the_unconverged_task(monkeypatch):

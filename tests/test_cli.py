@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latentcorr import cli, simulate
+from latentcorr import bridge, cli, simulate
 from latentcorr.cli import main
 
 # ---------------------------------------------------------------------------
@@ -516,6 +516,29 @@ def test_simulate_concentration(tmp_path, monkeypatch):
     assert len(lines) == 3
     report = json.loads((out / "run_report.json").read_text())
     assert "log_log_slope" in report
+
+
+@pytest.mark.parametrize("scenario", ["1", "concentration"])
+def test_simulate_failure_is_reported_with_r_or_n_and_the_replicate(scenario, tmp_path, monkeypatch):
+    monkeypatch.setattr(bridge, "NEWTON_MAX_ITER", 0)  # every in-range Newton task fails
+    original = simulate.concentration_check
+
+    def small_concentration(seed=0):
+        return original(d=4, p=3, n_grid=(200, 400), seed=seed, n_seeds=2)
+
+    monkeypatch.setattr(cli.simulate, "concentration_check", small_concentration)
+    out = tmp_path / "out"
+    argv = ["simulate", scenario, "--out-dir", str(out)]
+    if scenario == "1":
+        argv += ["--n", "50", "--reps", "1", "--r-step", "0.5"]
+    assert main(argv) == 2
+    err = json.loads((out / "errors.json").read_text())
+    assert err["stage"] == "simulate"
+    where = r"r = 0, replicate 0: pair \(0, 16\) \['p2', 'z'\]" if scenario == "1" else (
+        r"n = 200, replicate 0: pair \(0, 1\) \['x0', 'x1'\]"
+    )
+    assert re.match(where + ": no convergence after 0 iterations", err["message"]), err["message"]
+    assert not (out / "run_report.json").exists()
 
 
 def test_invalid_scenario_rejected():

@@ -247,6 +247,55 @@ def test_batched_inversion_errors_name_the_pair(monkeypatch):
         estimator.estimate_latent_correlation(data, specs)
 
 
+def _stack(reps=4, n=60):
+    """Replicates of ordinal(3), continuous, binary, continuous and ordinal(4)
+    columns with blanks; replicate 2's first column never takes level 1."""
+    rng = np.random.default_rng(10)
+    z = rng.standard_normal((reps, n, 5))
+    z[..., 1] += z[..., 0]
+    x = z.copy()
+    x[..., 0] = np.digitize(z[..., 0], [-0.5, 0.5])
+    x[..., 2] = z[..., 2] > 0.3
+    x[..., 4] = np.digitize(z[..., 4] + z[..., 3], [-1.0, 0.0, 1.0])
+    x[2, x[2, :, 0] == 1, 0] = 2.0
+    x[rng.random(x.shape) < 0.05] = np.nan
+    return x, [ColumnSpec(name, levels) for name, levels in zip("abcde", (3, None, 2, None, 4))]
+
+
+@pytest.mark.parametrize("variant", ["a", "b"])
+@pytest.mark.parametrize("pairs", [None, [(0, 1), (2, 1), (0, 3), (4, 3), (2, 4)]])
+def test_a_stack_is_estimated_as_each_replicate_alone(variant, pairs):
+    x, specs = _stack()
+    stacked = estimator.estimate_latent_correlation(x, specs, variant=variant, pairs=pairs)
+    assert len(stacked) == len(x)
+    for rep, est in enumerate(stacked):
+        alone = estimator.estimate_latent_correlation(x[rep], specs, variant=variant, pairs=pairs)
+        assert np.array_equal(est.values, alone.values, equal_nan=True)
+        assert np.array_equal(est.method, alone.method)
+        assert np.array_equal(est.clamped, alone.clamped)
+        assert est.specs == alone.specs
+    tag = "ordinal2_continuous" + (":tau_b" if variant == "b" else "")
+    assert stacked[2].method[0, 1] == tag and stacked[0].method[0, 1] != tag  # the empty level
+    assert estimator.estimate_latent_correlation(x[:0], specs, pairs=pairs) == []
+
+
+def test_a_stack_error_names_the_replicate(monkeypatch):
+    x, specs = _stack()
+    x[3, :, 0] = 1.0
+    with pytest.raises(kendall.DegenerateColumnError, match=r"^replicate 3: ordinal column 'a' has a single"):
+        estimator.estimate_latent_correlation(x, specs)
+    x, specs = _stack()
+    x[1, 2:, 3] = np.nan
+    x[1, :2, 1] = np.nan
+    message = r"^replicate 1: pair \(1, 3\) \['b', 'd'\]: need at least 2 complete observations, got 0$"
+    with pytest.raises(ValueError, match=message):
+        estimator.estimate_latent_correlation(x, specs)
+    x, specs = _stack()
+    monkeypatch.setattr(bridge, "NEWTON_MAX_ITER", 0)
+    with pytest.raises(bridge.BridgeInversionError, match=r"^replicate 0: pair \(0, 1\) \['a', 'b'\]: no convergence"):
+        estimator.estimate_latent_correlation(x, specs)
+
+
 def test_single_level_ordinal_column_raises():
     data = np.column_stack([np.ones(50), np.arange(50.0)])
     with pytest.raises(kendall.DegenerateColumnError):

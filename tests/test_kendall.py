@@ -347,6 +347,26 @@ def test_both_kernels_agree_on_a_wide_block_with_blanks(monkeypatch):
     assert np.array_equal(gram_a, gram_a.T)
 
 
+@pytest.mark.parametrize("kernel", ["gram", "merge"])
+def test_stacked_statistics_equal_each_replicate_alone(kernel, monkeypatch):
+    monkeypatch.setattr(kendall, "GRAM_MAX_CELLS_PER_PAIR_ROW", 10**9 if kernel == "gram" else 0)
+    rng = np.random.default_rng(14)
+    for reps, n, p, q, chunk in [(3, 31, 6, 3, 450), (4, 30, 5, None, 10**6), (2, 2, 2, 1, 1), (5, 40, 1, 1, 200)]:
+        monkeypatch.setattr(kendall, "GRAM_CHUNK_CELLS", chunk)  # several lags per chunk, or one
+        x = np.stack([_mixed_block(rng, n, p) for _ in range(reps)])
+        x[1, :, 0] = 1.0  # one replicate's column is constant
+        y = x if q is None else np.stack([_mixed_block(rng, n, q)[:, ::-1] for _ in range(reps)])
+        tau, stats = kendall.tau_a(x, y), kendall.tau_b(x, y)
+        assert tau.shape == (reps, p, y.shape[2])
+        for rep in range(reps):
+            alone = kendall.tau_b(x[rep], x[rep] if q is None else y[rep])
+            assert np.array_equal(tau[rep], kendall.tau_a(x[rep], y[rep]), equal_nan=True)
+            for f in FIELDS:
+                assert np.array_equal(getattr(stats, f)[rep], getattr(alone, f), equal_nan=True), f
+    with pytest.raises(ValueError, match="two columns or two blocks"):
+        kendall.tau_a(np.zeros((2, 5, 2)), np.zeros((3, 5, 2)))
+
+
 def test_column_calls_keep_scalar_results():
     x, y = np.array([0.0, 1.0, 2.0, 2.0]), np.array([1.0, 0.0, 3.0, 4.0])
     assert type(kendall.tau_a(x, y)) is float
