@@ -26,8 +26,8 @@ The iteration runs on a whole batch of pairs at once (invert_bridges):
 every pair keeps its own bracket and iterate, and each step evaluates the
 forward bridges of the pairs still unconverged in a few vector calls.  A
 bracket end F(+-(1 - CLAMP)) is evaluated only for a pair whose iterates
-have not shown it below or above tau, once the pair converges, would step
-past that end or runs out of steps.
+have not shown it below or above tau, once the pair converges, bisects
+toward that end or runs out of steps.
 
 Tau-b variants (first-order Taylor bridges) exist only for binary-binary
 and binary-continuous pairs; a second-order Taylor refinement of the
@@ -424,10 +424,11 @@ def invert_bridges(tasks) -> list[InversionResult]:
 
     F is strictly increasing, so an iterate with F(r) < tau shows the lower
     end in range and one with F(r) > tau the upper.  An end not yet shown is
-    evaluated when its task converges, would step past it, or is left after
-    the last step, before any task is reported unconverged.  A tau out of
-    range there ends the task at that end with 0 iterations; every other
-    iterate is the one it would be with both ends evaluated first.
+    evaluated when its task converges, bisects toward it (a Newton step
+    past it, or no usable derivative), or is left after the last step,
+    before any task is reported unconverged.  A tau out of range there ends
+    the task at that end with 0 iterations; every other iterate is the one
+    it would be with both ends evaluated first.
     """
     results: list[InversionResult | None] = [None] * len(tasks)
     newton = []
@@ -482,12 +483,10 @@ def invert_bridges(tasks) -> list[InversionResult]:
         lo[idx[~above]] = r[idx[~above]]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             r_newton = r[idx] - f / deriv
-        usable = (deriv > 0.0) & np.isfinite(deriv)
-        step = usable & (lo[idx] < r_newton) & (r_newton < hi[idx])
+        step = (deriv > 0.0) & np.isfinite(deriv) & (lo[idx] < r_newton) & (r_newton < hi[idx])
         r[idx] = np.where(step, r_newton, 0.5 * (lo[idx] + hi[idx]))
-        # a Newton step past an end not yet shown in range, still the bracket's own
-        past = np.array([r_newton <= lo[idx], r_newton >= hi[idx]]) & np.isnan(f_end[:, idx])
-        settle(idx[usable & past.any(axis=0)])
+        # bisecting toward an end not yet shown in range, still the bracket's own
+        settle(idx[~step & np.isnan(f_end[np.where(above, 0, 1), idx])])
 
     left = np.flatnonzero(active)
     left = left[settle(left)]

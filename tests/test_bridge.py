@@ -433,7 +433,8 @@ END_OFFSETS = (0.0, 1e-16, 1e-12, 5e-9, bridge.NEWTON_TOL, 2e-8, 1e-6, 1e-3)
 
 def near_end_tasks():
     """Tasks whose tau is F(+-(1 - CLAMP)) + delta for delta = +-END_OFFSETS,
-    just in and just out of range, plus tau = 0 and +-1."""
+    just in and just out of range, plus tau = 0 and +-1; a flat bridge's
+    iterate with F(r) = tau shows neither end in range."""
     tasks = []
     for kind, cj, ck, variant in (
         (BridgeKind(3, None), np.array([-0.5, 0.5]), None, "a"),
@@ -442,6 +443,7 @@ def near_end_tasks():
         (BridgeKind(6, 4), simulate.equal_mass_cutoffs(6), np.array([-0.5, 0.0, 0.5]), "a"),
         (BridgeKind(2, None), np.array([0.4]), None, "b"),
         (BridgeKind(2, 2), np.array([0.4]), np.array([-0.3]), "b"),
+        (BridgeKind(2, None), np.array([np.inf]), None, "a"),  # one level, so F = 0 at every r
     ):
         forward = bridge.bridge_forward if variant == "a" else bridge.bridge_forward_tau_b
         taus = [0.0, -1.0, 1.0]
