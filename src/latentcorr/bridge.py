@@ -43,8 +43,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from .normal_dist import (
-    _phi3_batch,
-    _phi3_grad,
+    _phi3_grid,
     bivariate_cdf,
     bivariate_pdf,
     std_cdf,
@@ -76,8 +75,8 @@ NEWTON_MAX_ITER = 200
 # Largest number of rows handed to one vector evaluation: trivariate CDF
 # rows (one per cutoff of an ordinal-continuous pair, each a fixed 64-node
 # rule), or rows of the bivariate CDF grids of ordinal-ordinal pairs
-# (p_j + 1 per pair).  This bounds the memory of a forward evaluation
-# whatever the batch size.
+# (p_j + 1 per pair); a pair is not split.  This bounds the memory of a
+# forward evaluation whatever the batch size.
 MAX_QUADRATURE_ROWS = 256
 
 # Tractability ceiling for the exact second-order tau-b sum: C(n,2) <= 1e4.
@@ -173,7 +172,7 @@ def _check_cutoffs(kind: BridgeKind, cutoffs_j, cutoffs_k):
                 )
             if np.any(np.isnan(cuts)):
                 raise ValueError(f"{name} must not be NaN, got {cuts.tolist()}")
-            if np.any(np.diff(cuts) < 0):
+            if np.any(cuts[1:] < cuts[:-1]):  # not np.diff: inf - inf warns
                 raise ValueError("cutoffs must be nondecreasing")
         checked.append(None if levels is None else cuts)  # a continuous side has none
     return tuple(checked)
@@ -318,10 +317,13 @@ class _Bridges:
     cells of its bivariate CDF grid, and tasks of one grid shape are
     evaluated together.  An ordinal-continuous task puts its ordinal side
     in grid_j (levels (p, 0)); its bridge sums one trivariate term per
-    cutoff l, with bounds grid_j[l + 1] and grid_j[l + 2].  Those terms are
-    evaluated in fixed slices of MAX_QUADRATURE_ROWS, which may split a
-    pair, and np.bincount adds each pair's terms in order, so a pair gets
-    the same value alone or in any batch.
+    cutoff l, with bounds grid_j[l + 1] and grid_j[l + 2], and tasks of
+    one level count are evaluated together by one kernel over their grids
+    D_1..D_{p-1}, +inf, which computes the r-only factors once per task
+    and each bound's density once.  Each evaluation takes at most
+    MAX_QUADRATURE_ROWS rows (bivariate grid rows or trivariate terms) but
+    at least one task, and np.bincount adds each pair's terms in cutoff
+    order, so a pair gets the same value alone or in any batch.
     """
 
     def __init__(self, tasks):
@@ -342,26 +344,25 @@ class _Bridges:
     def evaluate(self, r: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bridge values and derivatives of tasks idx at r (aligned, repeats allowed)."""
         levels = self.levels[idx]
-        # one row per cutoff of each ordinal-continuous task; np.nonzero is
-        # row-major, so each task's rows are contiguous and in cutoff order
-        row_of = (levels[:, 1:] == 0) & (np.arange(self.grid_j.shape[1]) < levels[:, :1] - 1)
-        owner, cut = np.nonzero(row_of)
-        lower, upper = self.grid_j[idx[owner], cut + 1], self.grid_j[idx[owner], cut + 2]
-        terms, grads = np.empty(owner.size), np.empty(owner.size)
-        for first in range(0, owner.size, MAX_QUADRATURE_ROWS):
-            s = slice(first, first + MAX_QUADRATURE_ROWS)
-            lo, up, r_s = lower[s], upper[s], r[owner[s]]
-            terms[s] = 4.0 * _phi3_batch(lo, up, 0.0, r_s) - 2.0 * ndtr(lo) * ndtr(up)
-            grads[s] = 4.0 * _phi3_grad(lo, up, 0.0, r_s)
-        value = np.bincount(owner, terms, minlength=idx.size).astype(float)  # int if no rows
-        deriv = np.bincount(owner, grads, minlength=idx.size).astype(float)
-        for p_j, p_k in np.unique(levels[levels[:, 1] > 0], axis=0):
+        value, deriv = np.zeros(idx.size), np.zeros(idx.size)
+        for p_j, p_k in np.unique(levels, axis=0):
             same = np.flatnonzero((levels == (p_j, p_k)).all(axis=1))
-            per = max(1, MAX_QUADRATURE_ROWS // (p_j + 1))
+            rows, kernel = (p_j + 1, self._ordinal_ordinal) if p_k else (p_j - 1, self._ordinal_continuous)
+            per = max(1, MAX_QUADRATURE_ROWS // rows)
             for first in range(0, same.size, per):
-                self._ordinal_ordinal(r, idx, same[first : first + per], p_j, p_k, value, deriv)
+                kernel(r, idx, same[first : first + per], p_j, p_k, value, deriv)
         scale = self.scale[idx]
         return value / scale, deriv / scale
+
+    def _ordinal_continuous(self, r, idx, pos, p, _, value, deriv):
+        grid = self.grid_j[idx[pos], 1 : p + 1]  # D_1, ..., D_{p-1}, +inf
+        phi3, grad = _phi3_grid(grid, 0.0, r[pos])
+        cdf = ndtr(grid)
+        terms = 4.0 * phi3 - 2.0 * cdf[:, :-1] * cdf[:, 1:]
+        # np.bincount adds each task's terms in cutoff order, as for the task alone
+        owner = np.repeat(np.arange(pos.size), p - 1)
+        value[pos] = np.bincount(owner, terms.ravel(), minlength=pos.size)
+        deriv[pos] = np.bincount(owner, 4.0 * grad.ravel(), minlength=pos.size)
 
     def _ordinal_ordinal(self, r, idx, pos, p_j, p_k, value, deriv):
         dj = self.grid_j[idx[pos], : p_j + 1, None]

@@ -102,11 +102,14 @@ def _lasso_column(w, s, lam, b):
     """Exact minimizer of 1/2 b'Wb - s'b + sum_m lam_m |b_m|, warm-started at b.
 
     Coordinates with lam_m = 0 are always active and those with
-    lam_m = inf are never admitted.  Returns (b, converged).
+    lam_m = inf are never admitted.  Returns (b, converged, wb), where wb
+    is W b as the KKT check formed it when b's nonzeros are the active
+    set, else None.
     """
     b = b.copy()
     active = (b != 0) | (lam == 0)
     theta = np.sign(b)
+    admits = ((lam > 0) & (lam < np.inf)).any()  # else the KKT scan admits nothing
     for _ in range(MAX_SWEEPS):
         a = active.nonzero()[0]
         lam_a, theta_a = lam[a], theta[a]
@@ -120,21 +123,23 @@ def _lasso_column(w, s, lam, b):
             if step == 0:
                 # A coordinate admitted at zero moves toward its sign in exact
                 # arithmetic, so its violation was roundoff: b is optimal.
-                return b, True
+                return b, True, None
             b[a] += step * (x - b[a])
             gone = a[crossed[t == step]]
             b[gone] = 0.0
             active[gone] = False
             continue
         b[a] = x
-        grad = w[:, a] @ x - s
-        excess = np.where(active, -np.inf, np.abs(grad) - lam)
-        m = int(np.argmax(excess))
-        if excess[m] <= 0:
-            return b, True
+        wb = w[:, a] @ x
+        if admits:
+            grad = wb - s
+            excess = np.where(active, -np.inf, np.abs(grad) - lam)
+            m = int(np.argmax(excess))
+        if not admits or excess[m] <= 0:
+            return b, True, wb if x.all() else None
         active[m] = True
         theta[m] = -np.sign(grad[m])
-    return b, False
+    return b, False, None
 
 
 def _fit_block(r: np.ndarray, lam: np.ndarray):
@@ -148,10 +153,11 @@ def _fit_block(r: np.ndarray, lam: np.ndarray):
     for sweeps in range(1, MAX_SWEEPS + 1):
         w_old = w.copy()
         for j in range(d):
-            beta[j], ok = _lasso_column(w, r[:, j], lam[:, j], beta[j])
+            beta[j], ok, w12 = _lasso_column(w, r[:, j], lam[:, j], beta[j])
             converged &= ok
-            nz = beta[j].nonzero()[0]
-            w12 = w[:, nz] @ beta[j, nz]
+            if w12 is None:
+                nz = beta[j].nonzero()[0]
+                w12 = w[:, nz] @ beta[j, nz]
             w12[j] = w[j, j]
             w[:, j] = w12
             w[j, :] = w12

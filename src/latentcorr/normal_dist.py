@@ -14,8 +14,13 @@ which is exactly the structure the discretized-variable bridge functions
 need.  It is computed by Plackett's identity: the value at r = 0 plus the
 integral over r of its closed-form derivative, by one fixed 64-node
 Gauss-Legendre rule in log(1 - |r|), with absolute error <= 1e-14 for
-bounds in [-8.5, 8.5] and |r| <= 1 - 1e-6.  Everything in this module is
-pure and reentrant.
+bounds in [-8.5, 8.5] and |r| <= 1 - 1e-6.  One kernel (_phi3_grid)
+evaluates it along each task's grid of bounds D_1 <= ... <= D_m, one row
+(D_l, D_l+1) per cutoff, as the ordinal-continuous bridge sums it: the
+factors that depend only on r are computed once per task, and each bound's
+densities once, though it is the upper bound of one row and the lower bound
+of the next.  trivariate_cdf is one task of one row.  Everything in this
+module is pure and reentrant.
 
 Infinite arguments are accepted everywhere: the bivariate CDF resolves
 them analytically (marginalization identities), and the trivariate
@@ -40,10 +45,10 @@ __all__ = [
 
 _SQRT2 = np.sqrt(2.0)
 
-# Bounds beyond this radius are infinite to double precision (see _phi3_grad).
+# Bounds beyond this radius are infinite to double precision (see _phi3_grid).
 _FAR = 1e3
 
-# Gauss-Legendre rule of the Plackett integral in _phi3_batch, on u in [0, 1].
+# Gauss-Legendre rule of the Plackett integral in _phi3_grid, on u in [0, 1].
 _PHI3_U, _PHI3_W = leggauss(64)
 _PHI3_U, _PHI3_W = 0.5 * (1.0 + _PHI3_U), 0.5 * _PHI3_W
 
@@ -148,76 +153,85 @@ def bivariate_cdf(u, v, rho):
     return float(out[0]) if scalar else out.reshape(u.shape)
 
 
-def _phi3_grad(a, b, c, r):
-    """d/dr of the structured trivariate CDF at (a, b, c), broadcast over rows.
+def _phi3_grid(grid, c, r):
+    """Structured trivariate CDF and its r-derivative along bound grids.
 
-    Plackett's identity on the two r-dependent covariance entries
-    (sigma_13 = rho, sigma_23 = -rho, rho = r/sqrt(2)) gives
+    Task t has latent correlation r[t] in (-1, 1) and the rows
+    (a, b) = (grid[t, l], grid[t, l + 1]), l = 0..m-2, all at the third
+    bound c; returns the (T, m - 1) values Phi3(a, b, c; r[t]) and
+    derivatives dPhi3/dr.  Each value integrates Plackett's identity from
+    the independent case r = 0,
+
+        Phi3(a, b, c; r) = Phi(a) Phi(b) Phi(c) + int_0^r dPhi3/ds ds,
+
+    with one fixed 64-node Gauss-Legendre rule in t, 1 - |s| = exp(t),
+    t in [log(1 - |r|), 0], which flattens the steep end of the integrand
+    as |r| -> 1.  The integrand comes from Plackett's identity on the two
+    s-dependent covariance entries (sigma_13 = rho, sigma_23 = -rho,
+    rho = s/sqrt(2)):
 
         dPhi3/dsigma_13 = phi2(a, c; rho) * Phi(b | U1 = a, W = c),
         dPhi3/dsigma_23 = phi2(b, c; -rho) * Phi(a | U2 = b, W = c),
 
-    and dPhi3/dr is their difference over sqrt(2).  Given two of the
-    coordinates the third is normal with variance (1 - r^2)/(1 - rho^2).
+    and dPhi3/ds is their difference over sqrt(2); given two of the
+    coordinates the third is normal with variance (1 - s^2)/(1 - rho^2).
+    It is evaluated at the nodes and at s = r, which is the derivative.
+    What depends only on s is computed once per task, and each bound's
+    density and conditional mean once, for the bound as the a of one row
+    and as the b of the row before; at c = 0 the two are the same.
+    Absolute error <= 1e-14 for bounds in [-8.5, 8.5] and
+    |r| <= 1 - 1e-6.  An infinite bound needs no special case: a -inf
+    bound or c = +inf leaves an integrand of 0, and a = +inf or b = +inf
+    leaves the derivative of a bivariate CDF.  Every element is computed
+    on its own, so a row's value does not depend on its grid or batch.
     """
-    a, b, c, r = (np.asarray(v, dtype=float) for v in (a, b, c, r))
-    # beyond +-_FAR a bound acts as infinite: the density factors it enters
-    # underflow to 0 and the conditional CDFs it enters round to 0 or 1
-    a, b, c = (np.clip(v, -_FAR, _FAR) for v in (a, b, c))
-    rho = r / _SQRT2
-    q2 = 1.0 - rho * rho
-    inv_q2 = 1.0 / q2
-    inv_sd = np.sqrt(q2 / ((1.0 - r) * (1.0 + r)))
-    rc = rho * c
-    dens_13 = np.exp(-0.5 * (a * a - 2.0 * a * rc + c * c) * inv_q2)
-    dens_23 = np.exp(-0.5 * (b * b + 2.0 * b * rc + c * c) * inv_q2)
-    # conditional means of U2 given (U1, W) = (a, c) and of U1 given (U2, W) = (b, c)
-    cond_2 = ndtr((b - (rho * rho * a - rc) * inv_q2) * inv_sd)
-    cond_1 = ndtr((a - (rho * rho * b + rc) * inv_q2) * inv_sd)
-    norm = np.sqrt(inv_q2) / (2.0 * np.pi * _SQRT2)
-    return norm * (dens_13 * cond_2 - dens_23 * cond_1)
-
-
-def _phi3_batch(a, b, c, r):
-    """Structured trivariate CDF, one row per element of a, b, c, r (broadcast).
-
-    Each row has its own r in (-1, 1) and integrates Plackett's identity
-    from the independent case r = 0,
-
-        Phi3(a, b, c; r) = Phi(a) Phi(b) Phi(c) + int_0^r dPhi3/ds ds,
-
-    with the closed-form integrand of _phi3_grad and one fixed 64-node
-    Gauss-Legendre rule in t, 1 - |s| = exp(t), t in [log(1 - |r|), 0],
-    which flattens the steep end of the integrand as |r| -> 1.  Absolute
-    error <= 1e-14 for bounds in [-8.5, 8.5] and |r| <= 1 - 1e-6.  An
-    infinite bound needs no special case: a -inf bound or c = +inf leaves
-    an integrand of 0, and a = +inf or b = +inf leaves the derivative of a
-    bivariate CDF.  Every row is computed on its own, so its value does
-    not depend on the batch.
-    """
-    a, b, c, r = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, c, r))
-    )
-    a, b, c, r = (v[:, None] for v in (a, b, c, r))
+    grid = np.asarray(grid, dtype=float)
+    r = np.asarray(r, dtype=float)[:, None]
     log_gap = np.log1p(-np.abs(r))
     gap = np.exp(log_gap * _PHI3_U)  # 1 - |s| at the nodes
     weights = -np.sign(r) * log_gap * gap * _PHI3_W  # ds = -sign(r) log(1 - |r|) exp(t) du
-    integral = np.sum(weights * _phi3_grad(a, b, c, np.sign(r) * (1.0 - gap)), axis=1)
-    return np.clip(ndtr(a[:, 0]) * ndtr(b[:, 0]) * ndtr(c[:, 0]) + integral, 0.0, 1.0)
+    # axes (task, bound, s): the nodes, then s = r
+    s = np.concatenate([np.sign(r) * (1.0 - gap), r], axis=1)[:, None, :]
+    # beyond +-_FAR a bound acts as infinite: the density factors it enters
+    # underflow to 0 and the conditional CDFs it enters round to 0 or 1
+    x, w = np.clip(grid, -_FAR, _FAR)[:, :, None], np.clip(float(c), -_FAR, _FAR)
+    rho = s / _SQRT2
+    rho2 = rho * rho
+    q2 = 1.0 - rho2
+    inv_q2 = 1.0 / q2
+    inv_sd = np.sqrt(q2 / ((1.0 - s) * (1.0 + s)))
+    rw = rho * w
+    # phi2 (up to norm) and the conditional mean of the other U given
+    # (U1, W) = (x, c) for a bound x as a, and given (U2, W) = (x, c) as b
+    dens_a = np.exp(-0.5 * (x * x - 2.0 * x * rw + w * w) * inv_q2)
+    mean_a = (rho2 * x - rw) * inv_q2
+    dens_b, mean_b = dens_a, mean_a
+    if w != 0.0:
+        dens_b = np.exp(-0.5 * (x * x + 2.0 * x * rw + w * w) * inv_q2)
+        mean_b = (rho2 * x + rw) * inv_q2
+    cond_b = ndtr((x[:, 1:] - mean_a[:, :-1]) * inv_sd)
+    cond_a = ndtr((x[:, :-1] - mean_b[:, 1:]) * inv_sd)
+    norm = np.sqrt(inv_q2) / (2.0 * np.pi * _SQRT2)
+    slope = norm * (dens_a[:, :-1] * cond_b - dens_b[:, 1:] * cond_a)
+    integral = np.sum(weights[:, None, :] * slope[:, :, :-1], axis=2)
+    cdf = ndtr(grid)
+    value = np.clip(cdf[:, :-1] * cdf[:, 1:] * ndtr(c) + integral, 0.0, 1.0)
+    return value, slope[:, :, -1]
 
 
 def trivariate_cdf(a, b, c, r):
     """CDF of (U1, U2, (V1-V2)/sqrt(2)) at (a, b, c) for latent correlation r.
 
     r must lie in (-1, 1) so the implied covariance is positive definite.
-    Computed by Plackett's identity with a fixed rule (see _phi3_batch);
-    absolute error <= 1e-14 for |r| <= 1 - 1e-6.
+    Computed by Plackett's identity with a fixed rule (see _phi3_grid, of
+    which this is one task of one row); absolute error <= 1e-14 for
+    |r| <= 1 - 1e-6.
     """
     if not -1.0 < r < 1.0:
         raise ValueError(f"latent correlation must be in (-1, 1), got {r}")
-    return float(_phi3_batch(np.float64(a), np.float64(b), np.float64(c), float(r))[0])
+    return float(_phi3_grid([[a, b]], c, [r])[0][0, 0])
 
 
 def trivariate_cdf_grad(a, b, r):
     """Scalar d/dr of trivariate_cdf(a, b, 0, r)."""
-    return float(_phi3_grad(np.float64(a), np.float64(b), 0.0, float(r)))
+    return float(_phi3_grid([[a, b]], 0.0, [r])[1][0, 0])

@@ -11,7 +11,7 @@ reproducible and order-independent.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,11 +49,13 @@ class CopulaSpec:
     """Sampling recipe: latent correlation plus per-column discretization.
 
     cutoffs[j] is None for a continuous column, else the nondecreasing latent
-    thresholds producing codes 0..p-1.
+    thresholds producing codes 0..p-1.  chol is sigma's Cholesky factor,
+    computed once for every sample drawn from the spec.
     """
 
     sigma: np.ndarray
     cutoffs: tuple = ()
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
@@ -65,12 +67,13 @@ class CopulaSpec:
         if np.linalg.eigvalsh(sigma)[0] <= 0:
             raise ValueError("sigma must be positive definite")
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "chol", np.linalg.cholesky(sigma))
         cuts = self.cutoffs or (None,) * d
         if len(cuts) != d:
             raise ValueError(f"{len(cuts)} cutoff entries for {d} columns")
         cuts = tuple(None if c is None else np.asarray(c, dtype=float) for c in cuts)
         for j, c in enumerate(cuts):
-            if c is not None and (c.size == 0 or np.any(np.isnan(c)) or np.any(np.diff(c) < 0)):
+            if c is not None and (c.size == 0 or np.any(np.isnan(c)) or np.any(c[1:] < c[:-1])):
                 raise ValueError(
                     f"column x{j}: cutoffs must be one or more nondecreasing, non-NaN values, "
                     f"got {c.tolist()}"
@@ -106,13 +109,13 @@ def sample_copula(spec: CopulaSpec, n: int, seed) -> np.ndarray:
     if n < 1:
         raise ValueError("need n >= 1")
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    z = _sample_latent(spec.sigma, n, _rng(seq))
+    z = _sample_latent(spec.chol, n, _rng(seq))
     return _discretize(z, spec.cutoffs)
 
 
-def _sample_latent(sigma: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    chol = np.linalg.cholesky(sigma)
-    return rng.standard_normal((n, sigma.shape[0])) @ chol.T
+def _sample_latent(chol: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n latent rows N(0, chol chol')."""
+    return rng.standard_normal((n, chol.shape[0])) @ chol.T
 
 
 def _discretize(z: np.ndarray, cutoffs) -> np.ndarray:
@@ -192,11 +195,11 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=Fal
     sq_err = {p: np.zeros(r_grid.size) for p in p_values}
     sq_err_base = np.zeros(r_grid.size)
     for i, r in enumerate(r_grid):
-        sigma = np.array([[1.0, r], [r, 1.0]])
+        chol = np.linalg.cholesky(np.array([[1.0, r], [r, 1.0]]))
         groups = {}  # replicates by pair list: {varied columns: {rep: sample}}
         varied = []
         for rep in range(reps):
-            z = _sample_latent(sigma, n, _rng(children[i * reps + rep]))
+            z = _sample_latent(chol, n, _rng(children[i * reps + rep]))
             if collapse:
                 codes16 = np.digitize(z[:, 0], base_cuts).astype(float)
                 codes = [np.minimum(codes16, p - 1) for p in p_values]
@@ -295,9 +298,9 @@ def mc_population_tau_a(r, cutoffs_j=None, cutoffs_k=None, n_draws=10**6, seed=0
     observation pairs.  Returns (estimate, standard_error)."""
     seq = np.random.SeedSequence(seed)
     rng = _rng(seq)
-    sigma = np.array([[1.0, r], [r, 1.0]])
-    z1 = _sample_latent(sigma, n_draws, rng)
-    z2 = _sample_latent(sigma, n_draws, rng)
+    chol = np.linalg.cholesky(np.array([[1.0, r], [r, 1.0]]))
+    z1 = _sample_latent(chol, n_draws, rng)
+    z2 = _sample_latent(chol, n_draws, rng)
     x1 = _discretize(z1, (cutoffs_j, cutoffs_k))
     x2 = _discretize(z2, (cutoffs_j, cutoffs_k))
     signs = np.sign(x1[:, 0] - x2[:, 0]) * np.sign(x1[:, 1] - x2[:, 1])
@@ -314,9 +317,9 @@ def mc_tau_b_replicates(r, cutoffs_j, cutoffs_k=None, n=84, reps=10**4, seed=0):
         raise ValueError(f"need n >= 2, got {n}")
     root = np.random.SeedSequence(seed)
     children = root.spawn(reps)
-    sigma = np.array([[1.0, r], [r, 1.0]])
+    chol = np.linalg.cholesky(np.array([[1.0, r], [r, 1.0]]))
     # one stacked count; a constant side gives a NaN tau_b
-    x = np.stack([_discretize(_sample_latent(sigma, n, _rng(c)), (cutoffs_j, cutoffs_k))
+    x = np.stack([_discretize(_sample_latent(chol, n, _rng(c)), (cutoffs_j, cutoffs_k))
                   for c in children])
     vals = kendall.tau_b(x[:, :, :1], x[:, :, 1:]).tau_b.ravel()
     vals = vals[~np.isnan(vals)]

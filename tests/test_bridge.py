@@ -378,6 +378,16 @@ def test_nan_cutoffs_are_rejected_when_the_task_is_built():
     assert task.cutoffs_j[0] == -np.inf
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coincident_infinite_cutoffs_are_checked_without_a_warning():
+    # two empty lowest levels: the bridge is the binary one at cutoff 0
+    four = bridge.invert_bridge(0.1, BridgeKind(4, None), [-np.inf, -np.inf, 0.0])
+    assert four == bridge.invert_bridge(0.1, BridgeKind(2, None), [0.0])
+    bridge.InversionTask(0.1, BridgeKind(None, 3), None, np.array([np.inf, np.inf]))
+    with pytest.raises(ValueError, match="nondecreasing"):
+        bridge.InversionTask(0.1, BridgeKind(3, None), np.array([np.inf, -np.inf]))
+
+
 def test_tau_b_requires_binary_side():
     kind = BridgeKind(3, 3)
     cuts = np.array([-0.5, 0.5])
@@ -485,8 +495,8 @@ def scalar_newton(task):
 
 @pytest.mark.parametrize("max_rows", [bridge.MAX_QUADRATURE_ROWS, 7])
 def test_batched_inversion_matches_each_task_alone(max_rows, monkeypatch):
-    """A cap of 7 rows also splits one pair's cutoff rows across calls,
-    which the per-pair sum must survive: every result is the task's alone."""
+    """A cap of 7 rows makes calls of one pair for p > 8 and of a few pairs
+    below: every result is the task's alone."""
     monkeypatch.setattr(bridge, "MAX_QUADRATURE_ROWS", max_rows)
     tasks = mixed_batch()
     together = bridge.invert_bridges(tasks)

@@ -125,10 +125,10 @@ def test_column_solver_recovers_from_wrong_signs():
     w = a @ a.T / 40
     s = rng.standard_normal(12)
     lam = np.full(12, 0.3)
-    cold, ok = glasso._lasso_column(w, s, lam, np.zeros(12))
+    cold, ok, _ = glasso._lasso_column(w, s, lam, np.zeros(12))
     assert ok and lasso_kkt_excess(w, s, lam, cold) < 1e-12
     assert 0 < np.count_nonzero(cold) < 12
-    warm, ok = glasso._lasso_column(w, s, lam, -np.sign(cold) - 0.5 * (cold == 0))
+    warm, ok, _ = glasso._lasso_column(w, s, lam, -np.sign(cold) - 0.5 * (cold == 0))
     assert ok and lasso_kkt_excess(w, s, lam, warm) < 1e-12
     assert np.abs(warm - cold).max() < 1e-12
 

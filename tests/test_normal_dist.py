@@ -4,10 +4,12 @@ scipy's multivariate integrator, and closed-form special values."""
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
+from latentcorr import bridge
 from latentcorr import normal_dist as nd
-from latentcorr.bridge import CLAMP
+from latentcorr.bridge import CLAMP, MAX_QUADRATURE_ROWS, BridgeKind
 
 # ---------------------------------------------------------------------------
 # Oracles (independent computation routes, defined before any use)
@@ -33,6 +35,38 @@ def trivariate_cdf_by_scipy(a, b, c, r):
         np.array([a, b, c]), mean=np.zeros(3), cov=cov,
         maxpts=2_000_000, abseps=1e-7, releps=0.0,
     )
+
+
+def phi3_grad_by_rows(a, b, c, r):
+    """The per-row form of d/dr of the structured trivariate CDF: every row
+    recomputes its r-only factors and both of its densities.  The oracle
+    of nd._phi3_grid, which must equal it bit for bit."""
+    a, b, c, r = (np.asarray(v, dtype=float) for v in (a, b, c, r))
+    a, b, c = (np.clip(v, -nd._FAR, nd._FAR) for v in (a, b, c))
+    rho = r / nd._SQRT2
+    q2 = 1.0 - rho * rho
+    inv_q2 = 1.0 / q2
+    inv_sd = np.sqrt(q2 / ((1.0 - r) * (1.0 + r)))
+    rc = rho * c
+    dens_13 = np.exp(-0.5 * (a * a - 2.0 * a * rc + c * c) * inv_q2)
+    dens_23 = np.exp(-0.5 * (b * b + 2.0 * b * rc + c * c) * inv_q2)
+    cond_2 = ndtr((b - (rho * rho * a - rc) * inv_q2) * inv_sd)
+    cond_1 = ndtr((a - (rho * rho * b + rc) * inv_q2) * inv_sd)
+    norm = np.sqrt(inv_q2) / (2.0 * np.pi * nd._SQRT2)
+    return norm * (dens_13 * cond_2 - dens_23 * cond_1)
+
+
+def phi3_by_rows(a, b, c, r):
+    """The per-row form of the structured trivariate CDF, one row per element."""
+    a, b, c, r = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, c, r))
+    )
+    a, b, c, r = (v[:, None] for v in (a, b, c, r))
+    log_gap = np.log1p(-np.abs(r))
+    gap = np.exp(log_gap * nd._PHI3_U)
+    weights = -np.sign(r) * log_gap * gap * nd._PHI3_W
+    integral = np.sum(weights * phi3_grad_by_rows(a, b, c, np.sign(r) * (1.0 - gap)), axis=1)
+    return np.clip(ndtr(a[:, 0]) * ndtr(b[:, 0]) * ndtr(c[:, 0]) + integral, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +219,15 @@ def test_trivariate_cdf_at_zero_c_matches_a_dense_rule(monkeypatch):
     a, b = np.concatenate([a, base, close]), np.concatenate([b, close, base])
     edge = 1.0 - CLAMP
     rs = [1e-8, 0.01, 0.3, 0.6, 0.9, 0.99, 0.999, 0.99999, edge]
-    got = {r: nd._phi3_batch(a, b, 0.0, r) for r in rs + [-r for r in rs]}
+    def phi3(a, b, r):  # one task of one row per (a, b)
+        return nd._phi3_grid(np.column_stack([a, b]), 0.0, np.full(a.size, r))[0][:, 0]
+
+    got = {r: phi3(a, b, r) for r in rs + [-r for r in rs]}
     u, w = np.polynomial.legendre.leggauss(512)
     monkeypatch.setattr(nd, "_PHI3_U", 0.5 * (1.0 + u))
     monkeypatch.setattr(nd, "_PHI3_W", 0.5 * w)
     for r, value in got.items():
-        want = np.concatenate([nd._phi3_batch(a[i : i + 256], b[i : i + 256], 0.0, r)
+        want = np.concatenate([phi3(a[i : i + 256], b[i : i + 256], r)
                                for i in range(0, a.size, 256)])
         assert np.abs(value - want).max() <= 1e-12, r
 
@@ -248,17 +285,95 @@ def test_trivariate_gradient_matches_finite_differences():
         assert grad == pytest.approx(fd, abs=2e-8)
 
 
-def test_phi3_batch_pair_value_does_not_depend_on_the_batch():
+def test_phi3_grid_value_does_not_depend_on_the_batch():
     # rows of four pairs, each with its own r; two pairs share an r, and
-    # the last pair has an infinite bound
+    # the last pair has an infinite bound.  Each pair's rows run once as
+    # one-row tasks of a batch and once as the pair's own grid.
     a = np.array([-0.8, 0.3, 1.2, -1.5, 0.1, 0.7, 2.0, 0.4])
     b = np.array([0.3, 1.2, np.inf, 0.1, 0.7, 2.0, np.inf, 0.9])
     r = np.array([0.95, 0.95, 0.95, -0.4, -0.4, 0.95, 0.95, 0.2])
     pairs = np.array([0, 0, 0, 1, 1, 2, 2, 3])
-    together = nd._phi3_batch(a, b, 0.0, r)
+    together, grad = (v[:, 0] for v in nd._phi3_grid(np.column_stack([a, b]), 0.0, r))
     for pair in range(4):
         rows = pairs == pair
-        alone = nd._phi3_batch(a[rows], b[rows], 0.0, r[rows])
+        alone = nd._phi3_grid([np.append(a[rows], b[rows][-1])], 0.0, r[rows][:1])[0][0]
         assert np.array_equal(together[rows], alone)
-    grad = nd._phi3_grad(a, b, 0.0, r)
     assert np.array_equal(grad, [nd.trivariate_cdf_grad(x, y, s) for x, y, s in zip(a, b, r)])
+
+
+def edge_grids(p, count, rng):
+    """count grids D_1 <= ... <= D_{p-1}, +inf with blocks of -inf, +inf,
+    coincident and signed-zero cutoffs."""
+    grids = np.sort(rng.normal(0.0, 1.5, (count, p - 1)), axis=1)
+    for row, kind in zip(grids, rng.integers(0, 6, count)):
+        k = rng.integers(0, p - 1)
+        if kind == 1:
+            row[: k + 1] = -np.inf
+        elif kind == 2:
+            row[k:] = np.inf
+        elif kind == 3:
+            row[k:] = row[k]  # coincident cutoffs
+        elif kind == 4:
+            row[:] = rng.choice([0.0, -0.0], p - 1)
+    return np.column_stack([grids, np.full(count, np.inf)])
+
+
+EDGE_R = (1.0 - CLAMP, -1.0 + CLAMP, 0.0, -0.0, 1e-13, -1e-13)
+
+
+@pytest.mark.parametrize("p", [2, 3, 16])
+def test_phi3_grid_equals_the_row_rule_bit_for_bit(p):
+    rng = np.random.default_rng(p)
+    grid = edge_grids(p, 240, rng)
+    r = np.where(np.arange(240) < 120, np.resize(EDGE_R, 240), rng.uniform(-0.999, 0.999, 240))
+    for c in (0.0, -0.0, 0.7, -np.inf, np.inf):
+        value, grad = nd._phi3_grid(grid, c, r)
+        a, b, rows_r = grid[:, :-1].ravel(), grid[:, 1:].ravel(), np.repeat(r, p - 1)
+        assert np.array_equal(value.ravel(), phi3_by_rows(a, b, c, rows_r)), c
+        assert np.array_equal(grad.ravel(), phi3_grad_by_rows(a, b, c, rows_r)), c
+        # each task alone, and the scalar functions as one task of one row
+        for t in rng.choice(240, 12, replace=False):
+            alone = nd._phi3_grid(grid[t : t + 1], c, r[t : t + 1])
+            assert np.array_equal(alone[0][0], value[t]) and np.array_equal(alone[1][0], grad[t])
+            assert nd.trivariate_cdf(grid[t, 0], grid[t, 1], c, r[t]) == value[t, 0]
+            if c == 0.0:
+                assert nd.trivariate_cdf_grad(grid[t, 0], grid[t, 1], r[t]) == grad[t, 0]
+
+
+@pytest.mark.parametrize("max_rows", [MAX_QUADRATURE_ROWS, 7])
+def test_ordinal_continuous_bridges_equal_the_row_rule_in_any_batch(max_rows, monkeypatch):
+    """_Bridges sums 4 Phi3(D_l, D_l+1, 0) - 2 Phi(D_l) Phi(D_l+1) over each
+    task's grid; every value and derivative equals the row rule's, summed
+    by np.bincount in cutoff order, in a mixed batch, per level count and
+    alone.  A cap of 7 rows puts one task per call for p > 8."""
+    monkeypatch.setattr(bridge, "MAX_QUADRATURE_ROWS", max_rows)
+    rng = np.random.default_rng(5)
+    tasks, r = [], []
+    for p in range(2, 17):
+        for k, grid in enumerate(edge_grids(p, 12, rng)):
+            kind, cuts = BridgeKind(p, None), (grid[:-1], None)
+            if k % 2:
+                kind, cuts = BridgeKind(None, p), cuts[::-1]
+            tasks.append(bridge.InversionTask(0.0, kind, *cuts))
+            r.append(EDGE_R[k] if k < len(EDGE_R) else rng.uniform(-0.999, 0.999))
+    tasks.append(bridge.InversionTask(0.0, BridgeKind(3, 4), np.array([-0.5, 0.5]), np.array([-1.0, 0.0, 1.0])))
+    r = np.array(r + [0.4])
+    want = []
+    for task, r_t in zip(tasks[:-1], r):
+        grid = np.append(task.cutoffs_j if task.cutoffs_k is None else task.cutoffs_k, np.inf)
+        a, b = grid[:-1], grid[1:]
+        terms = 4.0 * phi3_by_rows(a, b, 0.0, r_t) - 2.0 * ndtr(a) * ndtr(b)
+        grads = 4.0 * phi3_grad_by_rows(a, b, 0.0, np.full(a.size, r_t))
+        owner = np.zeros(a.size, dtype=int)
+        want.append((np.bincount(owner, terms)[0], np.bincount(owner, grads)[0]))
+    want = np.array(want).T
+    batch = bridge._Bridges(tasks)
+    together = np.array(batch.evaluate(r, np.arange(r.size)))
+    assert np.array_equal(together[:, :-1], want)
+    levels = batch.levels[:-1].sum(axis=1)
+    for p in range(2, 17):
+        same = np.flatnonzero(levels == p)
+        assert np.array_equal(np.array(batch.evaluate(r[same], same)), want[:, same])
+    for t, task in enumerate(tasks[:-1]):
+        alone = np.array(bridge._Bridges([task]).evaluate(r[t : t + 1], np.array([0])))
+        assert np.array_equal(alone[:, 0], want[:, t])

@@ -63,6 +63,16 @@ def test_copula_spec_validation():
     for cuts in ([1.0, -1.0], [np.nan], []):
         with pytest.raises(ValueError, match="column x1: cutoffs must be one or more"):
             CopulaSpec(np.eye(2), (None, cuts))
+    for cuts in ([np.inf, -np.inf], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match="column x1: cutoffs must be one or more"):
+            CopulaSpec(np.eye(2), (None, cuts))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_copula_spec_takes_coincident_infinite_cutoffs_without_a_warning():
+    spec = CopulaSpec(np.eye(2), ([-np.inf, -np.inf, 0.0], [np.inf, np.inf]))
+    x = simulate.sample_copula(spec, 50, 4)
+    assert set(np.unique(x[:, 0])) <= {2.0, 3.0} and np.all(x[:, 1] == 0.0)
 
 
 # ---------------------------------------------------------------------------
