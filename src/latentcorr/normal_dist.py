@@ -187,28 +187,32 @@ def _phi3_grid(grid, c, r):
     """
     grid = np.asarray(grid, dtype=float)
     r = np.asarray(r, dtype=float)[:, None]
+    sign = np.sign(r)
     log_gap = np.log1p(-np.abs(r))
     gap = np.exp(log_gap * _PHI3_U)  # 1 - |s| at the nodes
-    weights = -np.sign(r) * log_gap * gap * _PHI3_W  # ds = -sign(r) log(1 - |r|) exp(t) du
+    weights = -sign * log_gap * gap * _PHI3_W  # ds = -sign(r) log(1 - |r|) exp(t) du
     # axes (task, bound, s): the nodes, then s = r
-    s = np.concatenate([np.sign(r) * (1.0 - gap), r], axis=1)[:, None, :]
+    s = np.concatenate([sign * (1.0 - gap), r], axis=1)[:, None, :]
     # beyond +-_FAR a bound acts as infinite: the density factors it enters
     # underflow to 0 and the conditional CDFs it enters round to 0 or 1
-    x, w = np.clip(grid, -_FAR, _FAR)[:, :, None], np.clip(float(c), -_FAR, _FAR)
+    x, w = np.clip(grid, -_FAR, _FAR)[:, :, None], min(max(float(c), -_FAR), _FAR)
     rho = s / _SQRT2
     rho2 = rho * rho
     q2 = 1.0 - rho2
     inv_q2 = 1.0 / q2
     inv_sd = np.sqrt(q2 / ((1.0 - s) * (1.0 + s)))
-    rw = rho * w
     # phi2 (up to norm) and the conditional mean of the other U given
     # (U1, W) = (x, c) for a bound x as a, and given (U2, W) = (x, c) as b
-    dens_a = np.exp(-0.5 * (x * x - 2.0 * x * rw + w * w) * inv_q2)
-    mean_a = (rho2 * x - rw) * inv_q2
-    dens_b, mean_b = dens_a, mean_a
-    if w != 0.0:
+    if w == 0.0:
+        # x*x -+ 2x*rho*c + c*c is x*x exactly, and the a and b forms agree
+        # (a zero mean may differ in sign, which the ndtr below cannot see)
+        dens_a = dens_b = np.exp(-0.5 * (x * x) * inv_q2)
+        mean_a = mean_b = rho2 * x * inv_q2
+    else:
+        rw = rho * w
+        dens_a = np.exp(-0.5 * (x * x - 2.0 * x * rw + w * w) * inv_q2)
         dens_b = np.exp(-0.5 * (x * x + 2.0 * x * rw + w * w) * inv_q2)
-        mean_b = (rho2 * x + rw) * inv_q2
+        mean_a, mean_b = (rho2 * x - rw) * inv_q2, (rho2 * x + rw) * inv_q2
     cond_b = ndtr((x[:, 1:] - mean_a[:, :-1]) * inv_sd)
     cond_a = ndtr((x[:, :-1] - mean_b[:, 1:]) * inv_sd)
     norm = np.sqrt(inv_q2) / (2.0 * np.pi * _SQRT2)
@@ -227,11 +231,15 @@ def trivariate_cdf(a, b, c, r):
     which this is one task of one row); absolute error <= 1e-14 for
     |r| <= 1 - 1e-6.
     """
-    if not -1.0 < r < 1.0:
-        raise ValueError(f"latent correlation must be in (-1, 1), got {r}")
-    return float(_phi3_grid([[a, b]], c, [r])[0][0, 0])
+    return float(_phi3_grid([[a, b]], c, [_check_r(r)])[0][0, 0])
 
 
 def trivariate_cdf_grad(a, b, r):
-    """Scalar d/dr of trivariate_cdf(a, b, 0, r)."""
-    return float(_phi3_grid([[a, b]], 0.0, [r])[1][0, 0])
+    """Scalar d/dr of trivariate_cdf(a, b, 0, r), r in (-1, 1)."""
+    return float(_phi3_grid([[a, b]], 0.0, [_check_r(r)])[1][0, 0])
+
+
+def _check_r(r):
+    if not -1.0 < r < 1.0:
+        raise ValueError(f"latent correlation must be in (-1, 1), got {r}")
+    return r

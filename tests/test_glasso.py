@@ -133,6 +133,36 @@ def test_column_solver_recovers_from_wrong_signs():
     assert np.abs(warm - cold).max() < 1e-12
 
 
+def test_column_solver_returns_w_b_as_the_nonzeros_give_it():
+    # the W column the solver hands back is W b over b's nonzeros, bit for
+    # bit, for penalized columns and for refit columns (0 on the support,
+    # inf off it), cold and warm, or None.  In every fourth trial two
+    # always-active coordinates are uncoupled with s = 0, so they solve to
+    # exact zeros, and W b over the active set would sum in other order.
+    rng = np.random.default_rng(14)
+    returned = 0
+    for trial in range(80):
+        a = rng.standard_normal((40, 80))
+        w = a @ a.T / 80
+        s = rng.standard_normal(40)
+        lam = np.full(40, rng.uniform(0.05, 0.6))
+        if trial % 3 == 0:
+            lam = np.where(rng.random(40) < 0.4, 0.0, np.inf)
+        if trial % 4 == 0:
+            zero = rng.choice(40, 2, replace=False)
+            w[zero, :] = w[:, zero] = 0.0
+            w[zero, zero] = 1.0
+            s[zero], lam[zero] = 0.0, 0.0
+        start = np.zeros(40) if trial % 2 else rng.standard_normal(40) * (lam < np.inf)
+        b, ok, wb = glasso._lasso_column(w, s, lam, start)
+        assert ok and lasso_kkt_excess(w, s, lam, b) < 1e-10
+        if wb is not None:
+            nz = b.nonzero()[0]
+            assert np.array_equal(wb, w[:, nz] @ b[nz])
+            returned += 1
+    assert returned > 40
+
+
 def test_block_diagonal_input_fits_each_block_alone():
     rng = np.random.default_rng(13)
     blocks = [[0, 2, 4, 6], [1, 3, 5], [7]]

@@ -270,6 +270,9 @@ def test_trivariate_cdf_rejects_degenerate_r():
         nd.trivariate_cdf(0.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         nd.trivariate_cdf(0.0, 0.0, 0.0, -1.0)
+    for r in (1.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="must be in"):
+            nd.trivariate_cdf_grad(0.0, 0.0, r)
 
 
 def test_trivariate_gradient_matches_finite_differences():
