@@ -14,13 +14,10 @@ which is exactly the structure the discretized-variable bridge functions
 need.  It is computed by Plackett's identity: the value at r = 0 plus the
 integral over r of its closed-form derivative, by one fixed 64-node
 Gauss-Legendre rule in log(1 - |r|), with absolute error <= 1e-14 for
-bounds in [-8.5, 8.5] and |r| <= 1 - 1e-6.  One kernel (_phi3_grid)
-evaluates it along each task's grid of bounds D_1 <= ... <= D_m, one row
-(D_l, D_l+1) per cutoff, as the ordinal-continuous bridge sums it: the
-factors that depend only on r are computed once per task, and each bound's
-densities once, though it is the upper bound of one row and the lower bound
-of the next.  trivariate_cdf is one task of one row.  Everything in this
-module is pure and reentrant.
+bounds in [-8.5, 8.5] and |r| <= 1 - 1e-6.  One kernel (_phi3_grid) runs
+it on each task's grid of bounds, one row (D_l, D_l+1) per cutoff, with the
+r-only factors once per task and each bound's density once.  trivariate_cdf
+is one task of one row.  Everything in this module is pure and reentrant.
 
 Infinite arguments are accepted everywhere: the bivariate CDF resolves
 them analytically (marginalization identities), and the trivariate
@@ -179,11 +176,11 @@ def _phi3_grid(grid, c, r):
     What depends only on s is computed once per task, and each bound's
     density and conditional mean once, for the bound as the a of one row
     and as the b of the row before; at c = 0 the two are the same.
-    Absolute error <= 1e-14 for bounds in [-8.5, 8.5] and
-    |r| <= 1 - 1e-6.  An infinite bound needs no special case: a -inf
-    bound or c = +inf leaves an integrand of 0, and a = +inf or b = +inf
-    leaves the derivative of a bivariate CDF.  Every element is computed
-    on its own, so a row's value does not depend on its grid or batch.
+    Absolute error <= 1e-14 for bounds in [-8.5, 8.5] and |r| <= 1 - 1e-6.
+    An infinite bound needs no special case: a -inf bound or c = +inf
+    leaves an integrand of 0, and a = +inf or b = +inf leaves the
+    derivative of a bivariate CDF.  Every element is computed on its own,
+    so a row's value does not depend on its grid or batch.
     """
     grid = np.asarray(grid, dtype=float)
     r = np.asarray(r, dtype=float)[:, None]
@@ -231,15 +228,13 @@ def trivariate_cdf(a, b, c, r):
     which this is one task of one row); absolute error <= 1e-14 for
     |r| <= 1 - 1e-6.
     """
-    return float(_phi3_grid([[a, b]], c, [_check_r(r)])[0][0, 0])
+    if not -1.0 < r < 1.0:
+        raise ValueError(f"latent correlation must be in (-1, 1), got {r}")
+    return float(_phi3_grid([[a, b]], c, [r])[0][0, 0])
 
 
 def trivariate_cdf_grad(a, b, r):
     """Scalar d/dr of trivariate_cdf(a, b, 0, r), r in (-1, 1)."""
-    return float(_phi3_grid([[a, b]], 0.0, [_check_r(r)])[1][0, 0])
-
-
-def _check_r(r):
     if not -1.0 < r < 1.0:
         raise ValueError(f"latent correlation must be in (-1, 1), got {r}")
-    return r
+    return float(_phi3_grid([[a, b]], 0.0, [r])[1][0, 0])

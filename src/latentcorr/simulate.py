@@ -114,7 +114,6 @@ def sample_copula(spec: CopulaSpec, n: int, seed) -> np.ndarray:
 
 
 def _sample_latent(chol: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n latent rows N(0, chol chol')."""
     return rng.standard_normal((n, chol.shape[0])) @ chol.T
 
 
