@@ -219,6 +219,7 @@ def test_trivariate_cdf_at_zero_c_matches_a_dense_rule(monkeypatch):
     a, b = np.concatenate([a, base, close]), np.concatenate([b, close, base])
     edge = 1.0 - CLAMP
     rs = [1e-8, 0.01, 0.3, 0.6, 0.9, 0.99, 0.999, 0.99999, edge]
+
     def phi3(a, b, r):  # one task of one row per (a, b)
         return nd._phi3_grid(np.column_stack([a, b]), 0.0, np.full(a.size, r))[0][:, 0]
 
