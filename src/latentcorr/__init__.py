@@ -15,7 +15,6 @@ from .bridge import (
     DegenerateBridgeError,
     InversionResult,
     InversionTask,
-    UnsupportedPairError,
     bridge_forward,
     bridge_forward_tau_b,
     estimate_cutoffs,
@@ -67,7 +66,6 @@ __all__ = [
     "LatentCorrelationMatrix",
     "PrecisionEstimate",
     "TauStatistics",
-    "UnsupportedPairError",
     "bridge_forward",
     "bridge_forward_tau_b",
     "concentration_check",

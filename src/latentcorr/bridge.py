@@ -29,8 +29,10 @@ bracket end F(+-(1 - CLAMP)) is evaluated only for a pair whose iterates
 have not shown it below or above tau, once the pair converges, bisects
 toward that end or runs out of steps.
 
-Tau-b variants (first-order Taylor bridges) exist only for binary-binary
-and binary-continuous pairs; a second-order Taylor refinement of the
+The tau-b bridge of every kind is the first-order Taylor bridge
+F(r) / sqrt(u_j * u_k), where u = 1 - sum_a pi_a^2 is the probability that
+two observations of a p-level side are untied and u = 1 for a continuous
+side (Kendall 1945); a second-order Taylor refinement of the
 binary-continuous expectation is provided for small n.
 """
 
@@ -54,7 +56,6 @@ __all__ = [
     "BridgeKind",
     "BridgeEval",
     "InversionResult",
-    "UnsupportedPairError",
     "DegenerateBridgeError",
     "estimate_cutoffs",
     "bridge_forward",
@@ -85,12 +86,8 @@ SECOND_ORDER_MAX_PAIRS = 10_000
 _SQRT2 = math.sqrt(2.0)
 
 
-class UnsupportedPairError(ValueError):
-    """No tau-b bridge exists for this pair of variable kinds."""
-
-
 class DegenerateBridgeError(ValueError):
-    """A cutoff at +-inf makes the requested bridge degenerate."""
+    """One level of an ordinal side holds all the mass: its tau-b denominator is 0."""
 
 
 @dataclass(frozen=True)
@@ -108,11 +105,6 @@ class BridgeKind:
     @property
     def is_continuous_pair(self) -> bool:
         return self.levels_j is None and self.levels_k is None
-
-    @property
-    def has_tau_b(self) -> bool:
-        """Binary-binary or binary-continuous: the pairs with a tau-b bridge."""
-        return not self.is_continuous_pair and {self.levels_j, self.levels_k} <= {None, 2}
 
     @property
     def tag(self) -> str:
@@ -183,27 +175,22 @@ def bridge_forward(r: float, kind: BridgeKind, cutoffs_j=None, cutoffs_k=None) -
     return _forward_one(r, kind, cutoffs_j, cutoffs_k, "a")
 
 
-def _tau_b_denominator(kind: BridgeKind, cj, ck) -> float:
-    """sqrt of the tie-probability product for the tau-b bridges."""
-    if not kind.has_tau_b:
-        raise UnsupportedPairError(
-            "tau-b bridges are defined only for binary-binary and "
-            f"binary-continuous pairs, got {kind.tag}"
-        )
-    terms = []
+def _tau_b_denominator(cj, ck) -> float:
+    """sqrt(u_j * u_k): u = 2 * sum_a pi_a * (1 - F_a) for an ordinal side
+    with level masses pi_a and cumulative masses F_a, 1 for a continuous side."""
+    product = 1.0
     for cuts in (cj, ck):
-        if cuts is None:
-            continue
-        phi = std_cdf(cuts[0])
-        untied = 2.0 * phi * (1.0 - phi)
-        if untied <= 0.0:
-            raise DegenerateBridgeError("binary cutoff at +-inf; tau_b bridge degenerate")
-        terms.append(untied)
-    return math.sqrt(math.prod(terms))
+        if cuts is not None:
+            cdf = std_cdf(cuts)  # F_1..F_{p-1}; the last level's 1 - F_p is 0
+            untied = 2.0 * float(np.sum(np.diff(cdf, prepend=0.0) * (1.0 - cdf)))
+            if untied <= 0.0:
+                raise DegenerateBridgeError("one level holds all the mass; tau_b bridge degenerate")
+            product *= untied
+    return math.sqrt(product)
 
 
 def bridge_forward_tau_b(r: float, kind: BridgeKind, cutoffs_j=None, cutoffs_k=None) -> BridgeEval:
-    """First-order Taylor bridge for population tau-b (binary j required)."""
+    """First-order Taylor bridge for population tau-b: bridge_forward / sqrt(u_j * u_k)."""
     return _forward_one(r, kind, cutoffs_j, cutoffs_k, "b")
 
 
@@ -303,7 +290,7 @@ class InversionTask:
         if not -1.0 <= tau <= 1.0:
             raise ValueError(f"tau must lie in [-1, 1], got {tau}")
         cj, ck = _check_cutoffs(self.kind, self.cutoffs_j, self.cutoffs_k)
-        scale = _tau_b_denominator(self.kind, cj, ck) if self.variant == "b" else 1.0
+        scale = _tau_b_denominator(cj, ck) if self.variant == "b" else 1.0
         for name, value in (("tau", tau), ("cutoffs_j", cj), ("cutoffs_k", ck), ("scale", scale)):
             object.__setattr__(self, name, value)
 
@@ -434,7 +421,7 @@ def invert_bridges(tasks) -> list[InversionResult]:
     results: list[InversionResult | None] = [None] * len(tasks)
     newton = []
     for i, task in enumerate(tasks):
-        if task.kind.is_continuous_pair:  # tau-a only: continuous pairs have no tau-b bridge
+        if task.kind.is_continuous_pair:
             results[i] = _invert_sine(task.tau)
         else:
             newton.append(i)

@@ -252,8 +252,8 @@ def _parse_hbic_cn(raw):
 
 def cmd_graph(args, report):
     names, data, specs, tau, options = _read_inputs(args)
-    raw_path = args.lambda_path or options.get("lambda_path")
-    lam_path = _parse_lambda_path(raw_path) if raw_path else None
+    raw_path = args.lambda_path if args.lambda_path is not None else options.get("lambda_path")
+    lam_path = None if raw_path is None else _parse_lambda_path(raw_path)
     raw_cn = args.hbic_cn if args.hbic_cn is not None else options.get("hbic_cn", "3.0")
     config = glasso.GlassoConfig(lambda_path=lam_path, hbic_cn=_parse_hbic_cn(raw_cn))
     est = _estimate(data, specs, tau)

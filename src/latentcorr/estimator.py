@@ -125,9 +125,10 @@ def estimate_latent_correlation(
     A stack gives a list of one matrix per replicate, each equal to its own
     2-D call, and its errors name the replicate as well as the pair.
 
-    variant 'b' uses the first-order tau-b bridges where they exist
-    (binary-binary, binary-continuous) and falls back to tau-a elsewhere,
-    tagging each entry with what was actually used.
+    variant 'b' inverts the first-order tau-b bridge of every pair at its
+    sample tau-b and tags each entry kind.tag + ":tau_b".  A column of a
+    listed pair with fewer than two distinct observed values in a replicate
+    raises DegenerateColumnError naming the replicate and the column.
 
     pairs lists the column pairs (j, k) to estimate (default: every
     j < k).  Other off-diagonal entries are NaN, tagged "not_estimated",
@@ -149,7 +150,7 @@ def estimate_latent_correlation(
     stack = cols if cols.ndim == 3 else cols[None]  # a view either way
     where = [f"replicate {rep}: " if data.ndim == 3 else "" for rep in range(len(stack))]
     if specs is None:
-        specs = infer_column_specs(stack.reshape(-1, d))
+        specs = infer_column_specs(stack.reshape(stack.shape[0] * stack.shape[1], d))
     if len(specs) != d:
         raise ValueError(f"{len(specs)} specs for {d} columns")
     if pairs is None:
@@ -166,15 +167,22 @@ def estimate_latent_correlation(
     eff_levels = [[0] * d for _ in stack]
     cutoffs = {}  # (replicate, ordinal column) -> cutoffs
     used = sorted({c for pair in pairs for c in pair})
+    # NaN-ignoring extremes: lo > hi for a column with no observed value
+    lo = np.fmin.reduce(stack, axis=1, initial=np.inf)[:, used]
+    hi = np.fmax.reduce(stack, axis=1, initial=-np.inf)[:, used]
+    constant = np.argwhere(lo >= hi)
+    if constant.size:
+        rep, i = constant[0]
+        spec = specs[used[i]]
+        raise kendall.DegenerateColumnError(
+            f"{where[rep]}{'ordinal' if spec.is_ordinal else 'continuous'} column {spec.name!r} "
+            f"has {'no' if lo[rep, i] > hi[rep, i] else 'a single'} observed value"
+        )
     for rep, sample in enumerate(stack):
         for j in used:
             spec = specs[j]
             if spec.is_ordinal:
                 sample[:, j], levels = _recode_ordinal(sample[:, j])
-                if levels < 2:
-                    raise kendall.DegenerateColumnError(
-                        f"{where[rep]}ordinal column {spec.name!r} has a single observed level"
-                    )
                 if levels > spec.levels:
                     raise ValueError(
                         f"{where[rep]}ordinal column {spec.name!r} declares {spec.levels} levels "
@@ -195,35 +203,27 @@ def estimate_latent_correlation(
     right = used if every else sorted({k for _, k in pairs})
     x = cols[..., left]
     y = x if every else cols[..., right]
-    if variant == "b":
-        stats = kendall.tau_b(x, y)
-        taus = {"a": stats.tau_a, "b": stats.tau_b}
-    else:
-        taus = {"a": kendall.tau_a(x, y)}
-    taus = {v: np.reshape(t, (reps, len(left), len(right))) for v, t in taus.items()}
+    taus = kendall.tau_b(x, y).tau_b if variant == "b" else kendall.tau_a(x, y)
+    taus = np.reshape(taus, (reps, len(left), len(right)))
     row, col = {c: i for i, c in enumerate(left)}, {c: i for i, c in enumerate(right)}
 
     tasks, batched = [], []
     for rep, sample in enumerate(stack):
         for j, k in pairs:
             kind = BridgeKind(eff_levels[rep][j] or None, eff_levels[rep][k] or None)
-            use_variant = "b" if variant == "b" and kind.has_tau_b else "a"
-            tag = kind.tag
-            if variant == "b":
-                tag += ":tau_b" if use_variant == "b" else ":tau_a_fallback"
-            method[rep, j, k] = method[rep, k, j] = tag
+            method[rep, j, k] = method[rep, k, j] = kind.tag + (":tau_b" if variant == "b" else "")
             try:
-                tau = float(taus[use_variant][rep, row[j], col[k]])
+                tau = float(taus[rep, row[j], col[k]])
                 if np.isnan(tau):  # fewer than 2 complete rows, or constant under tau-b:
                     # the pair's own count raises the error that says which
-                    (kendall.tau_b if use_variant == "b" else kendall.tau_a)(sample[:, j], sample[:, k])
+                    (kendall.tau_b if variant == "b" else kendall.tau_a)(sample[:, j], sample[:, k])
                 if kind.is_continuous_pair:  # closed form, so nothing to batch
                     res = invert_bridge(tau, kind)
                     values[rep, j, k] = values[rep, k, j] = res.r
                     clamped[rep, j, k] = clamped[rep, k, j] = res.clamped
                 else:
                     cuts = cutoffs.get((rep, j)), cutoffs.get((rep, k))
-                    tasks.append(InversionTask(tau, kind, *cuts, use_variant))
+                    tasks.append(InversionTask(tau, kind, *cuts, variant))
                     batched.append((rep, j, k))
             except ValueError as exc:
                 raise type(exc)(f"{where[rep]}{_pair_label(j, k, specs)}: {exc}") from exc

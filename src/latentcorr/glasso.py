@@ -315,7 +315,9 @@ def select_hbic(
     cn = config.hbic_cn
     if not (np.isfinite(cn) and cn >= 0):
         raise ValueError(f"hbic_cn must be finite and nonnegative, got {cn}")
-    path = config.lambda_path or default_lambda_path(r)
+    path = default_lambda_path(r) if config.lambda_path is None else config.lambda_path
+    if len(path) == 0:
+        raise ValueError("lambda path is empty")
     for lam in path:
         _check_penalty(lam)
     fits = []

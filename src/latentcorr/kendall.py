@@ -44,7 +44,7 @@ GRAM_CHUNK_CELLS = 1 << 16
 
 
 class DegenerateColumnError(ValueError):
-    """A column is constant, so tau_b's tie correction divides by zero."""
+    """A column is constant where it is used: no tau measures it, and tau_b divides by zero."""
 
 
 @dataclass(frozen=True)

@@ -388,11 +388,69 @@ def test_coincident_infinite_cutoffs_are_checked_without_a_warning():
         bridge.InversionTask(0.1, BridgeKind(3, None), np.array([np.inf, -np.inf]))
 
 
-def test_tau_b_requires_binary_side():
+def test_tau_b_bridge_divides_by_the_untied_probabilities():
     kind = BridgeKind(3, 3)
-    cuts = np.array([-0.5, 0.5])
-    with pytest.raises(bridge.UnsupportedPairError):
-        bridge.bridge_forward_tau_b(0.3, kind, cuts, cuts)
+    cj, ck = np.array([-0.5, 0.5]), np.array([-1.0, 0.2])
+    # u = 1 - sum_a pi_a^2: the probability that two observations are untied
+    u_j, u_k = (1.0 - np.sum(np.diff(nd.std_cdf(np.r_[-np.inf, c, np.inf])) ** 2) for c in (cj, ck))
+    for r in (-0.8, -0.3, 0.0, 0.4, 0.9):
+        ev_a = bridge.bridge_forward(r, kind, cj, ck)
+        ev_b = bridge.bridge_forward_tau_b(r, kind, cj, ck)
+        assert ev_b.value == pytest.approx(ev_a.value / math.sqrt(u_j * u_k), rel=1e-12, abs=1e-15)
+        assert ev_b.derivative == pytest.approx(ev_a.derivative / math.sqrt(u_j * u_k), rel=1e-12)
+
+
+@pytest.mark.parametrize("cj, ck", [
+    (np.array([0.4]), None),
+    (np.array([-1.2]), np.array([0.7])),
+    (None, np.array([2.5])),
+])
+def test_binary_tau_b_bridge_divides_by_two_phi_one_minus_phi(cj, ck):
+    kind = BridgeKind(*(None if c is None else 2 for c in (cj, ck)))
+    untied = [2.0 * phi * (1.0 - phi) for phi in (nd.std_cdf(c[0]) for c in (cj, ck) if c is not None)]
+    scale = math.sqrt(math.prod(untied))
+    assert bridge.InversionTask(0.1, kind, cj, ck, "b").scale == scale
+    for r in (-0.7, 0.0, 0.3, 0.9):
+        ev_a = bridge.bridge_forward(r, kind, cj, ck)
+        ev_b = bridge.bridge_forward_tau_b(r, kind, cj, ck)
+        assert (ev_b.value, ev_b.derivative) == (ev_a.value / scale, ev_a.derivative / scale)
+
+
+@pytest.mark.parametrize("cuts", [[np.inf, np.inf], [-np.inf, np.inf], [-np.inf, -np.inf]])
+def test_tau_b_bridge_of_a_side_with_one_level_of_mass_is_degenerate(cuts):
+    cuts = np.array(cuts)
+    with pytest.raises(bridge.DegenerateBridgeError, match="all the mass"):
+        bridge.bridge_forward_tau_b(0.3, BridgeKind(3, None), cuts)
+    with pytest.raises(bridge.DegenerateBridgeError, match="all the mass"):
+        bridge.InversionTask(0.1, BridgeKind(4, 3), np.array([-0.5, 0.0, 0.5]), cuts, "b")
+    bridge.InversionTask(0.1, BridgeKind(3, None), cuts)  # the tau-a bridge is defined
+
+
+@pytest.mark.parametrize("r, cj, ck, seed", [
+    (0.5, np.array([-0.3, 0.8]), None, 1900),
+    (-0.4, simulate.equal_mass_cutoffs(5), simulate.equal_mass_cutoffs(7) + 0.3, 1901),
+    (0.7, simulate.equal_mass_cutoffs(16), None, 1902),
+    (0.6, np.array([-0.6, 0.1]), np.array([-0.9, 0.0, 0.9]), 1903),
+])
+def test_tau_b_bridge_matches_simulation(r, cj, ck, seed):
+    """The first-order tau-b bridge within 3 SE of the mean sample tau-b."""
+    kind = BridgeKind(*(None if c is None else c.size + 1 for c in (cj, ck)))
+    mean, se = simulate.mc_tau_b_replicates(r, cj, ck, n=1000, reps=400, seed=seed)
+    assert abs(bridge.bridge_forward_tau_b(r, kind, cj, ck).value - mean) <= 3.0 * se
+
+
+def test_tau_b_bridge_round_trip_and_monotonicity_for_random_kinds():
+    rng = np.random.default_rng(19)
+    r_grid = np.linspace(-0.99, 0.99, 40)
+    for _ in range(25):
+        levels = [(None, 2, 3, 5, 7, 16)[i] for i in rng.integers(6, size=2)]
+        cj, ck = (None if p is None else np.sort(rng.uniform(-1.5, 1.5, p - 1)) for p in levels)
+        kind = BridgeKind(*levels)
+        values = [bridge.bridge_forward_tau_b(r, kind, cj, ck).value for r in r_grid]
+        assert np.all(np.diff(values) > 0.0), kind
+        for r in (-0.9, -0.5, 0.0, 0.5, 0.9):
+            tau = bridge.bridge_forward_tau_b(r, kind, cj, ck).value
+            assert bridge.invert_bridge(tau, kind, cj, ck, "b").r == pytest.approx(r, abs=1e-7), kind
 
 
 def test_invert_rejects_invalid_tau():
@@ -568,5 +626,3 @@ def test_inversion_task_checks_its_inputs():
         bridge.InversionTask(0.1, BridgeKind(2, None), np.array([0.0]), variant="c")
     with pytest.raises(ValueError, match="nondecreasing"):
         bridge.InversionTask(0.1, BridgeKind(3, None), np.array([0.5, -0.5]))
-    with pytest.raises(bridge.UnsupportedPairError, match="tau-b"):
-        bridge.InversionTask(0.1, BridgeKind(None, None), variant="b")

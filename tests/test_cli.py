@@ -192,7 +192,7 @@ def likert_csv(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "tau, method", [("a", "ordinal5_ordinal5"), ("b", "ordinal5_ordinal5:tau_a_fallback")]
+    "tau, method", [("a", "ordinal5_ordinal5"), ("b", "ordinal5_ordinal5:tau_b")]
 )
 def test_estimate_likert_items_without_manifest(likert_csv, tmp_path, tau, method):
     out = tmp_path / "out"
@@ -201,6 +201,16 @@ def test_estimate_likert_items_without_manifest(likert_csv, tmp_path, tau, metho
     assert row[4] == method
     r12 = float((out / "correlation.tsv").read_text().strip().split("\n")[1].split("\t")[2])
     assert r12 == pytest.approx(0.6, abs=0.06)
+
+
+@pytest.mark.parametrize("tau", ["a", "b"])
+def test_estimate_rejects_a_constant_column(tmp_path, tau):
+    path = tmp_path / "constant.csv"
+    write_csv(path, ["a", "b", "c"], [(1, 2, 7), (2, 1, 7), (3, 5, 7), (4, 4, 7), (5, 5, 7)])
+    out = tmp_path / "out"
+    assert main(["estimate", "--data", str(path), "--tau", tau, "--out-dir", str(out)]) == 2
+    err = json.loads((out / "errors.json").read_text())
+    assert (err["stage"], err["message"]) == ("estimate", "continuous column 'c' has a single observed value")
 
 
 def test_manifest_errors(tmp_path):
@@ -385,6 +395,8 @@ def test_graph_bad_manifest_hbic_cn_is_an_options_error(chain_csv, tmp_path):
         (["--lambda-path", "nan,0.1"], None, "lambda path"),
         (["--lambda-path", "inf"], None, "lambda path"),
         (None, "lambda_path = 0.1,inf", "lambda path"),
+        (["--lambda-path", ""], None, "bad lambda path ''"),
+        (None, "lambda_path =", "bad lambda path ''"),
     ],
 )
 def test_graph_rejects_bad_penalty_options(chain_csv, tmp_path, flag, manifest_line, option):

@@ -92,7 +92,7 @@ def test_method_tags_cover_all_pair_kinds():
     assert est.method[0, 0] == "diag"
 
 
-def test_tau_b_variant_tags_and_fallback():
+def test_tau_b_variant_tags_every_pair():
     rng = np.random.default_rng(3)
     n = 400
     data = np.column_stack(
@@ -104,8 +104,8 @@ def test_tau_b_variant_tags_and_fallback():
     )
     est = estimator.estimate_latent_correlation(data, variant="b")
     assert est.method[0, 2] == "ordinal2_continuous:tau_b"
-    assert est.method[0, 1] == "ordinal2_ordinal3:tau_a_fallback"
-    assert est.method[1, 2] == "ordinal3_continuous:tau_a_fallback"
+    assert est.method[0, 1] == "ordinal2_ordinal3:tau_b"
+    assert est.method[1, 2] == "ordinal3_continuous:tau_b"
 
 
 def test_comonotone_pair_clamps():
@@ -145,8 +145,8 @@ def test_many_level_ordinal_pair_is_estimated():
     assert est.values[0, 1] == pytest.approx(0.5, abs=0.03)
     assert est.method[0, 1] == "ordinal5_ordinal7"
     est_b = estimator.estimate_latent_correlation(data, variant="b")
-    assert est_b.values[0, 1] == est.values[0, 1]
-    assert est_b.method[0, 1] == "ordinal5_ordinal7:tau_a_fallback"
+    assert est_b.values[0, 1] == pytest.approx(0.5, abs=0.03)
+    assert est_b.method[0, 1] == "ordinal5_ordinal7:tau_b"
 
 
 @pytest.mark.parametrize("variant", ["a", "b"])
@@ -166,7 +166,7 @@ def test_tau_counted_once_per_estimate(variant, monkeypatch):
 
         monkeypatch.setattr(kendall, name, counted)
     est = estimator.estimate_latent_correlation(data, variant=variant)
-    assert est.method[0, 1] == "ordinal5_ordinal5" + (":tau_a_fallback" if variant == "b" else "")
+    assert est.method[0, 1] == "ordinal5_ordinal5" + (":tau_b" if variant == "b" else "")
     assert np.isfinite(est.values).all()
     assert calls == [("tau_" + variant, (n, 3), True)]  # one block call, the block passed as x and y
 
@@ -188,7 +188,7 @@ def test_tau_b_error_names_the_first_listed_pair_left_constant():
     n = 100
     u, v = rng.standard_normal((2, n))
     u[50:] = np.nan
-    v[:50] = 1.0  # constant over the rows of (u, v), a tau-a fallback pair: no error
+    v[:50] = 1.0  # constant over the rows of (u, v)
     a = np.tile([0.0, 1.0], n // 2)
     c = rng.standard_normal(n)
     c[a == 1.0] = np.nan  # (a, c) is left with a == 0 only
@@ -197,7 +197,7 @@ def test_tau_b_error_names_the_first_listed_pair_left_constant():
     f[e == 0.0] = np.nan  # (e, f) is left with e == 1 only
     data = np.column_stack([u, v, a, c, e, f])
     specs = [ColumnSpec(name, levels) for name, levels in zip("uvacef", (None, None, 2, None, 2, None))]
-    message = r"^pair \(2, 3\) \['a', 'c'\]: first column is constant"
+    message = r"^pair \(0, 1\) \['u', 'v'\]: second column is constant"
     with pytest.raises(kendall.DegenerateColumnError, match=message):
         estimator.estimate_latent_correlation(data, specs, variant="b")
     assert np.isfinite(estimator.estimate_latent_correlation(data, specs).values).all()
@@ -302,6 +302,28 @@ def test_single_level_ordinal_column_raises():
         estimator.estimate_latent_correlation(
             data, [ColumnSpec("a", 2), ColumnSpec("b", None)]
         )
+
+
+@pytest.mark.parametrize("variant", ["a", "b"])
+def test_a_used_column_needs_two_distinct_observed_values(variant):
+    data = np.array([[1, 2, 7], [2, 1, 7], [3, 5, 7], [4, 4, 7], [5, 5, 7]], dtype=float)
+    with pytest.raises(kendall.DegenerateColumnError, match=r"^continuous column 'x2' has a single observed value$"):
+        estimator.estimate_latent_correlation(data, variant=variant)
+    x, specs = _stack()
+    x[2, :, 3] = np.where(np.arange(x.shape[1]) % 2, np.nan, np.inf)
+    x[1, :, 1] = np.nan
+    with pytest.raises(kendall.DegenerateColumnError, match=r"^replicate 1: continuous column 'b' has no observed value$"):
+        estimator.estimate_latent_correlation(x, specs, variant=variant)
+    with pytest.raises(kendall.DegenerateColumnError, match=r"^replicate 2: continuous column 'd' has a single"):
+        estimator.estimate_latent_correlation(x, specs, variant=variant, pairs=[(0, 3)])
+    assert all(np.isfinite(est.values[0, 4]) for est in estimator.estimate_latent_correlation(x, specs, pairs=[(0, 4)]))
+
+
+def test_zero_columns_give_empty_matrices():
+    est = estimator.estimate_latent_correlation(np.zeros((5, 0)))
+    assert est.values.shape == est.method.shape == (0, 0) and est.specs == []
+    stacked = estimator.estimate_latent_correlation(np.zeros((3, 5, 0)))
+    assert [e.values.shape for e in stacked] == [(0, 0)] * 3
 
 
 def test_spec_count_mismatch():

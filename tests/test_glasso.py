@@ -297,6 +297,11 @@ def test_rejects_bad_inputs():
             glasso.select_hbic(np.eye(3), 100, GlassoConfig(lambda_path=path))
 
 
+def test_select_hbic_rejects_an_explicit_empty_path():
+    with pytest.raises(ValueError, match="lambda path is empty"):
+        glasso.select_hbic(np.eye(3), 100, GlassoConfig(lambda_path=()))
+
+
 def test_rejects_non_finite_correlation_entries():
     r = np.eye(3)
     r[0, 2] = r[2, 0] = np.nan  # a pair left out by estimate_latent_correlation(pairs=...)
