@@ -13,13 +13,15 @@ theta it solves  W11[A, A] b_A = s12[A] - lam_A theta_A.  If that moves a
 penalized coordinate through zero, it stops at the first crossing and
 drops the coordinate; otherwise it admits the zero coordinate that most
 violates the KKT condition |W11 b - s12|_m <= lam_m, until none does.
-Each column starts from the previous sweep's b.
+Each column starts from the previous sweep's b, or the previous lam's
+(`select_hbic` fits from the largest lam down).  W always starts at R,
+so the start changes the work, not the result.
 
 `glasso_fit` puts lam on every off-diagonal entry.  `refit_support`
 computes the exact maximum likelihood estimate under a zero pattern (ESL
 Algorithm 17.1): the penalty is 0 on the support, whose coordinates are
 always active, and infinite off it, so those are never admitted and each
-column solve is W11[A, A] b_A = s12[A].  Both return a PrecisionEstimate
+column is one solve W11[A, A] b_A = s12[A].  Both return a PrecisionEstimate
 (a refit's has lam = 0) that says whether the fit converged.
 
 Both first split the variables into the connected components of
@@ -109,11 +111,10 @@ def _lasso_column(w, s, lam, b):
     b = b.copy()
     active = (b != 0) | (lam == 0)
     theta = np.sign(b)
-    admits = ((lam > 0) & (lam < np.inf)).any()  # else the KKT scan admits nothing
     for _ in range(MAX_SWEEPS):
         a = active.nonzero()[0]
         lam_a, theta_a = lam[a], theta[a]
-        x = np.linalg.solve(w[a[:, None], a], s[a] - lam_a * theta_a)
+        x = np.linalg.solve(w.take(a, 0).take(a, 1), s[a] - lam_a * theta_a)
         crossed = ((lam_a > 0) & (x * theta_a < 0)).nonzero()[0]
         if crossed.size:
             # Step to the first sign change and drop the coordinates there.
@@ -131,30 +132,38 @@ def _lasso_column(w, s, lam, b):
             continue
         b[a] = x
         wb = w[:, a] @ x
-        if admits:
-            grad = wb - s
-            excess = np.where(active, -np.inf, np.abs(grad) - lam)
-            m = int(np.argmax(excess))
-        if not admits or excess[m] <= 0:
+        grad = wb - s
+        excess = np.abs(grad) - lam
+        excess[active] = -np.inf
+        m = int(np.argmax(excess))
+        if excess[m] <= 0:
             return b, True, wb if x.all() else None
         active[m] = True
         theta[m] = -np.sign(grad[m])
     return b, False, None
 
 
-def _fit_block(r: np.ndarray, lam: np.ndarray):
-    """Block coordinate descent on one connected component (d >= 2)."""
+def _fit_block(r: np.ndarray, lam: np.ndarray, beta: np.ndarray):
+    """Block coordinate descent on one connected component (d >= 2), from
+    the lasso coefficients beta (row j: column j's), updated in place."""
     d = r.shape[0]
     lam = lam.copy()
     np.fill_diagonal(lam, np.inf)  # column j's own coordinate is not a variable
+    # With every penalty 0 or inf (a refit), column j's active set is fixed.
+    fixed = None if ((lam > 0) & (lam < np.inf)).any() else [
+        (lam[:, j] == 0).nonzero()[0] for j in range(d)]
     w = r.copy()
-    beta = np.zeros((d, d))  # row j: the lasso coefficients of column j
     converged = True
     for sweeps in range(1, MAX_SWEEPS + 1):
         w_old = w.copy()
         for j in range(d):
-            beta[j], ok, w12 = _lasso_column(w, r[:, j], lam[:, j], beta[j])
-            converged &= ok
+            if fixed is None:
+                beta[j], ok, w12 = _lasso_column(w, r[:, j], lam[:, j], beta[j])
+                converged &= ok
+            else:
+                a = fixed[j]
+                x = beta[j, a] = np.linalg.solve(w.take(a, 0).take(a, 1), r[a, j])
+                w12 = w[:, a] @ x if x.all() else None
             if w12 is None:
                 nz = beta[j].nonzero()[0]
                 w12 = w[:, nz] @ beta[j, nz]
@@ -186,11 +195,9 @@ def _components(adj: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(label == c) for c in np.unique(label)]
 
 
-def _fit_core(r: np.ndarray, lam: np.ndarray):
-    """Fit with a per-entry penalty matrix, one component at a time.
-
-    Returns (omega, sweeps, converged).
-    """
+def _fit_core(r: np.ndarray, lam: np.ndarray, beta: np.ndarray):
+    """Fit with a per-entry penalty matrix, one component at a time, from
+    the lasso coefficients beta.  Returns (omega, sweeps, converged)."""
     omega = np.zeros_like(r)
     sweeps, converged = 0, True
     for block in _components(np.abs(r) > lam):
@@ -199,7 +206,7 @@ def _fit_core(r: np.ndarray, lam: np.ndarray):
             omega[j, j] = 1.0 / r[j, j]
             continue
         ix = np.ix_(block, block)
-        omega[ix], block_sweeps, ok = _fit_block(r[ix], lam[ix])
+        omega[ix], block_sweeps, ok = _fit_block(r[ix], lam[ix], beta[ix])
         sweeps = max(sweeps, block_sweeps)
         converged &= ok
     return omega, sweeps, converged
@@ -224,9 +231,9 @@ def _check_penalty(lam: float) -> None:
         raise ValueError(f"penalty must be finite and nonnegative, got {lam}")
 
 
-def _estimate(r: np.ndarray, lam: float, penalty: np.ndarray) -> PrecisionEstimate:
+def _estimate(r: np.ndarray, lam: float, penalty: np.ndarray, beta: np.ndarray) -> PrecisionEstimate:
     """Fit under the per-entry penalty matrix; lam is the objective's penalty."""
-    omega, sweeps, converged = _fit_core(r, penalty)
+    omega, sweeps, converged = _fit_core(r, penalty, beta)
     return PrecisionEstimate(
         lam=lam,
         omega=omega,
@@ -237,12 +244,23 @@ def _estimate(r: np.ndarray, lam: float, penalty: np.ndarray) -> PrecisionEstima
     )
 
 
-def glasso_fit(r: np.ndarray, lam: float) -> PrecisionEstimate:
-    """Fit one penalized precision matrix at penalty lam."""
+def glasso_fit(r: np.ndarray, lam: float, *, start: PrecisionEstimate | None = None) -> PrecisionEstimate:
+    """Fit one penalized precision matrix at penalty lam.
+
+    `start`, an estimate on the same r, starts each column's lasso from
+    beta[j, k] = -omega[k, j] / omega[j, j].  W still starts at R, so the
+    result is the cold start's (start=None)."""
     r = _check_correlation(r)
     d = r.shape[0]
     _check_penalty(lam)
-    return _estimate(r, float(lam), np.full((d, d), float(lam)))
+    beta = np.zeros((d, d))
+    if start is not None:
+        if start.omega.shape != r.shape:
+            raise ValueError(f"start shape {start.omega.shape} does not match correlation shape {r.shape}")
+        beta = -start.omega.T / np.diag(start.omega)[:, None]
+        beta[beta == 0] = 0.0  # as a cold start's; -0.0 would flip the sign of omega's zeros
+        np.fill_diagonal(beta, 0.0)
+    return _estimate(r, float(lam), np.full((d, d), float(lam)), beta)
 
 
 def refit_support(r: np.ndarray, edges) -> PrecisionEstimate:
@@ -257,9 +275,12 @@ def refit_support(r: np.ndarray, edges) -> PrecisionEstimate:
     d = r.shape[0]
     penalty = np.full((d, d), np.inf)
     np.fill_diagonal(penalty, 0.0)
-    for j, k in edges:
-        penalty[j, k] = penalty[k, j] = 0.0
-    return _estimate(r, 0.0, penalty)
+    for edge in edges:
+        if not (all(isinstance(v, (int, np.integer)) and 0 <= v < d for v in edge)
+                and len(edge) == 2 and edge[0] != edge[1]):
+            raise ValueError(f"edge {edge!r} is not two distinct integers in 0..{d - 1}")
+        penalty[edge[0], edge[1]] = penalty[edge[1], edge[0]] = 0.0
+    return _estimate(r, 0.0, penalty, np.zeros((d, d)))
 
 
 def _edges(omega: np.ndarray, threshold: float) -> list[tuple[int, int]]:
@@ -322,8 +343,9 @@ def select_hbic(
         _check_penalty(lam)
     fits = []
     refits: dict[tuple, PrecisionEstimate] = {}
-    for lam in sorted(set(path)):
-        fit = glasso_fit(r, lam)
+    fit = None
+    for lam in sorted(set(path), reverse=True):  # each fit starts from the last
+        fit = glasso_fit(r, lam, start=fit)
         support = tuple(fit.edges)
         refit = refits.get(support)
         if refit is None:
@@ -331,6 +353,6 @@ def select_hbic(
             refit.hbic = hbic_score(r, refit.omega, n, cn)
         fit.hbic = refit.hbic
         fit.converged = fit.converged and refit.converged
-        fits.append(fit)
+        fits.insert(0, fit)
     best = min(fits, key=lambda f: (f.hbic, f.lam))
     return best, fits

@@ -310,7 +310,8 @@ def mc_tau_b_replicates(r, cutoffs_j, cutoffs_k=None, n=84, reps=10**4, seed=0):
     """Replicate means of the tie-corrected tau on samples of size n.
 
     Degenerate replicates (a side with a single observed level) are
-    excluded.  Returns (mean, standard_error_of_mean).
+    excluded; fewer than 2 left is a ValueError.  Returns (mean,
+    standard_error_of_mean).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -322,4 +323,7 @@ def mc_tau_b_replicates(r, cutoffs_j, cutoffs_k=None, n=84, reps=10**4, seed=0):
                   for c in children])
     vals = kendall.tau_b(x[:, :, :1], x[:, :, 1:]).tau_b.ravel()
     vals = vals[~np.isnan(vals)]
+    if vals.size < 2:
+        raise ValueError(f"{reps - vals.size} of {reps} replicates are degenerate (a side with a single "
+                         "observed level); need at least 2 that are not")
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))

@@ -334,6 +334,64 @@ def test_spec_count_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# Metamorphic relations: the estimate depends on each column only through
+# the order of its values
+# ---------------------------------------------------------------------------
+
+METAMORPHIC_LEVELS = (None, 2, 3, None, 5, 7, 3, None)
+
+
+def _metamorphic_data(reps):
+    """(reps, 300, 8) stack: continuous and 2/3/5/7-level codes, 5 % blanks."""
+    rng = np.random.default_rng(131)
+    d = len(METAMORPHIC_LEVELS)
+    sigma = 0.6 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+    z = rng.standard_normal((reps, 300, d)) @ np.linalg.cholesky(sigma).T
+    x = z.copy()
+    for j, p in enumerate(METAMORPHIC_LEVELS):
+        if p:
+            x[..., j] = np.digitize(z[..., j], np.linspace(-1.2, 1.2, p + 1)[1:-1])
+    x[rng.random(x.shape) < 0.05] = np.nan
+    return x
+
+
+def _estimate_values(x, variant, pairs):
+    specs = [ColumnSpec(f"c{j}", p) for j, p in enumerate(METAMORPHIC_LEVELS)]
+    ests = estimator.estimate_latent_correlation(x, specs, variant=variant, pairs=pairs)
+    return [(e.values, e.method, e.clamped) for e in (ests if x.ndim == 3 else [ests])]
+
+
+@pytest.mark.parametrize("variant", ["a", "b"])
+@pytest.mark.parametrize("reps, pairs", [(None, None), (2, [(0, 1), (2, 1), (4, 5), (7, 3), (6, 2), (5, 7)])])
+def test_increasing_transforms_and_row_order_keep_the_bits_and_reversal_negates(variant, reps, pairs):
+    x = _metamorphic_data(reps or 1)
+    x = x if reps else x[0]
+    base = _estimate_values(x, variant, pairs)
+    continuous = np.array([p is None for p in METAMORPHIC_LEVELS])
+
+    # exp for continuous columns, an increasing relabelling for ordinal codes
+    moved = np.where(continuous, np.exp(x), 10.0 * x + x * x - 5.0)
+    rng = np.random.default_rng(7)
+    shuffled = np.stack([rng.permutation(rep) for rep in x.reshape(-1, *x.shape[-2:])]).reshape(x.shape)
+    for other in (moved, shuffled):
+        for (v0, m0, c0), (v1, m1, c1) in zip(base, _estimate_values(other, variant, pairs)):
+            assert np.array_equal(v0, v1, equal_nan=True)
+            assert np.array_equal(m0, m1) and np.array_equal(c0, c1)
+
+    # reversing columns 0, 2 and 5 negates every entry pairing one of them with another column
+    flip = np.zeros(len(METAMORPHIC_LEVELS), dtype=bool)
+    flip[[0, 2, 5]] = True
+    top = np.array([(p or 1) - 1 for p in METAMORPHIC_LEVELS], dtype=float)
+    reversed_x = np.where(flip, np.where(continuous, -x, top - x), x)
+    sign = np.where(flip, -1.0, 1.0)
+    for (v0, m0, _), (v1, m1, _) in zip(base, _estimate_values(reversed_x, variant, pairs)):
+        want = v0 * np.outer(sign, sign)
+        assert np.array_equal(np.isnan(v1), np.isnan(want))
+        assert np.nanmax(np.abs(v1 - want)) <= 1e-15
+        assert np.array_equal(m0, m1)
+
+
+# ---------------------------------------------------------------------------
 # PSD projection
 # ---------------------------------------------------------------------------
 

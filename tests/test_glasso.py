@@ -1,7 +1,9 @@
 """Penalized precision estimation: solver optimality, path behavior, and
 model selection."""
 
+import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -376,14 +378,72 @@ def test_repeated_penalties_are_fitted_once():
     assert [f.lam for f in fits] == [0.1, 0.2]
 
 
+def path_input():
+    """d = 12 from 40 samples, column 2 near the sum of columns 0 and 1, and
+    a path of 10 penalties down to 0.01: along it components merge and
+    entries of omega change sign."""
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((40, 12))
+    x[:, 1:] += 0.6 * x[:, :-1]
+    x[:, 2] = x[:, 0] + x[:, 1] + 0.3 * rng.standard_normal(40)
+    r = np.corrcoef(x.T)
+    return r, tuple(np.geomspace(0.01, glasso.default_lambda_path(r)[-1], 10))
+
+
+def assert_same_fit(got, want):
+    assert got.omega.tobytes() == want.omega.tobytes()
+    assert (got.lam, got.objective, got.edges, got.sweeps, got.converged) == (
+        want.lam, want.objective, want.edges, want.sweeps, want.converged)
+
+
+def test_path_fits_equal_cold_fits_bit_for_bit(monkeypatch):
+    r, path = path_input()
+    cold = [glasso.glasso_fit(r, lam) for lam in path]
+    multi = [len([c for c in glasso._components(np.abs(r) > lam) if c.size > 1]) for lam in path]
+    assert any(a < b for a, b in zip(multi, multi[1:]))  # components merge as lam falls
+    omegas = np.array([fit.omega for fit in cold])
+    assert ((omegas > 1e-8).any(0) & (omegas < -1e-8).any(0)).any()  # an entry changes sign
+
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+    _, fits = glasso.select_hbic(r, 40, GlassoConfig(lambda_path=path))
+    warm_solves = len(solves)
+    for fit, want in zip(fits, cold):
+        assert fit.converged and want.converged
+        assert_same_fit(fit, want)
+    # the same fits and refits from cold starts take more column solves
+    solves.clear()
+    for lam in path:
+        glasso.glasso_fit(r, lam)
+    for support in {tuple(fit.edges) for fit in fits}:
+        glasso.refit_support(r, support)
+    assert warm_solves < len(solves)
+
+
+def test_a_fit_from_any_start_is_the_cold_fit():
+    # starts from another penalty, from the dense unpenalized refit, and
+    # each of these with every off-diagonal sign flipped
+    r, path = path_input()
+    cold = [glasso.glasso_fit(r, lam) for lam in path]
+    dense = glasso.refit_support(r, [(j, k) for j in range(12) for k in range(j + 1, 12)])
+    flip = 2.0 * np.eye(12) - 1.0
+    for i, want in enumerate(cold):
+        for start in (cold[-1 - i], cold[(i + 3) % len(cold)], dense):
+            for s in (start, dataclasses.replace(start, omega=start.omega * flip)):
+                assert_same_fit(glasso.glasso_fit(r, want.lam, start=s), want)
+    with pytest.raises(ValueError, match=r"start shape \(3, 3\) does not match correlation shape \(12, 12\)"):
+        glasso.glasso_fit(r, 0.1, start=glasso.glasso_fit(np.eye(3), 0.1))
+
+
 def test_warnings_inside_a_refit_reach_the_caller(monkeypatch):
     fit_core = glasso._fit_core
     raised = []
 
-    def warning_fit_core(r, lam):
+    def warning_fit_core(r, lam, *rest):
         raised.append(f"fit {len(raised)}")
         warnings.warn(raised[-1], RuntimeWarning)
-        return fit_core(r, lam)
+        return fit_core(r, lam, *rest)
 
     monkeypatch.setattr(glasso, "_fit_core", warning_fit_core)
     rng = np.random.default_rng(10)
@@ -394,6 +454,88 @@ def test_warnings_inside_a_refit_reach_the_caller(monkeypatch):
         _, fits = glasso.select_hbic(np.corrcoef(x.T), 40)
     assert len(raised) > len(fits)  # the refits ran too
     assert [str(w.message) for w in caught] == raised
+
+
+def refit_by_lasso_columns(r, edges):
+    """refit_support through the general column solver: every column of
+    every component is a `_lasso_column` call with penalty 0 on the support
+    and inf off it.  Returns (omega, sweeps, converged)."""
+    d = r.shape[0]
+    lam = np.full((d, d), np.inf)
+    for j, k in edges:
+        lam[j, k] = lam[k, j] = 0.0
+    np.fill_diagonal(lam, 0.0)
+    omega, sweeps, converged = np.zeros((d, d)), 0, True
+    for block in glasso._components(np.abs(r) > lam):
+        if block.size == 1:
+            omega[block[0], block[0]] = 1.0 / r[block[0], block[0]]
+            continue
+        ix = np.ix_(block, block)
+        rb, lb = r[ix], lam[ix]
+        np.fill_diagonal(lb, np.inf)
+        w, beta = rb.copy(), np.zeros((block.size, block.size))
+        for block_sweeps in range(1, glasso.MAX_SWEEPS + 1):
+            w_old = w.copy()
+            for j in range(block.size):
+                beta[j], ok, w12 = glasso._lasso_column(w, rb[:, j], lb[:, j], beta[j])
+                converged &= ok
+                if w12 is None:
+                    nz = beta[j].nonzero()[0]
+                    w12 = w[:, nz] @ beta[j, nz]
+                w12[j] = w[j, j]
+                w[:, j] = w[j, :] = w12
+            if np.abs(w - w_old).max() < glasso.CONVERGENCE_TOL:
+                break
+        o_diag = 1.0 / (np.diag(w) - np.einsum("ij,ij->i", w, beta))
+        o = -beta.T * o_diag
+        np.fill_diagonal(o, o_diag)
+        omega[ix] = 0.5 * (o + o.T)
+        sweeps = max(sweeps, block_sweeps)
+    return omega, sweeps, converged
+
+
+def exact_zero_input():
+    """A 12-variable R and support where column 0's first solve gives exact
+    zeros: its support neighbours are the odd variables, correlated with it,
+    and the even ones, uncorrelated with it and with the odd ones (variable
+    11 ties both groups into one component).  Its W column must then be
+    summed over the nonzeros only: over all of them, it differs here."""
+    odd, even = [1, 3, 5, 7, 9], [2, 4, 6, 8, 10]
+    mask = np.zeros((12, 12), dtype=bool)
+    for group in (odd, even):
+        mask[np.ix_(group, group)] = True
+    mask[0, odd] = mask[odd, 0] = True
+    mask[11, 1:11] = mask[1:11, 11] = True
+    np.fill_diagonal(mask, False)
+    r = np.triu(np.where(mask, np.random.default_rng(2).uniform(0.02, 0.09, (12, 12)), 0.0), 1)
+    support = [(j, k) for j in range(12) for k in range(j + 1, 12) if (j, k) != (0, 11)]
+    return r + r.T + np.eye(12), support
+
+
+def test_refit_support_equals_the_general_column_solver_bit_for_bit():
+    # supports from the path fits, random supports of several components,
+    # and the exact-zero case above
+    r, path = path_input()
+    supports = [glasso.glasso_fit(r, lam).edges for lam in path]
+    rng = np.random.default_rng(16)
+    for _ in range(6):
+        pairs = np.argwhere(np.triu(rng.random((12, 12)) < 0.15, 1))
+        supports.append([(int(j), int(k)) for j, k in pairs])
+    cases = [(r, support) for support in supports] + [exact_zero_input()]
+    for rr, support in cases:
+        got = glasso.refit_support(rr, support)
+        omega, sweeps, converged = refit_by_lasso_columns(rr, support)
+        assert got.omega.tobytes() == omega.tobytes()
+        assert (got.sweeps, got.converged) == (sweeps, converged)
+
+
+@pytest.mark.parametrize("edge", [(0, -1), (1, 1), (0, 9), (0, 1.7), (0, 1, 2), (np.int64(4), 0)])
+def test_refit_support_rejects_an_edge_that_is_not_two_variables(edge):
+    r = np.corrcoef(np.random.default_rng(15).standard_normal((4, 50)))
+    with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} is not two distinct integers in 0..3")):
+        glasso.refit_support(r, [(0, 1), edge])
+    want = glasso.refit_support(r, [(0, 1), (1, 3)]).omega
+    assert np.array_equal(glasso.refit_support(r, [(np.int64(1), 0), (3, np.int32(1))]).omega, want)
 
 
 def test_refit_support_constrained_mle():

@@ -174,3 +174,10 @@ def test_mc_tau_b_replicates_sane():
     mean, se = simulate.mc_tau_b_replicates(0.0, np.array([0.0]), None, n=40, reps=400, seed=16)
     assert abs(mean) < 3 * se
     assert se < 0.01
+
+
+def test_mc_tau_b_replicates_needs_two_replicates_that_are_not_degenerate():
+    with pytest.raises(ValueError, match=r"^5 of 5 replicates are degenerate"):
+        simulate.mc_tau_b_replicates(0.3, np.array([np.inf]), None, n=10, reps=5)
+    with pytest.raises(ValueError, match=r"^0 of 1 replicates are degenerate .*need at least 2"):
+        simulate.mc_tau_b_replicates(0.3, np.array([0.0]), None, n=40, reps=1)
