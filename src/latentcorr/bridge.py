@@ -133,22 +133,26 @@ class InversionResult:
         return self.r
 
 
-def estimate_cutoffs(column, p: int) -> np.ndarray:
+def estimate_cutoffs(codes, p: int) -> np.ndarray:
     """Moment estimators of the p-1 latent cutoffs of an ordinal column.
 
-    column holds codes in {0, ..., p-1}; cutoff l is the normal quantile
-    of the cumulative proportion of codes <= l-1.  Empty levels yield
-    coincident (possibly infinite) cutoffs; callers that need strictly
-    increasing cutoffs should collapse empty levels first.
+    codes holds one column's codes in [0, p-1] (NaN missing); cutoff l is
+    the normal quantile of the proportion of codes <= l-1.  A (reps, n)
+    stack of columns gives (reps, p-1), each row as its column alone.
+    Empty levels yield coincident (possibly infinite) cutoffs; callers that
+    need strictly increasing cutoffs should collapse empty levels first.
     """
-    codes = np.asarray(column)
-    codes = codes[~np.isnan(np.asarray(codes, dtype=float))]
-    if codes.size < 1:
+    stack = np.atleast_2d(np.asarray(codes, dtype=float))
+    observed = ~np.isnan(stack)
+    if not observed.any(axis=1).all():
         raise ValueError("need at least one observation")
-    if np.any((codes < 0) | (codes > p - 1)):
+    if np.any((stack < 0) | (stack > p - 1)):  # False for a blank
         raise ValueError(f"ordinal codes outside range 0..{p - 1}")
-    below = np.searchsorted(np.sort(codes), np.arange(p - 1), side="right")
-    return std_quantile(below / codes.size)
+    # code <= l exactly where ceil(code) <= l, for every integer l
+    level = np.nonzero(observed)[0] * p + np.ceil(stack[observed]).astype(np.int64)
+    below = np.bincount(level, minlength=len(stack) * p).reshape(-1, p).cumsum(axis=1)
+    cuts = std_quantile(below[:, :-1] / below[:, -1:])
+    return cuts if np.ndim(codes) == 2 else cuts[0]
 
 
 def _check_cutoffs(kind: BridgeKind, cutoffs_j, cutoffs_k):

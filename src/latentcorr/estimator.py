@@ -95,19 +95,6 @@ def infer_column_specs(data: np.ndarray, names=None) -> list[ColumnSpec]:
     return specs
 
 
-def _recode_ordinal(col: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rank-recode observed ordinal values to consecutive codes 0..p-1.
-
-    Collapses empty levels, so the effective level count may be smaller
-    than declared.
-    """
-    out = np.full(col.shape, np.nan)
-    mask = ~np.isnan(col)
-    levels, codes = np.unique(col[mask], return_inverse=True)
-    out[mask] = codes
-    return out, levels.size
-
-
 def _pair_label(j: int, k: int, specs) -> str:
     return f"pair ({j}, {k}) [{specs[j].name!r}, {specs[k].name!r}]"
 
@@ -146,8 +133,7 @@ def estimate_latent_correlation(
     if data.ndim not in (2, 3):
         raise ValueError("data must be a 2-D (n, d) matrix or a 3-D (reps, n, d) stack")
     d = data.shape[-1]
-    cols = np.array(data)  # ordinal columns are recoded in place
-    stack = cols if cols.ndim == 3 else cols[None]  # a view either way
+    stack = data if data.ndim == 3 else data[None]
     where = [f"replicate {rep}: " if data.ndim == 3 else "" for rep in range(len(stack))]
     if specs is None:
         specs = infer_column_specs(stack.reshape(stack.shape[0] * stack.shape[1], d))
@@ -164,8 +150,6 @@ def estimate_latent_correlation(
             checked.add((j, k))
         pairs = sorted(checked)
 
-    eff_levels = [[0] * d for _ in stack]
-    cutoffs = {}  # (replicate, ordinal column) -> cutoffs
     used = sorted({c for pair in pairs for c in pair})
     # NaN-ignoring extremes: lo > hi for a column with no observed value
     lo = np.fmin.reduce(stack, axis=1, initial=np.inf)[:, used]
@@ -178,31 +162,39 @@ def estimate_latent_correlation(
             f"{where[rep]}{'ordinal' if spec.is_ordinal else 'continuous'} column {spec.name!r} "
             f"has {'no' if lo[rep, i] > hi[rep, i] else 'a single'} observed value"
         )
-    for rep, sample in enumerate(stack):
-        for j in used:
-            spec = specs[j]
-            if spec.is_ordinal:
-                sample[:, j], levels = _recode_ordinal(sample[:, j])
-                if levels > spec.levels:
-                    raise ValueError(
-                        f"{where[rep]}ordinal column {spec.name!r} declares {spec.levels} levels "
-                        f"but has {levels} observed levels"
-                    )
-                eff_levels[rep][j] = levels
-                cutoffs[rep, j] = estimate_cutoffs(sample[~np.isnan(sample[:, j]), j], levels)
+    # Each ordinal column's observed levels in every replicate, from one sort
+    # over the stack: empty declared levels collapse, and the sorted values'
+    # level numbers 0..levels-1 are the codes its cutoffs count.
+    levels, cutoffs = np.zeros((len(stack), d), dtype=int), {}
+    for j in [c for c in used if specs[c].is_ordinal]:
+        v = np.sort(stack[:, :, j], axis=1)  # blanks last
+        blank = np.isnan(v)
+        new = (v[:, 1:] != v[:, :-1]) & ~blank[:, 1:]
+        levels[:, j] = 1 + new.sum(axis=1)
+        codes = np.where(blank, np.nan, np.cumsum(np.insert(new, 0, False, axis=1), axis=1))
+        cutoffs[j] = estimate_cutoffs(codes, levels[:, j].max(initial=2))  # 2 for no replicate
+    over = np.argwhere(levels > [spec.levels or 0 for spec in specs])
+    if over.size:
+        rep, j = over[0]
+        raise ValueError(
+            f"{where[rep]}ordinal column {specs[j].name!r} declares {specs[j].levels} levels "
+            f"but has {levels[rep, j]} observed levels"
+        )
+    levels = levels.tolist()
 
     reps, diag = len(stack), np.arange(d)
     values = np.full((reps, d, d), np.nan)
     values[:, diag, diag] = 1.0
-    method = np.full((reps, d, d), "not_estimated", dtype=object)
+    method = np.full((reps, d, d), np.array("not_estimated", dtype=object))  # one shared str
     method[:, diag, diag] = "diag"
     clamped = np.zeros((reps, d, d), dtype=bool)
 
     every = len(pairs) == len(used) * (len(used) - 1) // 2
     left = used if every else sorted({j for j, _ in pairs})
     right = used if every else sorted({k for _, k in pairs})
-    x = cols[..., left]
-    y = x if every else cols[..., right]
+    # views of the data where the columns are consecutive
+    x, y = (data[..., slice(c[0], c[-1] + 1) if c and c[-1] - c[0] == len(c) - 1 else c] for c in (left, right))
+    y = x if every else y
     taus = kendall.tau_b(x, y).tau_b if variant == "b" else kendall.tau_a(x, y)
     taus = np.reshape(taus, (reps, len(left), len(right)))
     row, col = {c: i for i, c in enumerate(left)}, {c: i for i, c in enumerate(right)}
@@ -210,7 +202,7 @@ def estimate_latent_correlation(
     tasks, batched = [], []
     for rep, sample in enumerate(stack):
         for j, k in pairs:
-            kind = BridgeKind(eff_levels[rep][j] or None, eff_levels[rep][k] or None)
+            kind = BridgeKind(levels[rep][j] or None, levels[rep][k] or None)
             method[rep, j, k] = method[rep, k, j] = kind.tag + (":tau_b" if variant == "b" else "")
             try:
                 tau = float(taus[rep, row[j], col[k]])
@@ -222,7 +214,7 @@ def estimate_latent_correlation(
                     values[rep, j, k] = values[rep, k, j] = res.r
                     clamped[rep, j, k] = clamped[rep, k, j] = res.clamped
                 else:
-                    cuts = cutoffs.get((rep, j)), cutoffs.get((rep, k))
+                    cuts = [cutoffs[c][rep, : levels[rep][c] - 1] if c in cutoffs else None for c in (j, k)]
                     tasks.append(InversionTask(tau, kind, *cuts, variant))
                     batched.append((rep, j, k))
             except ValueError as exc:

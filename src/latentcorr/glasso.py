@@ -175,7 +175,7 @@ def _fit_block(r: np.ndarray, lam: np.ndarray, beta: np.ndarray):
     else:
         converged = False
 
-    omega = -beta.T
+    omega = 0.0 - beta.T  # not -beta.T, whose +0.0 coefficients give -0.0 entries
     o_diag = 1.0 / (np.diag(w) - np.einsum("ij,ij->i", w, beta))
     omega *= o_diag
     np.fill_diagonal(omega, o_diag)
@@ -258,7 +258,6 @@ def glasso_fit(r: np.ndarray, lam: float, *, start: PrecisionEstimate | None = N
         if start.omega.shape != r.shape:
             raise ValueError(f"start shape {start.omega.shape} does not match correlation shape {r.shape}")
         beta = -start.omega.T / np.diag(start.omega)[:, None]
-        beta[beta == 0] = 0.0  # as a cold start's; -0.0 would flip the sign of omega's zeros
         np.fill_diagonal(beta, 0.0)
     return _estimate(r, float(lam), np.full((d, d), float(lam)), beta)
 

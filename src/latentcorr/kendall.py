@@ -9,11 +9,11 @@ pairwise.  A block is counted by one of two exact kernels, chosen by
 GRAM_MAX_CELLS_PER_PAIR_ROW: a sign Gram over the row pairs
 (i, (i + h) mod n) of lags h = 1 .. n // 2, which meet each row pair once
 when lag n / 2 of an even n takes rows i < n / 2 only, with one batched
-matrix product per chunk for every replicate of a stack; or the
-O(n log n) merge-sort inversion count (Knight's algorithm) once per
-replicate and column pair.  Both produce the same integer counts, so every
-statistic is the same bit for bit whichever kernel ran and whatever the
-stack.  The O(n^2) oracle is in the test suite.
+matrix product per chunk for the replicates of a stack, in slices of at
+most GRAM_CHUNK_CELLS cells; or the O(n log n) merge-sort inversion count
+(Knight's algorithm) once per replicate and column pair.  Both produce the
+same integer counts, so every statistic is the same bit for bit whichever
+kernel ran and whatever the stack.  The O(n^2) oracle is in the test suite.
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ __all__ = ["TauStatistics", "DegenerateColumnError", "tau_a", "tau_b"]
 # pair grows about as n.  Set from the timings in CHANGES.md.
 GRAM_MAX_CELLS_PER_PAIR_ROW = 150
 
-# Sign cells per Gram chunk of whole lags, over every replicate of a stack.
-# Temporaries take a few bytes per cell of max(GRAM_CHUNK_CELLS, reps * n *
-# width): at most one lag of the stack, the input's size.  A replicate's Gram
-# entries sum at most max(GRAM_CHUNK_CELLS // (reps * width), n) terms in
-# {-1, 0, 1} per chunk, exact in float32 below 2**24: the Gram needs n - 1 <
-# 2 * min(p, q) * GRAM_MAX_CELLS_PER_PAIR_ROW, so n >= 2**24 needs over 2**47 /
-# it cells.
+# Sign cells per Gram chunk of whole lags.  A larger stack is counted in
+# slices of whole replicates of at most this many cells (or one replicate),
+# so temporaries take a few bytes per cell of max(GRAM_CHUNK_CELLS, n *
+# width): at most one lag of a replicate.  A replicate's Gram entries sum at
+# most max(GRAM_CHUNK_CELLS // (reps * width), n) terms in {-1, 0, 1} per
+# chunk, exact in float32 below 2**24: the Gram needs n - 1 < 2 * min(p, q) *
+# GRAM_MAX_CELLS_PER_PAIR_ROW, so n >= 2**24 needs over 2**47 / it cells.
 GRAM_CHUNK_CELLS = 1 << 16
 
 
@@ -167,6 +167,12 @@ def _block_counts(x, y, same: bool, ties: bool):
     q = y.shape[2]
     width, col_pairs = (p, p * (p - 1) // 2) if same else (p + q, p * q)
     if (n - 1) * width < 2 * GRAM_MAX_CELLS_PER_PAIR_ROW * col_pairs:
+        per = max(1, GRAM_CHUNK_CELLS // max(1, n * width))  # replicates per slice
+        if reps > per:
+            parts = [_block_counts(x[:, i : i + per], y[:, i : i + per], same, ties)
+                     for i in range(0, reps, per)]
+            return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
+
         def gram(a, b):  # aᵀb of (rows, reps, p) and (rows, reps, q): one product per replicate
             return a.transpose(1, 2, 0) @ b.transpose(1, 0, 2)
 

@@ -39,6 +39,10 @@ __all__ = [
 R_GRID_CAP = 0.99  # latent correlations must stay inside (-1, 1)
 N_BINS = 10
 
+# Cells (replicates x rows x columns) of one estimator call of the discretization
+# experiments, 2 MB of float64; one r of the default 80 replicates takes 136,000.
+STACK_CELLS = 1 << 18
+
 
 def _rng(seed_seq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_seq))
@@ -156,18 +160,24 @@ def check_discretization_options(p_values, r_grid, n, reps):
     return p_values, r_grid
 
 
-def _estimate_replicates(samples, specs, pairs, where):
-    """One estimator call over the replicates {rep: sample}, stacked; an error
-    names where, and the first replicate that fails alone (as in the stack)."""
+def _estimate_replicates(x, specs, pair_lists, where):
+    """Estimates of the replicates of the stack x, with one estimator call
+    per distinct pair list (pair_lists[i] is replicate i's); an error names
+    where[i] of the first replicate that fails alone (as in its stack)."""
+    estimates = {}
     try:
-        return estimate_latent_correlation(np.stack(list(samples.values())), specs, pairs=pairs)
+        for pairs in dict.fromkeys(pair_lists):  # distinct, in order
+            idx = [i for i, other in enumerate(pair_lists) if other == pairs]
+            stack = x if len(idx) == len(x) else x[idx]
+            estimates.update(zip(idx, estimate_latent_correlation(stack, specs, pairs=pairs)))
     except Exception:
-        for rep, x in samples.items():
+        for sample, pairs, label in zip(x, pair_lists, where):
             try:
-                estimate_latent_correlation(x, specs, pairs=pairs)
+                estimate_latent_correlation(sample, specs, pairs=pairs)
             except Exception as exc:
-                raise type(exc)(f"{where}, replicate {rep}: {exc}") from exc
+                raise type(exc)(f"{label}: {exc}") from exc
         raise
+    return [estimates[i] for i in range(len(x))]
 
 
 def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=False):
@@ -176,47 +186,43 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=Fal
     For every (r, replicate) one latent bivariate sample is drawn and
     reused across all p values and the continuous baseline, so curves for
     different p are directly comparable and the uncollapsed p=16 curve is
-    identical across protocols under the same seed.  Each r makes one
-    estimator call over its replicates, stacked, covering the (ordinal,
-    continuous) pair of every p and the continuous baseline pair (z0, z);
-    replicates whose pair lists differ go in separate stacks.
+    identical across protocols under the same seed.  The replicates of
+    consecutive r values, as many whole r values as fit STACK_CELLS cells
+    (at least one), go in one stack and one estimator call, covering the
+    (ordinal, continuous) pair of every p and the continuous baseline pair
+    (z0, z); replicates whose pair lists differ go in separate calls.
     collapse selects the collapse-from-16 protocol over equal-mass levels.
     """
     p_values, r_grid = check_discretization_options(p_values, r_grid, n, reps)
     root = np.random.SeedSequence(seed)
     children = root.spawn(r_grid.size * reps)
     pop_cuts = {p: equal_mass_cutoffs(p) for p in p_values}
-    base_cuts = equal_mass_cutoffs(16) if collapse else None
     # one ordinal column per p, then the two latent columns z0 and z
     specs = [ColumnSpec(f"p{p}", p) for p in p_values] + [ColumnSpec("z0"), ColumnSpec("z")]
     base, last = len(p_values), len(p_values) + 1
 
-    sq_err = {p: np.zeros(r_grid.size) for p in p_values}
-    sq_err_base = np.zeros(r_grid.size)
-    for i, r in enumerate(r_grid):
-        chol = np.linalg.cholesky(np.array([[1.0, r], [r, 1.0]]))
-        groups = {}  # replicates by pair list: {varied columns: {rep: sample}}
-        varied = []
-        for rep in range(reps):
-            z = _sample_latent(chol, n, _rng(children[i * reps + rep]))
-            if collapse:
-                codes16 = np.digitize(z[:, 0], base_cuts).astype(float)
-                codes = [np.minimum(codes16, p - 1) for p in p_values]
-            else:
-                codes = [np.digitize(z[:, 0], pop_cuts[p]).astype(float) for p in p_values]
-            # a single observed level carries no rank information; the
-            # all-ties tau maps to 0, so such a column gets no pair
-            varied.append(tuple(m for m, c in enumerate(codes) if c.min() < c.max()))
-            groups.setdefault(varied[-1], {})[rep] = np.column_stack(codes + [z[:, 0], z[:, 1]])
-        estimates = {}
-        for columns, samples in groups.items():
-            pairs = [(m, last) for m in columns] + [(base, last)]
-            estimates.update(zip(samples, _estimate_replicates(samples, specs, pairs, f"r = {r:g}")))
-        for rep, est in sorted(estimates.items()):
-            sq_err_base[i] += (est.values[base, last] - r) ** 2
-            for m, p in enumerate(p_values):
-                r_hat = est.values[m, last] if m in varied[rep] else 0.0
-                sq_err[p][i] += (r_hat - r) ** 2
+    sq_err = np.zeros((r_grid.size, base + 1))  # per r: each p's, then the baseline's
+    per_call = max(1, STACK_CELLS // (reps * n * (last + 1)))  # whole r values
+    for first in range(0, r_grid.size, per_call):
+        grid = r_grid[first : first + per_call]
+        x = np.empty((grid.size * reps, n, last + 1))
+        for i, r in enumerate(grid):
+            chol = np.linalg.cholesky(np.array([[1.0, r], [r, 1.0]]))
+            for rep in range(reps):
+                x[i * reps + rep, :, base:] = _sample_latent(chol, n, _rng(children[(first + i) * reps + rep]))
+        codes16 = np.digitize(x[..., base], equal_mass_cutoffs(16)) if collapse else None
+        for m, p in enumerate(p_values):
+            x[..., m] = np.minimum(codes16, p - 1) if collapse else np.digitize(x[..., base], pop_cuts[p])
+        # a single observed level carries no rank information; the
+        # all-ties tau maps to 0, so such a column gets no pair
+        varied = x[..., :base].min(axis=1) < x[..., :base].max(axis=1)
+        pair_lists = [tuple((m, last) for m in np.flatnonzero(v)) + ((base, last),) for v in varied]
+        where = [f"r = {r:g}, replicate {rep}" for r in grid for rep in range(reps)]
+        r_hat = np.array([est.values[:last, last] for est in _estimate_replicates(x, specs, pair_lists, where)])
+        r_hat[:, :base][~varied] = 0.0
+        err = (r_hat - np.repeat(grid, reps)[:, None]) ** 2
+        # each r's replicates summed in order, as one by one
+        sq_err[first : first + grid.size] = np.cumsum(err.reshape(grid.size, reps, -1), axis=1)[:, -1]
 
     # l / N_BINS is the float nearest each edge, so r = 0.3 lands in [0.3, 0.4)
     bins = np.arange(N_BINS + 1) / N_BINS
@@ -233,8 +239,8 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=Fal
         )
 
     tag = "collapsed" if collapse else "equal_mass"
-    curves = [_curve(sq_err[p], p, tag) for p in p_values]
-    curves.append(_curve(sq_err_base, 0, "continuous_baseline"))
+    curves = [_curve(sq_err[:, m], p, tag) for m, p in enumerate(p_values)]
+    curves.append(_curve(sq_err[:, base], 0, "continuous_baseline"))
     return curves
 
 
@@ -274,8 +280,9 @@ def concentration_check(
     children = root.spawn(n_seeds * n_grid.size)
     sup_err = np.zeros((n_seeds, n_grid.size))
     for i, n in enumerate(n_grid):  # one estimator call per n over the n_seeds replicates
-        samples = {s: sample_copula(spec, int(n), children[s * n_grid.size + i]) for s in range(n_seeds)}
-        for s, est in enumerate(_estimate_replicates(samples, specs, None, f"n = {n}")):
+        x = np.stack([sample_copula(spec, int(n), children[s * n_grid.size + i]) for s in range(n_seeds)])
+        where = [f"n = {n}, replicate {s}" for s in range(n_seeds)]
+        for s, est in enumerate(_estimate_replicates(x, specs, [None] * n_seeds, where)):
             sup_err[s, i] = np.abs(est.values - sigma).max()
     mean_err = sup_err.mean(axis=0)
     slope = np.polyfit(np.log(n_grid), np.log(mean_err), 1)[0]

@@ -348,13 +348,15 @@ def test_estimate_cutoffs_matches_quantiles():
     assert cuts3 == pytest.approx([nd.std_quantile(0.2), nd.std_quantile(0.5)], abs=1e-12)
 
 
-def test_estimate_cutoffs_matches_the_counting_loop():
-    # one pass per cutoff, counting the codes <= l - 1: the reference for
-    # the sorted search, including empty levels and fractional codes
-    def counting_loop(codes, p):
-        codes = codes[~np.isnan(codes)]
-        return nd.std_quantile(np.array([np.sum(codes <= l - 1) / codes.size for l in range(1, p)]))
+def counting_loop(codes, p):
+    """estimate_cutoffs of one column by one pass per cutoff, counting the
+    codes <= l - 1: the reference for the counts from one histogram."""
+    codes = codes[~np.isnan(codes)]
+    return nd.std_quantile(np.array([np.sum(codes <= l - 1) / codes.size for l in range(1, p)]))
 
+
+def test_estimate_cutoffs_matches_the_counting_loop():
+    # including empty levels and fractional codes
     rng = np.random.default_rng(11)
     for p in (2, 3, 5, 16):
         for n in (1, 7, 100):
@@ -366,6 +368,30 @@ def test_estimate_cutoffs_matches_the_counting_loop():
             assert np.array_equal(bridge.estimate_cutoffs(empty, p), counting_loop(empty, p))
             halves = rng.integers(0, 2 * p - 1, n) / 2.0
             assert np.array_equal(bridge.estimate_cutoffs(halves, p), counting_loop(halves, p))
+
+
+def test_a_stack_of_columns_gets_each_column_alone_s_cutoffs():
+    rng = np.random.default_rng(12)
+    p = 5
+    stack = rng.integers(0, 2 * p - 1, (6, 30)) / 2.0  # fractional codes
+    stack[rng.random(stack.shape) < 0.2] = np.nan
+    stack[1] = np.where(stack[1] == 2.0, 1.0, stack[1])  # level 2 empty
+    stack[2, 1:] = np.nan  # one observed code
+    stack[3, ::2] = -0.0
+    stack[4, :] = np.where(np.arange(30) % 3, 0.0, 4.0)  # the end levels only
+    cuts = bridge.estimate_cutoffs(stack, p)
+    assert cuts.shape == (6, p - 1)
+    for row, want in zip(stack, cuts):
+        assert np.array_equal(bridge.estimate_cutoffs(row, p), want)
+        assert np.array_equal(counting_loop(row, p), want)
+    assert bridge.estimate_cutoffs(stack[:0], p).shape == (0, p - 1)
+    stack[5] = np.nan
+    with pytest.raises(ValueError, match=r"^need at least one observation$"):
+        bridge.estimate_cutoffs(stack, p)
+    for bad in (-0.5, -np.inf, np.inf, p - 0.5):
+        stack[5, 0] = bad
+        with pytest.raises(ValueError, match=rf"^ordinal codes outside range 0\.\.{p - 1}$"):
+            bridge.estimate_cutoffs(stack, p)
 
 
 def test_nan_cutoffs_are_rejected_when_the_task_is_built():

@@ -5,6 +5,7 @@ import pytest
 
 from latentcorr import bridge, estimator, kendall, simulate
 from latentcorr.estimator import ColumnSpec
+from test_bridge import counting_loop
 
 # ---------------------------------------------------------------------------
 # Column spec inference and recoding
@@ -33,11 +34,17 @@ def test_infer_column_specs_treats_an_infinite_column_as_continuous():
 
 
 def test_recode_collapses_empty_levels():
-    col = np.array([0.0, 5.0, 5.0, 9.0, np.nan])
-    recoded, p = estimator._recode_ordinal(col)
-    assert p == 3
-    assert np.array_equal(recoded[:4], [0.0, 1.0, 1.0, 2.0])
-    assert np.isnan(recoded[4])
+    # codes 0, 5 and 9 of a declared 10-level column: 3 effective levels
+    col = np.array([0.0, 5.0, 5.0, 9.0, np.nan, 0.0, 9.0, 5.0])
+    data = np.column_stack([col, np.arange(8.0)])
+    est = estimator.estimate_latent_correlation(data, [ColumnSpec("a", 10), ColumnSpec("b")])
+    assert est.method[0, 1] == "ordinal3_continuous"
+    recoded = np.array([0.0, 1.0, 1.0, 2.0, np.nan, 0.0, 2.0, 1.0])
+    alone = estimator.estimate_latent_correlation(np.column_stack([recoded, np.arange(8.0)]),
+                                                  [ColumnSpec("a", 3), ColumnSpec("b")])
+    assert np.array_equal(est.values, alone.values)
+    with pytest.raises(ValueError, match=r"^ordinal column 'a' declares 2 levels but has 3 observed levels$"):
+        estimator.estimate_latent_correlation(data, [ColumnSpec("a", 2), ColumnSpec("b")])
 
 
 def test_column_spec_validation():
@@ -238,7 +245,8 @@ def test_pairs_rejects_bad_column_indices(pair):
 def test_batched_inversion_errors_name_the_pair(monkeypatch):
     data = _four_column_sample()
     specs = [ColumnSpec(name, levels) for name, levels in zip("abcd", (3, None, 2, None))]
-    monkeypatch.setattr(estimator, "estimate_cutoffs", lambda col, p: np.linspace(1.0, -1.0, p - 1))
+    monkeypatch.setattr(estimator, "estimate_cutoffs",
+                        lambda codes, p: np.tile(np.linspace(1.0, -1.0, p - 1), (len(codes), 1)))
     with pytest.raises(ValueError, match=r"pair \(0, 1\) \['a', 'b'\]: cutoffs must be nondecreasing"):
         estimator.estimate_latent_correlation(data, specs)
     monkeypatch.undo()
@@ -294,6 +302,53 @@ def test_a_stack_error_names_the_replicate(monkeypatch):
     monkeypatch.setattr(bridge, "NEWTON_MAX_ITER", 0)
     with pytest.raises(bridge.BridgeInversionError, match=r"^replicate 0: pair \(0, 1\) \['a', 'b'\]: no convergence"):
         estimator.estimate_latent_correlation(x, specs)
+
+
+@pytest.mark.parametrize("variant", ["a", "b"])
+def test_stacked_levels_and_cutoffs_match_unique_and_the_counting_loop(variant):
+    # ordinal values that are fractional, negative, +-inf and +-0.0, with
+    # blanks, replicates that are almost all blank and empty declared levels
+    rng = np.random.default_rng(13)
+    reps, n = 6, 40
+    values = np.array([-np.inf, -2.5, -1.0, -0.0, 0.0, 0.75, 2.0, 3.5, np.inf])
+    x = rng.standard_normal((reps, n, 3))
+    x[..., 0] = rng.choice(values, (reps, n))
+    x[..., 1] = rng.choice(values[2:6], (reps, n))
+    x[rng.random((reps, n, 3)) < 0.1] = np.nan
+    x[1, 4:, 0] = np.nan
+    x[1, :4, 0] = [np.inf, -0.0, 0.0, np.inf]  # 2 levels in 4 rows
+    x[3, :, 1] = np.where(np.arange(n) % 2, -0.0, 0.0)
+    x[3, :2, 1] = 0.75
+    x[[1, 3], :4, 2] = [0.3, -1.2, 2.0, 0.1]
+    specs = [ColumnSpec("a", 12), ColumnSpec("b", 6), ColumnSpec("c")]
+    stacked = estimator.estimate_latent_correlation(x, specs, variant=variant)
+    count = kendall.tau_b if variant == "b" else kendall.tau_a
+    levels = np.zeros((reps, 2), dtype=int)
+    for rep, est in enumerate(stacked):
+        codes, cuts = [], []
+        for j in (0, 1):
+            col = x[rep, :, j]
+            observed, code = np.unique(col[~np.isnan(col)], return_inverse=True)
+            levels[rep, j] = observed.size
+            codes.append(np.full(n, np.nan))
+            codes[-1][~np.isnan(col)] = code
+            cuts.append(counting_loop(codes[-1], observed.size))
+        columns = codes + [x[rep, :, 2]]
+        for j, k in ((0, 1), (0, 2), (1, 2)):
+            kind = bridge.BridgeKind(*(int(levels[rep, c]) if c < 2 else None for c in (j, k)))
+            tau = count(columns[j], columns[k])
+            tau = tau.tau_b if variant == "b" else tau
+            want = bridge.invert_bridge(tau, kind, *(cuts[c] for c in (j, k) if c < 2), variant=variant)
+            assert est.method[j, k].startswith(kind.tag)
+            assert (est.values[j, k], est.clamped[j, k]) == (want.r, want.clamped)
+    assert levels[1, 0] == 2 and levels[3, 1] == 2 and (levels < [12, 6]).all()
+    for j, name in ((1, "b"), (0, "a")):  # named: the first replicate, then the first column
+        specs[j] = ColumnSpec(name, 2)
+        rep, c = next((rep, c) for rep in range(reps) for c in (0, 1) if levels[rep, c] > specs[c].levels)
+        message = (f"^replicate {rep}: ordinal column '{specs[c].name}' declares 2 levels "
+                   f"but has {levels[rep, c]} observed levels$")
+        with pytest.raises(ValueError, match=message):
+            estimator.estimate_latent_correlation(x, specs, variant=variant)
 
 
 def test_single_level_ordinal_column_raises():

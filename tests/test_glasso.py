@@ -421,6 +421,19 @@ def test_path_fits_equal_cold_fits_bit_for_bit(monkeypatch):
     assert warm_solves < len(solves)
 
 
+def test_zeros_inside_a_component_are_positive_zeros():
+    # precision.tsv prints a -0.0 entry as "-0"
+    r, path = path_input()
+    best, fits = glasso.select_hbic(r, 40, GlassoConfig(lambda_path=path))
+    omegas = [f.omega for f in fits] + [best.omega, glasso.refit_support(r, [(0, 1), (1, 2), (2, 5)]).omega]
+    inside = 0
+    for omega in omegas:
+        for comp in glasso._components(omega != 0):
+            inside += np.count_nonzero(omega[np.ix_(comp, comp)] == 0)
+        assert not np.signbit(omega[omega == 0]).any()
+    assert inside > 0  # exact zeros between variables of one component
+
+
 def test_a_fit_from_any_start_is_the_cold_fit():
     # starts from another penalty, from the dense unpenalized refit, and
     # each of these with every off-diagonal sign flipped
@@ -487,7 +500,7 @@ def refit_by_lasso_columns(r, edges):
             if np.abs(w - w_old).max() < glasso.CONVERGENCE_TOL:
                 break
         o_diag = 1.0 / (np.diag(w) - np.einsum("ij,ij->i", w, beta))
-        o = -beta.T * o_diag
+        o = (0.0 - beta.T) * o_diag
         np.fill_diagonal(o, o_diag)
         omega[ix] = 0.5 * (o + o.T)
         sweeps = max(sweeps, block_sweeps)

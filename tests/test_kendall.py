@@ -1,6 +1,7 @@
 """Kendall rank statistics, checked against exhaustive pair enumeration."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -365,6 +366,22 @@ def test_stacked_statistics_equal_each_replicate_alone(kernel, monkeypatch):
                 assert np.array_equal(getattr(stats, f)[rep], getattr(alone, f), equal_nan=True), f
     with pytest.raises(ValueError, match="two columns or two blocks"):
         kendall.tau_a(np.zeros((2, 5, 2)), np.zeros((3, 5, 2)))
+
+
+@pytest.mark.parametrize("count", [kendall.tau_a, kendall.tau_b])
+def test_temporaries_of_a_stack_do_not_grow_with_its_replicates(count):
+    # a stack is counted in slices of whole replicates of GRAM_CHUNK_CELLS
+    # cells; the results themselves still grow with it
+    x = np.random.default_rng(15).standard_normal((200, 100, 17))
+    peak = {}
+    for reps in (20, 200):
+        tracemalloc.start()
+        try:
+            count(x[:reps], x[:reps])
+            peak[reps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak[200] < 3 * peak[20]
 
 
 def test_column_calls_keep_scalar_results():

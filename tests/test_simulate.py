@@ -1,10 +1,13 @@
 """Copula sampling, error-curve experiments, and the Monte-Carlo oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from latentcorr import bridge, kendall, simulate
+from latentcorr import bridge, estimator, kendall, simulate
 from latentcorr import normal_dist as nd
+from latentcorr.estimator import ColumnSpec
 from latentcorr.simulate import CopulaSpec
 
 # ---------------------------------------------------------------------------
@@ -132,6 +135,76 @@ def test_error_curves_text_format():
     assert len(lines) == 1 + 10 * len(curves)
     first = lines[1].split("\t")
     assert first[0] == "3" and first[1] == "0.0" and first[2] == "0.1" and first[4] == "2"
+
+
+def _reference_curves(p_values, r_grid, n, reps, seed, collapse):
+    """The discretization experiment one r and one replicate at a time: each
+    replicate estimated alone, its squared errors added in replicate order."""
+    children = np.random.SeedSequence(seed).spawn(len(r_grid) * reps)
+    specs = [ColumnSpec(f"p{p}", p) for p in p_values] + [ColumnSpec("z0"), ColumnSpec("z")]
+    base, last = len(p_values), len(p_values) + 1
+    sq_err = np.zeros((len(r_grid), base + 1))
+    for i, r in enumerate(r_grid):
+        chol = np.linalg.cholesky(np.array([[1.0, r], [r, 1.0]]))
+        for rep in range(reps):
+            z = simulate._sample_latent(chol, n, simulate._rng(children[i * reps + rep]))
+            codes = [np.digitize(z[:, 0], simulate.equal_mass_cutoffs(16 if collapse else p)) for p in p_values]
+            codes = [np.minimum(c, p - 1) if collapse else c for c, p in zip(codes, p_values)]
+            varied = [m for m, c in enumerate(codes) if c.min() < c.max()]
+            est = estimator.estimate_latent_correlation(
+                np.column_stack(codes + [z[:, 0], z[:, 1]]), specs, pairs=[(m, last) for m in varied + [base]])
+            for m in range(base + 1):
+                r_hat = est.values[m, last] if m in varied or m == base else 0.0
+                sq_err[i, m] += (r_hat - r) ** 2
+    bins = np.arange(simulate.N_BINS + 1) / simulate.N_BINS
+    which = np.clip(np.digitize(r_grid, bins) - 1, 0, simulate.N_BINS - 1)
+    counts = np.bincount(which, minlength=simulate.N_BINS).astype(float)
+    counts[counts == 0] = np.nan
+    labels = [("collapsed" if collapse else "equal_mass", p) for p in p_values] + [("continuous_baseline", 0)]
+    return [simulate.ErrorCurve(p, bins[:-1], bins[1:], np.bincount(
+        which, weights=sq_err[:, m] / reps, minlength=simulate.N_BINS) / counts, reps, label)
+        for m, (label, p) in enumerate(labels)]
+
+
+@pytest.mark.parametrize("scenario", [simulate.scenario1, simulate.scenario2])
+@pytest.mark.parametrize("n, r_per_call", [(4, None), (30, 2)])
+def test_stacked_experiment_equals_one_replicate_at_a_time(scenario, n, r_per_call, monkeypatch):
+    # n = 4 leaves some replicates' ordinal columns constant, so their pair
+    # lists differ; a small budget splits the r grid into calls of 2, 2 and 1
+    p_values, r_grid, reps, seed = (2, 3, 16), np.array([0.0, 0.2, 0.45, 0.7, 0.95]), 6, 21
+    if r_per_call:
+        monkeypatch.setattr(simulate, "STACK_CELLS", r_per_call * reps * n * (len(p_values) + 2))
+    stacks, calls = [], []
+    for name, record in (("_estimate_replicates", stacks), ("estimate_latent_correlation", calls)):
+        real = getattr(simulate, name)
+        monkeypatch.setattr(simulate, name, lambda x, *a, real=real, record=record, **kw:
+                            record.append(len(x)) or real(x, *a, **kw))
+    curves = scenario(p_values, r_grid, n, reps, seed)
+    want = _reference_curves(p_values, r_grid, n, reps, seed, scenario is simulate.scenario2)
+    assert simulate.error_curves_to_text(curves) == simulate.error_curves_to_text(want)
+    assert [(c.p, c.label, c.mse.tobytes()) for c in curves] == [(c.p, c.label, c.mse.tobytes()) for c in want]
+    assert stacks == ([2 * reps, 2 * reps, reps] if r_per_call else [reps * r_grid.size])
+    assert sum(calls) == reps * r_grid.size
+    assert r_per_call or len(calls) > 1  # replicates with a constant column have their own call
+
+
+def test_a_paper_sim_sized_run_stays_small(monkeypatch):
+    calls = []
+    real = simulate.estimate_latent_correlation
+    monkeypatch.setattr(simulate, "estimate_latent_correlation",
+                        lambda x, *args, **kw: calls.append(x.size) or real(x, *args, **kw))
+    r_grid = np.round(np.arange(0.0, simulate.R_GRID_CAP + 1e-9, 0.1), 10)
+    tracemalloc.start()
+    try:
+        simulate.scenario1(r_grid=r_grid, n=100, reps=8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [80 * 100 * 17]  # every replicate in one call
+    assert peak < 8e6  # the stack itself is 1.1 MB
+    calls.clear()
+    simulate.scenario1(r_grid=[0.3, 0.6], seed=0)  # the default n = 100 and 80 replicates
+    assert calls == [80 * 100 * 17] * 2 and max(calls) <= simulate.STACK_CELLS  # one r per call
 
 
 # ---------------------------------------------------------------------------
