@@ -305,9 +305,11 @@ def test_a_stack_error_names_the_replicate(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", ["a", "b"])
-def test_stacked_levels_and_cutoffs_match_unique_and_the_counting_loop(variant):
+@pytest.mark.parametrize("crossover", [kendall.GRAM_MAX_CELLS_PER_PAIR_ROW, 0])  # the Gram, then the merge
+def test_stacked_levels_and_cutoffs_match_unique_and_the_counting_loop(variant, crossover, monkeypatch):
     # ordinal values that are fractional, negative, +-inf and +-0.0, with
     # blanks, replicates that are almost all blank and empty declared levels
+    monkeypatch.setattr(kendall, "GRAM_MAX_CELLS_PER_PAIR_ROW", crossover)
     rng = np.random.default_rng(13)
     reps, n = 6, 40
     values = np.array([-np.inf, -2.5, -1.0, -0.0, 0.0, 0.75, 2.0, 3.5, np.inf])
