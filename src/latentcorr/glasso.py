@@ -5,24 +5,29 @@ by block coordinate descent on the covariance estimate W.  The diagonal is
 unpenalized, so W keeps the diagonal of R.  Each step updates one column
 of W through the lasso subproblem
 
-    min_b  1/2 b' W11 b - s12' b + sum_m lam_m |b_m|,
+    min_b  1/2 b' W11 b - s12' b + lam sum_m |b_m|,
 
 which an active-set (feature-sign) method solves exactly (Lee et al. 2007,
 "Efficient sparse coding algorithms").  On the active set A with signs
-theta it solves  W11[A, A] b_A = s12[A] - lam_A theta_A.  If that moves a
-penalized coordinate through zero, it stops at the first crossing and
-drops the coordinate; otherwise it admits the zero coordinate that most
-violates the KKT condition |W11 b - s12|_m <= lam_m, until none does.
+theta it solves  W11[A, A] b_A = s12[A] - lam theta_A.  If that moves a
+coordinate through zero, it stops at the first crossing and drops the
+coordinate; otherwise it admits the zero coordinate that most violates the
+KKT condition |W11 b - s12|_m <= lam, until none does.
 Each column starts from the previous sweep's b, or the previous lam's
 (`select_hbic` fits from the largest lam down).  W always starts at R,
 so the start changes the work, not the result.
 
 `glasso_fit` puts lam on every off-diagonal entry.  `refit_support`
 computes the exact maximum likelihood estimate under a zero pattern (ESL
-Algorithm 17.1): the penalty is 0 on the support, whose coordinates are
-always active, and infinite off it, so those are never admitted and each
-column is one solve W11[A, A] b_A = s12[A].  Both return a PrecisionEstimate
-(a refit's has lam = 0) that says whether the fit converged.
+Algorithm 17.1): the penalty is 0 on the support and infinite off it, so
+column j's active set is its support neighbours, fixed, and each column
+is one solve W11[A, A] b_A = s12[A] per sweep (as at lam = 0, where every
+variable is a neighbour).  Both return a PrecisionEstimate (a refit's has
+lam = 0) that says whether the fit converged.
+
+Every solve calls the compiled LAPACK routine behind np.linalg.solve
+without its Python wrapper, so it gives np.linalg.solve's bits, and under
+np.linalg.solve's floating-point error state (see `_fit_block`).
 
 Both first split the variables into the connected components of
 {|R_jk| > lam_jk} (for a refit: the support edges).  The solution is block
@@ -33,8 +38,10 @@ so each component is fitted alone and a single variable j gets 1 / R_jj.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "GlassoConfig",
@@ -56,6 +63,17 @@ MAX_SWEEPS = 500
 # Off-diagonal precision entries above this magnitude count as edges.
 EDGE_THRESHOLD = 1e-8
 LAMBDA_PATH_POINTS = 10
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# The gufunc np.linalg.solve calls for a 1-D right-hand side (private numpy
+# API; a test pins its bits to np.linalg.solve), and np.linalg.solve's error
+# state, under which it raises LinAlgError for a singular matrix.
+_solve = partial(_umath_linalg.solve1, signature="dd->d")
+_SOLVE_ERRSTATE = dict(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
 @dataclass(frozen=True)
@@ -100,22 +118,20 @@ def glasso_objective(r: np.ndarray, omega: np.ndarray, lam: float) -> float:
     return float(np.trace(r @ omega) - logdet + penalty)
 
 
-def _lasso_column(w, s, lam, b):
-    """Exact minimizer of 1/2 b'Wb - s'b + sum_m lam_m |b_m|, warm-started at b.
+def _lasso_column(w, s, lam, j, b):
+    """Exact minimizer of 1/2 b'Wb - s'b + lam * sum_m |b_m| over b with
+    b_j = 0, warm-started at b and updated in place (lam > 0).
 
-    Coordinates with lam_m = 0 are always active and those with
-    lam_m = inf are never admitted.  Returns (b, converged, wb), where wb
-    is W b as the KKT check formed it when b's nonzeros are the active
-    set, else None.
+    Returns (converged, wb), where wb is W b as the KKT check formed it
+    when b's nonzeros are the active set, else None.
     """
-    b = b.copy()
-    active = (b != 0) | (lam == 0)
+    active = b != 0
     theta = np.sign(b)
     for _ in range(MAX_SWEEPS):
         a = active.nonzero()[0]
-        lam_a, theta_a = lam[a], theta[a]
-        x = np.linalg.solve(w.take(a, 0).take(a, 1), s[a] - lam_a * theta_a)
-        crossed = ((lam_a > 0) & (x * theta_a < 0)).nonzero()[0]
+        theta_a = theta[a]
+        x = _solve(w.take(a, 0).take(a, 1), s[a] - lam * theta_a)
+        crossed = (x * theta_a < 0).nonzero()[0]
         if crossed.size:
             # Step to the first sign change and drop the coordinates there.
             old = b[a[crossed]]
@@ -124,7 +140,7 @@ def _lasso_column(w, s, lam, b):
             if step == 0:
                 # A coordinate admitted at zero moves toward its sign in exact
                 # arithmetic, so its violation was roundoff: b is optimal.
-                return b, True, None
+                return True, None
             b[a] += step * (x - b[a])
             gone = a[crossed[t == step]]
             b[gone] = 0.0
@@ -135,45 +151,57 @@ def _lasso_column(w, s, lam, b):
         grad = wb - s
         excess = np.abs(grad) - lam
         excess[active] = -np.inf
-        m = int(np.argmax(excess))
+        excess[j] = -np.inf
+        m = excess.argmax()
         if excess[m] <= 0:
-            return b, True, wb if x.all() else None
+            return True, wb if np.count_nonzero(x) == x.size else None
         active[m] = True
         theta[m] = -np.sign(grad[m])
-    return b, False, None
+    return False, None
 
 
 def _fit_block(r: np.ndarray, lam: np.ndarray, beta: np.ndarray):
     """Block coordinate descent on one connected component (d >= 2), from
-    the lasso coefficients beta (row j: column j's), updated in place."""
+    the lasso coefficients beta (row j: column j's), updated in place.
+
+    lam is glasso_fit's one penalty on every off-diagonal entry, or a
+    refit's 0 on the support and inf off it.  The sweeps run under
+    np.linalg.solve's error state, so a singular system raises
+    LinAlgError("Singular matrix") and overflow, division by zero and
+    underflow are ignored.  The rest of the loop's arithmetic runs under it
+    too; on a finite r it raises no floating-point error.
+    """
     d = r.shape[0]
     lam = lam.copy()
     np.fill_diagonal(lam, np.inf)  # column j's own coordinate is not a variable
-    # With every penalty 0 or inf (a refit), column j's active set is fixed.
-    fixed = None if ((lam > 0) & (lam < np.inf)).any() else [
-        (lam[:, j] == 0).nonzero()[0] for j in range(d)]
+    # With every penalty 0 or inf (a refit, or lam = 0), column j's active
+    # set is fixed, and so is its right-hand side.
+    pen = float(lam[0, 1])
+    fixed = None if 0 < pen < np.inf else [
+        (a, r[a, j]) for j in range(d) for a in [(lam[:, j] == 0).nonzero()[0]]]
     w = r.copy()
     converged = True
-    for sweeps in range(1, MAX_SWEEPS + 1):
-        w_old = w.copy()
-        for j in range(d):
-            if fixed is None:
-                beta[j], ok, w12 = _lasso_column(w, r[:, j], lam[:, j], beta[j])
-                converged &= ok
-            else:
-                a = fixed[j]
-                x = beta[j, a] = np.linalg.solve(w.take(a, 0).take(a, 1), r[a, j])
-                w12 = w[:, a] @ x if x.all() else None
-            if w12 is None:
-                nz = beta[j].nonzero()[0]
-                w12 = w[:, nz] @ beta[j, nz]
-            w12[j] = w[j, j]
-            w[:, j] = w12
-            w[j, :] = w12
-        if np.abs(w - w_old).max() < CONVERGENCE_TOL:
-            break
-    else:
-        converged = False
+    with np.errstate(**_SOLVE_ERRSTATE):
+        for sweeps in range(1, MAX_SWEEPS + 1):
+            w_old = w.copy()
+            for j in range(d):
+                if fixed is None:
+                    ok, w12 = _lasso_column(w, r[:, j], pen, j, beta[j])
+                    converged &= ok
+                else:
+                    a, s_a = fixed[j]
+                    x = beta[j, a] = _solve(w.take(a, 0).take(a, 1), s_a)
+                    w12 = w[:, a] @ x if np.count_nonzero(x) == x.size else None
+                if w12 is None:
+                    nz = beta[j].nonzero()[0]
+                    w12 = w[:, nz] @ beta[j, nz]
+                w12[j] = w[j, j]
+                w[:, j] = w12
+                w[j, :] = w12
+            if np.abs(w - w_old).max() < CONVERGENCE_TOL:
+                break
+        else:
+            converged = False
 
     omega = 0.0 - beta.T  # not -beta.T, whose +0.0 coefficients give -0.0 entries
     o_diag = 1.0 / (np.diag(w) - np.einsum("ij,ij->i", w, beta))
@@ -247,9 +275,10 @@ def _estimate(r: np.ndarray, lam: float, penalty: np.ndarray, beta: np.ndarray) 
 def glasso_fit(r: np.ndarray, lam: float, *, start: PrecisionEstimate | None = None) -> PrecisionEstimate:
     """Fit one penalized precision matrix at penalty lam.
 
-    `start`, an estimate on the same r, starts each column's lasso from
-    beta[j, k] = -omega[k, j] / omega[j, j].  W still starts at R, so the
-    result is the cold start's (start=None)."""
+    `start`, an estimate on the same r with a finite omega and a positive
+    diagonal, starts each column's lasso from beta[j, k] = -omega[k, j] /
+    omega[j, j].  W still starts at R, so the result is the cold start's
+    (start=None)."""
     r = _check_correlation(r)
     d = r.shape[0]
     _check_penalty(lam)
@@ -257,6 +286,14 @@ def glasso_fit(r: np.ndarray, lam: float, *, start: PrecisionEstimate | None = N
     if start is not None:
         if start.omega.shape != r.shape:
             raise ValueError(f"start shape {start.omega.shape} does not match correlation shape {r.shape}")
+        bad = np.argwhere(~np.isfinite(start.omega))
+        if bad.size:
+            j, k = bad[0]
+            raise ValueError(f"start precision entry ({j}, {k}) is not finite: {start.omega[j, k]}")
+        bad = (np.diag(start.omega) <= 0).nonzero()[0]
+        if bad.size:
+            j = bad[0]
+            raise ValueError(f"start precision entry ({j}, {j}) is not positive: {start.omega[j, j]}")
         beta = -start.omega.T / np.diag(start.omega)[:, None]
         np.fill_diagonal(beta, 0.0)
     return _estimate(r, float(lam), np.full((d, d), float(lam)), beta)
@@ -301,18 +338,20 @@ def default_lambda_path(r: np.ndarray) -> tuple[float, ...]:
     return tuple(np.linspace(m / LAMBDA_PATH_POINTS, m, LAMBDA_PATH_POINTS))
 
 
-def hbic_score(r: np.ndarray, omega: np.ndarray, n: int, cn: float = 3.0) -> float:
-    """tr(R Omega) - log det Omega + cn * |E| * log(log n) * log d / n."""
+def _hbic_penalty(omega: np.ndarray, n: int, cn: float) -> float:
+    """cn * |E| * log(log n) * log d / n, |E| counting every nonzero edge."""
     if n < 3:  # log(log n) must be positive
         raise ValueError(f"need n >= 3 observations for HBIC, got {n}")
+    return cn * len(_edges(omega, 0.0)) * np.log(np.log(n)) * np.log(omega.shape[0]) / n
+
+
+def hbic_score(r: np.ndarray, omega: np.ndarray, n: int, cn: float = 3.0) -> float:
+    """tr(R Omega) - log det Omega + cn * |E| * log(log n) * log d / n."""
     r = _check_correlation(r)
     omega = np.asarray(omega, dtype=float)
     if omega.shape != r.shape:
         raise ValueError(f"precision matrix shape {omega.shape} does not match correlation shape {r.shape}")
-    d = r.shape[0]
-    n_edges = len(_edges(omega, 0.0))
-    penalty = cn * n_edges * np.log(np.log(n)) * np.log(d) / n
-    return float(glasso_objective(r, omega, 0.0) + penalty)
+    return float(glasso_objective(r, omega, 0.0) + _hbic_penalty(omega, n, cn))
 
 
 def select_hbic(
@@ -349,7 +388,7 @@ def select_hbic(
         refit = refits.get(support)
         if refit is None:
             refit = refits[support] = refit_support(r, support)
-            refit.hbic = hbic_score(r, refit.omega, n, cn)
+            refit.hbic = float(refit.objective + _hbic_penalty(refit.omega, n, cn))
         fit.hbic = refit.hbic
         fit.converged = fit.converged and refit.converged
         fits.insert(0, fit)

@@ -121,48 +121,67 @@ def lasso_kkt_excess(w, s, lam, b):
 
 def test_column_solver_recovers_from_wrong_signs():
     # a warm start whose signs are all wrong makes every coordinate cross
-    # zero, leave the active set and come back with the other sign
+    # zero, leave the active set and come back with the other sign;
+    # coordinate 12 is the column's own, which is never admitted
     rng = np.random.default_rng(12)
-    a = rng.standard_normal((12, 40))
+    a = rng.standard_normal((13, 40))
     w = a @ a.T / 40
-    s = rng.standard_normal(12)
-    lam = np.full(12, 0.3)
-    cold, ok, _ = glasso._lasso_column(w, s, lam, np.zeros(12))
+    s = rng.standard_normal(13)
+    lam = np.append(np.full(12, 0.3), np.inf)
+    cold = np.zeros(13)
+    ok, _ = glasso._lasso_column(w, s, 0.3, 12, cold)
     assert ok and lasso_kkt_excess(w, s, lam, cold) < 1e-12
     assert 0 < np.count_nonzero(cold) < 12
-    warm, ok, _ = glasso._lasso_column(w, s, lam, -np.sign(cold) - 0.5 * (cold == 0))
+    warm = (-np.sign(cold) - 0.5 * (cold == 0)) * (lam < np.inf)
+    ok, _ = glasso._lasso_column(w, s, 0.3, 12, warm)
     assert ok and lasso_kkt_excess(w, s, lam, warm) < 1e-12
     assert np.abs(warm - cold).max() < 1e-12
 
 
 def test_column_solver_returns_w_b_as_the_nonzeros_give_it():
     # the W column the solver hands back is W b over b's nonzeros, bit for
-    # bit, for penalized columns and for refit columns (0 on the support,
-    # inf off it), cold and warm, or None.  In every fourth trial two
-    # always-active coordinates are uncoupled with s = 0, so they solve to
-    # exact zeros, and W b over the active set would sum in other order.
+    # bit, cold and warm, or None; coordinate j is the column's own
     rng = np.random.default_rng(14)
     returned = 0
     for trial in range(80):
         a = rng.standard_normal((40, 80))
         w = a @ a.T / 80
         s = rng.standard_normal(40)
-        lam = np.full(40, rng.uniform(0.05, 0.6))
-        if trial % 3 == 0:
-            lam = np.where(rng.random(40) < 0.4, 0.0, np.inf)
-        if trial % 4 == 0:
-            zero = rng.choice(40, 2, replace=False)
-            w[zero, :] = w[:, zero] = 0.0
-            w[zero, zero] = 1.0
-            s[zero], lam[zero] = 0.0, 0.0
-        start = np.zeros(40) if trial % 2 else rng.standard_normal(40) * (lam < np.inf)
-        b, ok, wb = glasso._lasso_column(w, s, lam, start)
-        assert ok and lasso_kkt_excess(w, s, lam, b) < 1e-10
+        lam, j = rng.uniform(0.05, 0.6), trial % 40
+        lams = np.full(40, lam)
+        lams[j] = np.inf
+        b = np.zeros(40) if trial % 2 else rng.standard_normal(40) * (lams < np.inf)
+        ok, wb = glasso._lasso_column(w, s, lam, j, b)
+        assert ok and lasso_kkt_excess(w, s, lams, b) < 1e-10 and b[j] == 0
         if wb is not None:
             nz = b.nonzero()[0]
             assert np.array_equal(wb, w[:, nz] @ b[nz])
             returned += 1
     assert returned > 40
+
+
+def test_solve_name_is_numpy_solve_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for k in range(1, 41):
+        a, b = rng.standard_normal((k, k)), rng.standard_normal(k)
+        for order in ("C", "F"):
+            aa = np.asarray(a, order=order)
+            assert glasso._solve(aa, b).tobytes() == np.linalg.solve(aa, b).tobytes()
+    with np.errstate(**glasso._SOLVE_ERRSTATE):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            glasso._solve(np.ones((3, 3)), np.ones(3))
+
+
+def test_a_singular_correlation_raises_singular_matrix():
+    # variables 1 and 2 are the same variable, so column 0's system is singular
+    r = np.corrcoef(np.random.default_rng(19).standard_normal((2, 30)))[np.ix_([0, 1, 1], [0, 1, 1])]
+    before = np.geterr()
+    for fit in (lambda: glasso.glasso_fit(r, 0.0), lambda: glasso.refit_support(r, [(0, 1), (0, 2), (1, 2)])):
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            fit()
+        assert np.geterr() == before
+    glasso.glasso_fit(np.eye(2), 0.0)
+    assert np.geterr() == before
 
 
 def test_block_diagonal_input_fits_each_block_alone():
@@ -405,8 +424,8 @@ def test_path_fits_equal_cold_fits_bit_for_bit(monkeypatch):
     assert ((omegas > 1e-8).any(0) & (omegas < -1e-8).any(0)).any()  # an entry changes sign
 
     solves = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+    solve = glasso._solve
+    monkeypatch.setattr(glasso, "_solve", lambda a, b: solves.append(1) or solve(a, b))
     _, fits = glasso.select_hbic(r, 40, GlassoConfig(lambda_path=path))
     warm_solves = len(solves)
     for fit, want in zip(fits, cold):
@@ -449,6 +468,22 @@ def test_a_fit_from_any_start_is_the_cold_fit():
         glasso.glasso_fit(r, 0.1, start=glasso.glasso_fit(np.eye(3), 0.1))
 
 
+def test_a_start_without_a_finite_positive_precision_is_refused():
+    r, _ = path_input()
+    good = glasso.glasso_fit(r, 0.1)
+    nan, zero_diag, inf_off, negative_diag = (good.omega.copy() for _ in range(4))
+    nan[:] = np.nan
+    zero_diag[3, 3] = 0.0
+    inf_off[2, 5] = np.inf
+    negative_diag[7, 7] = -1.0
+    for omega, match in ((nan, r"entry \(0, 0\) is not finite: nan"),
+                         (zero_diag, r"entry \(3, 3\) is not positive: 0.0"),
+                         (inf_off, r"entry \(2, 5\) is not finite: inf"),
+                         (negative_diag, r"entry \(7, 7\) is not positive: -1.0")):
+        with pytest.raises(ValueError, match="start precision " + match):
+            glasso.glasso_fit(r, 0.1, start=dataclasses.replace(good, omega=omega))
+
+
 def test_warnings_inside_a_refit_reach_the_caller(monkeypatch):
     fit_core = glasso._fit_core
     raised = []
@@ -469,42 +504,116 @@ def test_warnings_inside_a_refit_reach_the_caller(monkeypatch):
     assert [str(w.message) for w in caught] == raised
 
 
-def refit_by_lasso_columns(r, edges):
-    """refit_support through the general column solver: every column of
-    every component is a `_lasso_column` call with penalty 0 on the support
-    and inf off it.  Returns (omega, sweeps, converged)."""
-    d = r.shape[0]
-    lam = np.full((d, d), np.inf)
-    for j, k in edges:
-        lam[j, k] = lam[k, j] = 0.0
-    np.fill_diagonal(lam, 0.0)
-    omega, sweeps, converged = np.zeros((d, d)), 0, True
-    for block in glasso._components(np.abs(r) > lam):
-        if block.size == 1:
-            omega[block[0], block[0]] = 1.0 / r[block[0], block[0]]
+# ---------------------------------------------------------------------------
+# Reference: the column step with a penalty per coordinate and np.linalg.solve
+# ---------------------------------------------------------------------------
+
+
+def reference_lasso_column(w, s, lam, b):
+    """Exact minimizer of 1/2 b'Wb - s'b + sum_m lam_m |b_m|, warm-started at
+    b, with a penalty per coordinate: lam_m = 0 keeps m always active and
+    lam_m = inf never admits it.  Every step solves with np.linalg.solve.
+    Returns (b, converged, wb) as `glasso._lasso_column` returns (converged,
+    wb) after updating b."""
+    b = b.copy()
+    active = (b != 0) | (lam == 0)
+    theta = np.sign(b)
+    for _ in range(glasso.MAX_SWEEPS):
+        a = active.nonzero()[0]
+        lam_a, theta_a = lam[a], theta[a]
+        x = np.linalg.solve(w.take(a, 0).take(a, 1), s[a] - lam_a * theta_a)
+        crossed = ((lam_a > 0) & (x * theta_a < 0)).nonzero()[0]
+        if crossed.size:
+            old = b[a[crossed]]
+            t = old / (old - x[crossed])
+            step = t.min()
+            if step == 0:
+                return b, True, None
+            b[a] += step * (x - b[a])
+            gone = a[crossed[t == step]]
+            b[gone] = 0.0
+            active[gone] = False
             continue
-        ix = np.ix_(block, block)
-        rb, lb = r[ix], lam[ix]
-        np.fill_diagonal(lb, np.inf)
-        w, beta = rb.copy(), np.zeros((block.size, block.size))
-        for block_sweeps in range(1, glasso.MAX_SWEEPS + 1):
-            w_old = w.copy()
-            for j in range(block.size):
-                beta[j], ok, w12 = glasso._lasso_column(w, rb[:, j], lb[:, j], beta[j])
+        b[a] = x
+        wb = w[:, a] @ x
+        grad = wb - s
+        excess = np.abs(grad) - lam
+        excess[active] = -np.inf
+        m = int(np.argmax(excess))
+        if excess[m] <= 0:
+            return b, True, wb if x.all() else None
+        active[m] = True
+        theta[m] = -np.sign(grad[m])
+    return b, False, None
+
+
+def reference_fit_block(r, lam, beta, general=False):
+    """`glasso._fit_block` through `reference_lasso_column` and, for refit
+    columns (every penalty 0 or inf), one np.linalg.solve per sweep; with
+    `general`, refit columns go through `reference_lasso_column` too."""
+    d = r.shape[0]
+    lam = lam.copy()
+    np.fill_diagonal(lam, np.inf)
+    fixed = None if general or ((lam > 0) & (lam < np.inf)).any() else [
+        (lam[:, j] == 0).nonzero()[0] for j in range(d)]
+    w = r.copy()
+    converged = True
+    for sweeps in range(1, glasso.MAX_SWEEPS + 1):
+        w_old = w.copy()
+        for j in range(d):
+            if fixed is None:
+                beta[j], ok, w12 = reference_lasso_column(w, r[:, j], lam[:, j], beta[j])
                 converged &= ok
-                if w12 is None:
-                    nz = beta[j].nonzero()[0]
-                    w12 = w[:, nz] @ beta[j, nz]
-                w12[j] = w[j, j]
-                w[:, j] = w[j, :] = w12
-            if np.abs(w - w_old).max() < glasso.CONVERGENCE_TOL:
-                break
-        o_diag = 1.0 / (np.diag(w) - np.einsum("ij,ij->i", w, beta))
-        o = (0.0 - beta.T) * o_diag
-        np.fill_diagonal(o, o_diag)
-        omega[ix] = 0.5 * (o + o.T)
-        sweeps = max(sweeps, block_sweeps)
-    return omega, sweeps, converged
+            else:
+                a = fixed[j]
+                x = beta[j, a] = np.linalg.solve(w.take(a, 0).take(a, 1), r[a, j])
+                w12 = w[:, a] @ x if x.all() else None
+            if w12 is None:
+                nz = beta[j].nonzero()[0]
+                w12 = w[:, nz] @ beta[j, nz]
+            w12[j] = w[j, j]
+            w[:, j] = w12
+            w[j, :] = w12
+        if np.abs(w - w_old).max() < glasso.CONVERGENCE_TOL:
+            break
+    else:
+        converged = False
+    omega = 0.0 - beta.T
+    o_diag = 1.0 / (np.diag(w) - np.einsum("ij,ij->i", w, beta))
+    omega *= o_diag
+    np.fill_diagonal(omega, o_diag)
+    return 0.5 * (omega + omega.T), sweeps, converged
+
+
+def reference_inputs():
+    """path_input's R and three AR-like sample correlations (d = 5, 14, 25),
+    each also with its upper triangle moved by up to 1 ulp, so R is not
+    exactly symmetric."""
+    rng = np.random.default_rng(17)
+    rs = [path_input()[0]]
+    for d in (5, 14, 25):
+        x = rng.standard_normal((2 * d, d))
+        x[:, 1:] += 0.7 * x[:, :-1]
+        rs.append(np.corrcoef(x.T))
+    return rs + [r + np.triu(rng.integers(-1, 2, r.shape) * np.spacing(r), 1) for r in rs]
+
+
+def test_fits_equal_the_reference_column_step_bit_for_bit(monkeypatch):
+    cases = reference_inputs()
+    assert any(not np.array_equal(r, r.T) for r in cases)
+    got = [([glasso.glasso_fit(r, lam) for lam in (0.0, 0.05, 0.3)], glasso.select_hbic(r, 40)) for r in cases]
+    for r, (_, (_, path)) in zip(cases, got):
+        for fit in path:  # HBIC from the refit's own objective, as hbic_score gives it
+            assert fit.hbic == glasso.hbic_score(r, glasso.refit_support(r, fit.edges).omega, 40)
+    monkeypatch.setattr(glasso, "_fit_block", reference_fit_block)
+    for r, (fits, (best, path)) in zip(cases, got):
+        for fit in fits:
+            assert_same_fit(fit, glasso.glasso_fit(r, fit.lam))
+        want_best, want_path = glasso.select_hbic(r, 40)
+        assert len(path) == len(want_path) and len({f.n_edges for f in path}) > 2
+        for fit, want in zip([best] + path, [want_best] + want_path):
+            assert_same_fit(fit, want)
+            assert fit.hbic == want.hbic
 
 
 def exact_zero_input():
@@ -525,7 +634,9 @@ def exact_zero_input():
     return r + r.T + np.eye(12), support
 
 
-def test_refit_support_equals_the_general_column_solver_bit_for_bit():
+def test_refit_support_equals_the_general_column_solver_bit_for_bit(monkeypatch):
+    # refit_support against itself with every column of every component a
+    # `reference_lasso_column` call (penalty 0 on the support, inf off it):
     # supports from the path fits, random supports of several components,
     # and the exact-zero case above
     r, path = path_input()
@@ -535,11 +646,12 @@ def test_refit_support_equals_the_general_column_solver_bit_for_bit():
         pairs = np.argwhere(np.triu(rng.random((12, 12)) < 0.15, 1))
         supports.append([(int(j), int(k)) for j, k in pairs])
     cases = [(r, support) for support in supports] + [exact_zero_input()]
-    for rr, support in cases:
-        got = glasso.refit_support(rr, support)
-        omega, sweeps, converged = refit_by_lasso_columns(rr, support)
-        assert got.omega.tobytes() == omega.tobytes()
-        assert (got.sweeps, got.converged) == (sweeps, converged)
+    got = [glasso.refit_support(rr, support) for rr, support in cases]
+    monkeypatch.setattr(glasso, "_fit_block", lambda r, lam, beta: reference_fit_block(r, lam, beta, general=True))
+    for (rr, support), fit in zip(cases, got):
+        want = glasso.refit_support(rr, support)
+        assert fit.omega.tobytes() == want.omega.tobytes()
+        assert (fit.sweeps, fit.converged) == (want.sweeps, want.converged)
 
 
 @pytest.mark.parametrize("edge", [(0, -1), (1, 1), (0, 9), (0, 1.7), (0, 1, 2), (np.int64(4), 0)])
