@@ -142,6 +142,8 @@ def estimate_cutoffs(codes, p: int) -> np.ndarray:
     Empty levels yield coincident (possibly infinite) cutoffs; callers that
     need strictly increasing cutoffs should collapse empty levels first.
     """
+    if np.ndim(codes) > 2:
+        raise ValueError(f"codes must be one column or a (reps, n) stack, got {np.ndim(codes)} dimensions")
     stack = np.atleast_2d(np.asarray(codes, dtype=float))
     observed = ~np.isnan(stack)
     if not observed.any(axis=1).all():

@@ -1,6 +1,6 @@
 """Graphical lasso over a correlation matrix, with HBIC model selection.
 
-Solves  min_Omega  tr(R Omega) - log det Omega + sum_{j != k} lam_jk |Omega_jk|
+Solves  min_Omega  tr(R Omega) - log det Omega + lam sum_{j != k} |Omega_jk|
 by block coordinate descent on the covariance estimate W.  The diagonal is
 unpenalized, so W keeps the diagonal of R.  Each step updates one column
 of W through the lasso subproblem
@@ -19,18 +19,18 @@ so the start changes the work, not the result.
 
 `glasso_fit` puts lam on every off-diagonal entry.  `refit_support`
 computes the exact maximum likelihood estimate under a zero pattern (ESL
-Algorithm 17.1): the penalty is 0 on the support and infinite off it, so
-column j's active set is its support neighbours, fixed, and each column
-is one solve W11[A, A] b_A = s12[A] per sweep (as at lam = 0, where every
-variable is a neighbour).  Both return a PrecisionEstimate (a refit's has
-lam = 0) that says whether the fit converged.
+Algorithm 17.1): lam = 0 with Omega_jk = 0 off a support, so column j's
+active set is its support neighbours, fixed, and each column is one solve
+W11[A, A] b_A = s12[A] per sweep (as at lam = 0 without a support, where
+every variable is a neighbour).  Both return a PrecisionEstimate (a
+refit's has lam = 0) that says whether the fit converged.
 
 Every solve calls the compiled LAPACK routine behind np.linalg.solve
 without its Python wrapper, so it gives np.linalg.solve's bits, and under
 np.linalg.solve's floating-point error state (see `_fit_block`).
 
 Both first split the variables into the connected components of
-{|R_jk| > lam_jk} (for a refit: the support edges).  The solution is block
+{|R_jk| > lam} (for a refit: of its support edges).  The solution is block
 diagonal over them (Witten, Friedman & Simon 2011; Mazumder & Hastie 2012),
 so each component is fitted alone and a single variable j gets 1 / R_jj.
 """
@@ -160,25 +160,24 @@ def _lasso_column(w, s, lam, j, b):
     return False, None
 
 
-def _fit_block(r: np.ndarray, lam: np.ndarray, beta: np.ndarray):
+def _fit_block(r: np.ndarray, lam: float, support: np.ndarray | None, beta: np.ndarray):
     """Block coordinate descent on one connected component (d >= 2), from
     the lasso coefficients beta (row j: column j's), updated in place.
 
-    lam is glasso_fit's one penalty on every off-diagonal entry, or a
-    refit's 0 on the support and inf off it.  The sweeps run under
-    np.linalg.solve's error state, so a singular system raises
-    LinAlgError("Singular matrix") and overflow, division by zero and
-    underflow are ignored.  The rest of the loop's arithmetic runs under it
-    too; on a finite r it raises no floating-point error.
+    lam is the penalty on every off-diagonal entry.  At lam = 0 column j's
+    active set is fixed: its neighbours in the boolean support (False on
+    the diagonal), or every other variable when support is None.  The
+    sweeps run under np.linalg.solve's error state, so a singular system
+    raises LinAlgError("Singular matrix") and overflow, division by zero
+    and underflow are ignored.  The rest of the loop's arithmetic runs
+    under it too; on a finite r it raises no floating-point error.
     """
     d = r.shape[0]
-    lam = lam.copy()
-    np.fill_diagonal(lam, np.inf)  # column j's own coordinate is not a variable
-    # With every penalty 0 or inf (a refit, or lam = 0), column j's active
-    # set is fixed, and so is its right-hand side.
-    pen = float(lam[0, 1])
-    fixed = None if 0 < pen < np.inf else [
-        (a, r[a, j]) for j in range(d) for a in [(lam[:, j] == 0).nonzero()[0]]]
+    # at lam = 0 column j's active set is fixed, and so is its right-hand side
+    fixed = None
+    if lam == 0:
+        nbrs = ~np.eye(d, dtype=bool) if support is None else support
+        fixed = [(a, r[a, j]) for j in range(d) for a in [nbrs[:, j].nonzero()[0]]]
     w = r.copy()
     converged = True
     with np.errstate(**_SOLVE_ERRSTATE):
@@ -186,7 +185,7 @@ def _fit_block(r: np.ndarray, lam: np.ndarray, beta: np.ndarray):
             w_old = w.copy()
             for j in range(d):
                 if fixed is None:
-                    ok, w12 = _lasso_column(w, r[:, j], pen, j, beta[j])
+                    ok, w12 = _lasso_column(w, r[:, j], lam, j, beta[j])
                     converged &= ok
                 else:
                     a, s_a = fixed[j]
@@ -223,21 +222,32 @@ def _components(adj: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(label == c) for c in np.unique(label)]
 
 
-def _fit_core(r: np.ndarray, lam: np.ndarray, beta: np.ndarray):
-    """Fit with a per-entry penalty matrix, one component at a time, from
-    the lasso coefficients beta.  Returns (omega, sweeps, converged)."""
+def _fit(r: np.ndarray, lam: float, support: np.ndarray | None, beta: np.ndarray) -> PrecisionEstimate:
+    """Fit at penalty lam, restricted to the boolean support unless it is
+    None, one component of {|R_jk| > lam} (and the support) at a time, from
+    the lasso coefficients beta."""
+    adj = np.abs(r) > lam
+    if support is not None:
+        adj &= support
     omega = np.zeros_like(r)
     sweeps, converged = 0, True
-    for block in _components(np.abs(r) > lam):
+    for block in _components(adj):
         if block.size == 1:
             j = block[0]
             omega[j, j] = 1.0 / r[j, j]
             continue
         ix = np.ix_(block, block)
-        omega[ix], block_sweeps, ok = _fit_block(r[ix], lam[ix], beta[ix])
+        omega[ix], block_sweeps, ok = _fit_block(r[ix], lam, None if support is None else support[ix], beta[ix])
         sweeps = max(sweeps, block_sweeps)
         converged &= ok
-    return omega, sweeps, converged
+    return PrecisionEstimate(
+        lam=lam,
+        omega=omega,
+        objective=glasso_objective(r, omega, lam),
+        edges=_edges(omega, EDGE_THRESHOLD),
+        sweeps=sweeps,
+        converged=converged,
+    )
 
 
 def _check_correlation(r) -> np.ndarray:
@@ -259,26 +269,13 @@ def _check_penalty(lam: float) -> None:
         raise ValueError(f"penalty must be finite and nonnegative, got {lam}")
 
 
-def _estimate(r: np.ndarray, lam: float, penalty: np.ndarray, beta: np.ndarray) -> PrecisionEstimate:
-    """Fit under the per-entry penalty matrix; lam is the objective's penalty."""
-    omega, sweeps, converged = _fit_core(r, penalty, beta)
-    return PrecisionEstimate(
-        lam=lam,
-        omega=omega,
-        objective=glasso_objective(r, omega, lam),
-        edges=_edges(omega, EDGE_THRESHOLD),
-        sweeps=sweeps,
-        converged=converged,
-    )
-
-
 def glasso_fit(r: np.ndarray, lam: float, *, start: PrecisionEstimate | None = None) -> PrecisionEstimate:
     """Fit one penalized precision matrix at penalty lam.
 
-    `start`, an estimate on the same r with a finite omega and a positive
-    diagonal, starts each column's lasso from beta[j, k] = -omega[k, j] /
-    omega[j, j].  W still starts at R, so the result is the cold start's
-    (start=None)."""
+    `start`, an estimate on the same r with a finite omega, a positive
+    diagonal and finite coefficients beta[j, k] = -omega[k, j] /
+    omega[j, j], starts each column's lasso from them.  W still starts at
+    R, so the result is the cold start's (start=None)."""
     r = _check_correlation(r)
     d = r.shape[0]
     _check_penalty(lam)
@@ -294,9 +291,15 @@ def glasso_fit(r: np.ndarray, lam: float, *, start: PrecisionEstimate | None = N
         if bad.size:
             j = bad[0]
             raise ValueError(f"start precision entry ({j}, {j}) is not positive: {start.omega[j, j]}")
-        beta = -start.omega.T / np.diag(start.omega)[:, None]
+        with np.errstate(over="ignore"):  # a tiny diagonal entry; named below
+            beta = -start.omega.T / np.diag(start.omega)[:, None]
         np.fill_diagonal(beta, 0.0)
-    return _estimate(r, float(lam), np.full((d, d), float(lam)), beta)
+        bad = np.argwhere(~np.isfinite(beta))
+        if bad.size:
+            j, k = bad[0]
+            raise ValueError(f"start coefficient ({j}, {k}), -omega[{k}, {j}] / omega[{j}, {j}], is not finite: "
+                             f"{beta[j, k]}")
+    return _fit(r, float(lam), None, beta)
 
 
 def refit_support(r: np.ndarray, edges) -> PrecisionEstimate:
@@ -309,14 +312,13 @@ def refit_support(r: np.ndarray, edges) -> PrecisionEstimate:
     """
     r = _check_correlation(r)
     d = r.shape[0]
-    penalty = np.full((d, d), np.inf)
-    np.fill_diagonal(penalty, 0.0)
+    support = np.zeros((d, d), dtype=bool)
     for edge in edges:
-        if not (all(isinstance(v, (int, np.integer)) and 0 <= v < d for v in edge)
+        if not (all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < d for v in edge)
                 and len(edge) == 2 and edge[0] != edge[1]):
             raise ValueError(f"edge {edge!r} is not two distinct integers in 0..{d - 1}")
-        penalty[edge[0], edge[1]] = penalty[edge[1], edge[0]] = 0.0
-    return _estimate(r, 0.0, penalty, np.zeros((d, d)))
+        support[edge[0], edge[1]] = support[edge[1], edge[0]] = True
+    return _fit(r, 0.0, support, np.zeros((d, d)))
 
 
 def _edges(omega: np.ndarray, threshold: float) -> list[tuple[int, int]]:
@@ -328,9 +330,9 @@ def default_lambda_path(r: np.ndarray) -> tuple[float, ...]:
     """10 equally spaced penalties from m/10 up to m = max offdiag |R|.
 
     When the off-diagonal is identically zero the path degenerates to a
-    single tiny positive penalty.
+    single tiny positive penalty.  r is checked as `select_hbic` checks it.
     """
-    r = np.asarray(r, dtype=float)
+    r = _check_correlation(r)
     off = np.abs(r - np.diag(np.diag(r)))
     m = float(off.max())
     if m <= 0.0:

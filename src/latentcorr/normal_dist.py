@@ -16,8 +16,8 @@ integral over r of its closed-form derivative, by one fixed 64-node
 Gauss-Legendre rule in log(1 - |r|), with absolute error <= 1e-14 for
 bounds in [-8.5, 8.5] and |r| <= 1 - 1e-6.  One kernel (_phi3_grid) runs
 it on each task's grid of bounds, one row (D_l, D_l+1) per cutoff, with the
-r-only factors once per task and each bound's density once.  trivariate_cdf
-is one task of one row.  Everything in this module is pure and reentrant.
+r-only factors once per task and each bound's density once.  Everything in
+this module is pure and reentrant.
 
 Infinite arguments are accepted everywhere: the bivariate CDF resolves
 them analytically (marginalization identities), and the trivariate
@@ -32,12 +32,9 @@ from scipy.special import ndtr, ndtri, owens_t
 
 __all__ = [
     "std_cdf",
-    "std_pdf",
     "std_quantile",
     "bivariate_pdf",
     "bivariate_cdf",
-    "trivariate_cdf",
-    "trivariate_cdf_grad",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -49,19 +46,10 @@ _FAR = 1e3
 _PHI3_U, _PHI3_W = leggauss(64)
 _PHI3_U, _PHI3_W = 0.5 * (1.0 + _PHI3_U), 0.5 * _PHI3_W
 
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
 
 def std_cdf(x):
     """Standard normal CDF; accepts +-inf and arrays."""
     return ndtr(x)
-
-
-def std_pdf(x):
-    """Standard normal density; 0 at +-inf."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(np.isfinite(x), np.exp(-0.5 * np.square(np.where(np.isfinite(x), x, 0.0))) * _INV_SQRT_2PI, 0.0)
-    return out if out.ndim else float(out)
 
 
 def std_quantile(p):
@@ -221,22 +209,3 @@ def _phi3_grid(grid, c, r):
     value = np.clip(cdf[:, :-1] * cdf[:, 1:] * ndtr(c) + integral, 0.0, 1.0)
     return value, slope[:, :, -1]
 
-
-def trivariate_cdf(a, b, c, r):
-    """CDF of (U1, U2, (V1-V2)/sqrt(2)) at (a, b, c) for latent correlation r.
-
-    r must lie in (-1, 1) so the implied covariance is positive definite.
-    Computed by Plackett's identity with a fixed rule (see _phi3_grid, of
-    which this is one task of one row); absolute error <= 1e-14 for
-    |r| <= 1 - 1e-6.
-    """
-    if not -1.0 < r < 1.0:
-        raise ValueError(f"latent correlation must be in (-1, 1), got {r}")
-    return float(_phi3_grid([[a, b]], c, [r])[0][0, 0])
-
-
-def trivariate_cdf_grad(a, b, r):
-    """Scalar d/dr of trivariate_cdf(a, b, 0, r), r in (-1, 1)."""
-    if not -1.0 < r < 1.0:
-        raise ValueError(f"latent correlation must be in (-1, 1), got {r}")
-    return float(_phi3_grid([[a, b]], 0.0, [r])[1][0, 0])

@@ -1,11 +1,10 @@
 """Latent Gaussian copula sampling and the error-curve experiments.
 
 Provides seeded data generation from the latent model, the two
-discretization experiments (equal-mass levels, and collapse-from-16),
-the concentration-rate harness, and the Monte-Carlo oracles used by the
-test suite.  All randomness flows through a counter-based Philox
-generator with one spawned stream per replicate, so replicates are
-reproducible and order-independent.
+discretization experiments (equal-mass levels, and collapse-from-16) and
+the concentration-rate harness.  All randomness flows through a
+counter-based Philox generator with one spawned stream per replicate, so
+replicates are reproducible and order-independent.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kendall
 # estimate_cutoffs and invert_bridge are unused here but stay bound:
 # perfbench/spans.py wraps them by name.
 from .bridge import estimate_cutoffs, invert_bridge
@@ -32,8 +30,6 @@ __all__ = [
     "check_discretization_options",
     "concentration_check",
     "error_curves_to_text",
-    "mc_population_tau_a",
-    "mc_tau_b_replicates",
 ]
 
 R_GRID_CAP = 0.99  # latent correlations must stay inside (-1, 1)
@@ -268,8 +264,16 @@ def concentration_check(
     Half the columns are p-level ordinal (equal-mass cutoffs), half
     continuous; the latent correlation is AR(1) with parameter 0.5.
     Returns (n_grid array, mean sup-error per n, fitted log-log slope).
+    Raises ValueError for d < 2, fewer than two distinct n, any n < 2, or
+    n_seeds < 1.
     """
     n_grid = np.asarray(sorted(n_grid), dtype=int)
+    if d < 2:
+        raise ValueError(f"need d >= 2 columns, got {d}")
+    if np.unique(n_grid).size < 2 or n_grid[0] < 2:
+        raise ValueError(f"need two or more distinct sample sizes n >= 2, got {n_grid.tolist()}")
+    if n_seeds < 1:
+        raise ValueError(f"need n_seeds >= 1, got {n_seeds}")
     sigma = 0.5 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
     cuts = equal_mass_cutoffs(p)
     cutoffs = tuple(cuts if j < d // 2 else None for j in range(d))
@@ -298,39 +302,3 @@ def error_curves_to_text(curves) -> str:
             buf.write(f"{curve.p}\t{lo:.1f}\t{hi:.1f}\t{mse:.12e}\t{curve.reps}\n")
     return buf.getvalue()
 
-
-def mc_population_tau_a(r, cutoffs_j=None, cutoffs_k=None, n_draws=10**6, seed=0):
-    """Monte-Carlo population tau-a: mean sign product over independent
-    observation pairs.  Returns (estimate, standard_error)."""
-    seq = np.random.SeedSequence(seed)
-    rng = _rng(seq)
-    chol = np.linalg.cholesky(np.array([[1.0, r], [r, 1.0]]))
-    z1 = _sample_latent(chol, n_draws, rng)
-    z2 = _sample_latent(chol, n_draws, rng)
-    x1 = _discretize(z1, (cutoffs_j, cutoffs_k))
-    x2 = _discretize(z2, (cutoffs_j, cutoffs_k))
-    signs = np.sign(x1[:, 0] - x2[:, 0]) * np.sign(x1[:, 1] - x2[:, 1])
-    return float(signs.mean()), float(signs.std(ddof=1) / np.sqrt(n_draws))
-
-
-def mc_tau_b_replicates(r, cutoffs_j, cutoffs_k=None, n=84, reps=10**4, seed=0):
-    """Replicate means of the tie-corrected tau on samples of size n.
-
-    Degenerate replicates (a side with a single observed level) are
-    excluded; fewer than 2 left is a ValueError.  Returns (mean,
-    standard_error_of_mean).
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(reps)
-    chol = np.linalg.cholesky(np.array([[1.0, r], [r, 1.0]]))
-    # one stacked count; a constant side gives a NaN tau_b
-    x = np.stack([_discretize(_sample_latent(chol, n, _rng(c)), (cutoffs_j, cutoffs_k))
-                  for c in children])
-    vals = kendall.tau_b(x[:, :, :1], x[:, :, 1:]).tau_b.ravel()
-    vals = vals[~np.isnan(vals)]
-    if vals.size < 2:
-        raise ValueError(f"{reps - vals.size} of {reps} replicates are degenerate (a side with a single "
-                         "observed level); need at least 2 that are not")
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))

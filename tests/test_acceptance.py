@@ -22,6 +22,7 @@ from latentcorr.bridge import (
     tau_b_second_order,
 )
 from latentcorr.normal_dist import bivariate_cdf, std_cdf
+import oracles
 
 # ---------------------------------------------------------------------------
 # Criterion helpers
@@ -171,7 +172,7 @@ def test_criterion_04_monte_carlo_bridge_validity():
         ck = simulate.equal_mass_cutoffs(pk) if pk else None
         for r in (0.2, 0.6):
             seed += 1
-            est, se = simulate.mc_population_tau_a(r, cj, ck, n_draws=10**6, seed=seed)
+            est, se = oracles.mc_population_tau_a(r, cj, ck, n_draws=10**6, seed=seed)
             z = abs(est - bridge_forward(r, kind, cj, ck).value) / se
             if z > worst_z:
                 worst_z = z
@@ -235,7 +236,7 @@ def test_criterion_08_tau_b_taylor_agreement():
         first = bridge_forward_tau_b(r, kind, cj).value
         second = tau_b_second_order(r, delta, n)
         max_gap = max(max_gap, abs(second - first))
-        mc_mean, mc_se = simulate.mc_tau_b_replicates(
+        mc_mean, mc_se = oracles.mc_tau_b_replicates(
             r, cj, None, n=n, reps=10**4, seed=8600 + i
         )
         worst_z = max(

@@ -10,6 +10,7 @@ from scipy.special import gammaln
 from latentcorr import bridge, simulate
 from latentcorr import normal_dist as nd
 from latentcorr.bridge import BridgeKind
+import oracles
 
 # ---------------------------------------------------------------------------
 # Oracles: independent closed-form routes built from the bivariate CDF only
@@ -45,7 +46,7 @@ def closed_form_up_to_three_levels(r, cj, ck):
 
 
 def mc_tau(r, cuts_j, cuts_k, n_draws=200_000, seed=0):
-    return simulate.mc_population_tau_a(r, cuts_j, cuts_k, n_draws=n_draws, seed=seed)
+    return oracles.mc_population_tau_a(r, cuts_j, cuts_k, n_draws=n_draws, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,7 @@ def test_forward_matches_monte_carlo(cuts_j, cuts_k):
 @pytest.mark.parametrize("r", [-0.5, 0.2, 0.6])
 def test_many_level_ordinal_pairs_match_monte_carlo(pj, pk, r):
     cj, ck = simulate.equal_mass_cutoffs(pj), simulate.equal_mass_cutoffs(pk)
-    want, se = simulate.mc_population_tau_a(r, cj, ck, n_draws=10**6, seed=pj * 100 + pk)
+    want, se = oracles.mc_population_tau_a(r, cj, ck, n_draws=10**6, seed=pj * 100 + pk)
     got = bridge.bridge_forward(r, BridgeKind(pj, pk), cj, ck).value
     assert abs(got - want) < 3.0 * se
 
@@ -154,7 +155,7 @@ def test_many_level_ordinal_pairs_match_monte_carlo(pj, pk, r):
 def test_example_four_level_continuous_at_point_six():
     cuts = simulate.equal_mass_cutoffs(4)
     kind = BridgeKind(4, None)
-    want, se = simulate.mc_population_tau_a(0.6, cuts, None, n_draws=10**6, seed=5)
+    want, se = oracles.mc_population_tau_a(0.6, cuts, None, n_draws=10**6, seed=5)
     got = bridge.bridge_forward(0.6, kind, cuts).value
     assert abs(got - want) < 3.0 * se
 
@@ -300,7 +301,7 @@ def tau_b_second_order_by_trinomial_sum(r, delta, n):
     var_t = n_pairs * (2.0 * phi - 2.0 * phi * phi) - e_t * e_t
 
     rho = r / math.sqrt(2.0)
-    phi3 = nd.trivariate_cdf(delta, delta, 0.0, r)
+    phi3 = oracles.trivariate_cdf(delta, delta, 0.0, r)
     p_con = 2.0 * (nd.bivariate_cdf(delta, 0.0, rho) - phi3)
     p_dis = 2.0 * (nd.bivariate_cdf(delta, 0.0, -rho) - phi3)
     p_rest = 1.0 - p_con - p_dis
@@ -394,6 +395,11 @@ def test_a_stack_of_columns_gets_each_column_alone_s_cutoffs():
             bridge.estimate_cutoffs(stack, p)
 
 
+def test_estimate_cutoffs_refuses_more_than_two_dimensions():
+    with pytest.raises(ValueError, match=r"^codes must be one column or a \(reps, n\) stack, got 3 dimensions$"):
+        bridge.estimate_cutoffs(np.zeros((2, 2, 2)), 3)
+
+
 def test_nan_cutoffs_are_rejected_when_the_task_is_built():
     with pytest.raises(ValueError, match=r"cutoffs_j must not be NaN, got \[nan\]"):
         bridge.InversionTask(0.1, BridgeKind(2, None), np.array([np.nan]))
@@ -461,7 +467,7 @@ def test_tau_b_bridge_of_a_side_with_one_level_of_mass_is_degenerate(cuts):
 def test_tau_b_bridge_matches_simulation(r, cj, ck, seed):
     """The first-order tau-b bridge within 3 SE of the mean sample tau-b."""
     kind = BridgeKind(*(None if c is None else c.size + 1 for c in (cj, ck)))
-    mean, se = simulate.mc_tau_b_replicates(r, cj, ck, n=1000, reps=400, seed=seed)
+    mean, se = oracles.mc_tau_b_replicates(r, cj, ck, n=1000, reps=400, seed=seed)
     assert abs(bridge.bridge_forward_tau_b(r, kind, cj, ck).value - mean) <= 3.0 * se
 
 

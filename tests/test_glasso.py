@@ -363,6 +363,24 @@ def test_default_lambda_path_degenerate():
     assert glasso.default_lambda_path(np.eye(4)) == (1e-8,)
 
 
+def eye_with(j, k, value):
+    r = np.eye(3)
+    r[j, k] = r[k, j] = value
+    return r
+
+
+@pytest.mark.parametrize("r, match", [
+    (np.full((3, 3), np.nan), r"entry \(0, 0\) is not finite: nan"),
+    (np.zeros((0, 0)), r"is empty \(0 x 0\)"),
+    (np.zeros((2, 3)), r"must be square"),
+    (eye_with(0, 1, np.inf), r"entry \(0, 1\) is not finite: inf"),
+    (eye_with(1, 2, -np.inf), r"entry \(1, 2\) is not finite: -inf"),
+], ids=["nan", "empty", "not_square", "inf", "minus_inf"])
+def test_default_lambda_path_checks_the_correlation_matrix(r, match):
+    with pytest.raises(ValueError, match="correlation matrix " + match):
+        glasso.default_lambda_path(r)
+
+
 def test_sparsity_monotone_along_path():
     rng = np.random.default_rng(6)
     r = np.corrcoef(rng.standard_normal((7, 150)))
@@ -484,16 +502,33 @@ def test_a_start_without_a_finite_positive_precision_is_refused():
             glasso.glasso_fit(r, 0.1, start=dataclasses.replace(good, omega=omega))
 
 
+def test_a_start_whose_coefficients_overflow_is_refused():
+    # beta[1, 3] = -omega[3, 1] / omega[1, 1] overflows, with a subnormal
+    # and with a tiny normal omega[1, 1]
+    r, _ = path_input()
+    good = glasso.glasso_fit(r, 0.1)
+    subnormal, huge = np.eye(12), np.eye(12)
+    subnormal[1, 1], subnormal[1, 3], subnormal[3, 1] = 1e-310, 0.5, 0.5
+    huge[1, 1], huge[1, 3], huge[3, 1] = 1e-300, 1e308, 1e308
+    for omega in (subnormal, huge):
+        with pytest.raises(ValueError, match=re.escape(
+                "start coefficient (1, 3), -omega[3, 1] / omega[1, 1], is not finite: -inf")):
+            glasso.glasso_fit(r, 0.1, start=dataclasses.replace(good, omega=omega))
+    # a subnormal diagonal entry with finite coefficients is a valid start
+    subnormal[1, 3] = subnormal[3, 1] = 0.0
+    assert_same_fit(glasso.glasso_fit(r, 0.1, start=dataclasses.replace(good, omega=subnormal)), good)
+
+
 def test_warnings_inside_a_refit_reach_the_caller(monkeypatch):
-    fit_core = glasso._fit_core
+    fit = glasso._fit
     raised = []
 
-    def warning_fit_core(r, lam, *rest):
+    def warning_fit(r, lam, *rest):
         raised.append(f"fit {len(raised)}")
         warnings.warn(raised[-1], RuntimeWarning)
-        return fit_core(r, lam, *rest)
+        return fit(r, lam, *rest)
 
-    monkeypatch.setattr(glasso, "_fit_core", warning_fit_core)
+    monkeypatch.setattr(glasso, "_fit", warning_fit)
     rng = np.random.default_rng(10)
     x = rng.standard_normal((40, 6))
     x[:, 1:] += x[:, :-1]
@@ -585,6 +620,17 @@ def reference_fit_block(r, lam, beta, general=False):
     return 0.5 * (omega + omega.T), sweeps, converged
 
 
+def penalty_matrix(d, lam, support):
+    """The per-entry penalty `reference_fit_block` takes for `glasso._fit_block`'s
+    (lam, support): lam on every entry, or, for a support, 0 on it and on
+    the diagonal and inf off it."""
+    if support is None:
+        return np.full((d, d), lam)
+    penalty = np.where(support, 0.0, np.inf)
+    np.fill_diagonal(penalty, 0.0)
+    return penalty
+
+
 def reference_inputs():
     """path_input's R and three AR-like sample correlations (d = 5, 14, 25),
     each also with its upper triangle moved by up to 1 ulp, so R is not
@@ -605,7 +651,8 @@ def test_fits_equal_the_reference_column_step_bit_for_bit(monkeypatch):
     for r, (_, (_, path)) in zip(cases, got):
         for fit in path:  # HBIC from the refit's own objective, as hbic_score gives it
             assert fit.hbic == glasso.hbic_score(r, glasso.refit_support(r, fit.edges).omega, 40)
-    monkeypatch.setattr(glasso, "_fit_block", reference_fit_block)
+    monkeypatch.setattr(glasso, "_fit_block", lambda r, lam, support, beta: reference_fit_block(
+        r, penalty_matrix(len(r), lam, support), beta))
     for r, (fits, (best, path)) in zip(cases, got):
         for fit in fits:
             assert_same_fit(fit, glasso.glasso_fit(r, fit.lam))
@@ -647,14 +694,31 @@ def test_refit_support_equals_the_general_column_solver_bit_for_bit(monkeypatch)
         supports.append([(int(j), int(k)) for j, k in pairs])
     cases = [(r, support) for support in supports] + [exact_zero_input()]
     got = [glasso.refit_support(rr, support) for rr, support in cases]
-    monkeypatch.setattr(glasso, "_fit_block", lambda r, lam, beta: reference_fit_block(r, lam, beta, general=True))
+    monkeypatch.setattr(glasso, "_fit_block", lambda r, lam, support, beta: reference_fit_block(
+        r, penalty_matrix(len(r), lam, support), beta, general=True))
     for (rr, support), fit in zip(cases, got):
         want = glasso.refit_support(rr, support)
         assert fit.omega.tobytes() == want.omega.tobytes()
         assert (fit.sweeps, fit.converged) == (want.sweeps, want.converged)
 
 
-@pytest.mark.parametrize("edge", [(0, -1), (1, 1), (0, 9), (0, 1.7), (0, 1, 2), (np.int64(4), 0)])
+def test_a_refit_fits_each_component_of_its_support_alone():
+    # r couples every pair of variables; the support is a chain within each
+    # of three groups, so the refit is each group's own refit, bit for bit
+    r, _ = path_input()
+    groups = [[0, 3, 5, 7], [1, 2, 4], [6, 8, 9, 10, 11]]
+    chain = [[(m, m + 1) for m in range(len(g) - 1)] for g in groups]
+    refit = glasso.refit_support(r, [(g[m], g[k]) for g, links in zip(groups, chain) for m, k in links])
+    alone = [glasso.refit_support(r[np.ix_(g, g)], links) for g, links in zip(groups, chain)]
+    want = np.zeros_like(r)
+    for g, fit in zip(groups, alone):
+        want[np.ix_(g, g)] = fit.omega
+    assert np.all(r != 0)
+    assert refit.omega.tobytes() == want.tobytes()
+    assert refit.sweeps == max(fit.sweeps for fit in alone) > 1
+
+
+@pytest.mark.parametrize("edge", [(0, -1), (1, 1), (0, 9), (0, 1.7), (0, 1, 2), (np.int64(4), 0), (True, 0), (1, False)])
 def test_refit_support_rejects_an_edge_that_is_not_two_variables(edge):
     r = np.corrcoef(np.random.default_rng(15).standard_normal((4, 50)))
     with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} is not two distinct integers in 0..3")):

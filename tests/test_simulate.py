@@ -9,6 +9,7 @@ from latentcorr import bridge, estimator, kendall, simulate
 from latentcorr import normal_dist as nd
 from latentcorr.estimator import ColumnSpec
 from latentcorr.simulate import CopulaSpec
+import oracles
 
 # ---------------------------------------------------------------------------
 # Sampling
@@ -228,29 +229,42 @@ def test_concentration_single_pair():
     assert np.all(err > 0)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(d=0), r"need d >= 2 columns, got 0"),
+    (dict(d=1), r"need d >= 2 columns, got 1"),
+    (dict(n_grid=()), r"two or more distinct sample sizes n >= 2, got \[\]"),
+    (dict(n_grid=(50, 50)), r"two or more distinct sample sizes n >= 2, got \[50, 50\]"),
+    (dict(n_grid=(1, 50)), r"two or more distinct sample sizes n >= 2, got \[1, 50\]"),
+    (dict(n_seeds=0), r"need n_seeds >= 1, got 0"),
+], ids=["d0", "d1", "no_n", "one_distinct_n", "n1", "no_seeds"])
+def test_concentration_check_rejects_a_grid_it_cannot_fit(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        simulate.concentration_check(**dict(dict(d=2, n_grid=(20, 40), n_seeds=1), **kwargs))
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo oracles
 # ---------------------------------------------------------------------------
 
 
 def test_mc_population_tau_independent_is_zero():
-    est, se = simulate.mc_population_tau_a(0.0, np.array([0.0]), None, n_draws=200_000, seed=14)
+    est, se = oracles.mc_population_tau_a(0.0, np.array([0.0]), None, n_draws=200_000, seed=14)
     assert abs(est) < 3 * se
 
 
 def test_mc_population_tau_continuous_matches_arcsine():
-    est, se = simulate.mc_population_tau_a(0.6, None, None, n_draws=400_000, seed=15)
+    est, se = oracles.mc_population_tau_a(0.6, None, None, n_draws=400_000, seed=15)
     assert abs(est - 2 / np.pi * np.arcsin(0.6)) < 3 * se
 
 
 def test_mc_tau_b_replicates_sane():
-    mean, se = simulate.mc_tau_b_replicates(0.0, np.array([0.0]), None, n=40, reps=400, seed=16)
+    mean, se = oracles.mc_tau_b_replicates(0.0, np.array([0.0]), None, n=40, reps=400, seed=16)
     assert abs(mean) < 3 * se
     assert se < 0.01
 
 
 def test_mc_tau_b_replicates_needs_two_replicates_that_are_not_degenerate():
     with pytest.raises(ValueError, match=r"^5 of 5 replicates are degenerate"):
-        simulate.mc_tau_b_replicates(0.3, np.array([np.inf]), None, n=10, reps=5)
+        oracles.mc_tau_b_replicates(0.3, np.array([np.inf]), None, n=10, reps=5)
     with pytest.raises(ValueError, match=r"^0 of 1 replicates are degenerate .*need at least 2"):
-        simulate.mc_tau_b_replicates(0.3, np.array([0.0]), None, n=40, reps=1)
+        oracles.mc_tau_b_replicates(0.3, np.array([0.0]), None, n=40, reps=1)
