@@ -9,7 +9,10 @@ Pair kinds and their bridges:
       F(r) = sum_{l=1}^{p-1} 4*Phi3(D_l, D_{l+1}, 0) - 2*Phi(D_l)*Phi(D_{l+1})
 
   with D_p = +inf, whose last term collapses to the binary-continuous
-  form 4*Phi2(D, 0, r/sqrt(2)) - 2*Phi(D).
+  form 4*Phi2(D, 0, r/sqrt(2)) - 2*Phi(D).  Its Plackett integrand is
+  exactly the density term of D_{p-1} (normal_dist._phi3_kernel): the
+  density at +inf underflows to 0, and the conditional CDF that multiplies
+  D_{p-1}'s density is exactly 1.0 wherever that density is not 0.
 * ordinal-ordinal, any p_j, p_k >= 2: with the cutoffs padded by -inf
   and +inf, G[a, b] = Phi2(Dj_a, Dk_b, r) = P(X < a, Y < b) is the
   cumulative grid, the cell masses pi_ab are its second differences, and
@@ -22,12 +25,14 @@ Pair kinds and their bridges:
 
 Each forward bridge is strictly increasing in r on (-1, 1), so inversion
 uses Newton iterations safeguarded by bisection on a maintained bracket.
-The iteration runs on a whole batch of pairs at once (invert_bridges):
-every pair keeps its own bracket and iterate, and each step evaluates the
-forward bridges of the pairs still unconverged in a few vector calls.  A
-bracket end F(+-(1 - CLAMP)) is evaluated only for a pair whose iterates
-have not shown it below or above tau, once the pair converges, bisects
-toward that end or runs out of steps.
+The iteration (_newton) runs on a table of pairs at once: level counts,
+padded cutoff grids and tau-b denominators as arrays, which the estimator
+builds from its per-column arrays and invert_bridges from its tasks.
+Every pair keeps its own bracket and iterate, and each step evaluates the
+forward bridges of the pairs still unconverged in a few vector calls per
+kind of pair.  A bracket end F(+-(1 - CLAMP)) is evaluated only for a pair
+whose iterates have not shown it below or above tau, once the pair
+converges, bisects toward that end or runs out of steps.
 
 The tau-b bridge of every kind is the first-order Taylor bridge
 F(r) / sqrt(u_j * u_k), where u = 1 - sum_a pi_a^2 is the probability that
@@ -45,7 +50,8 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from .normal_dist import (
-    _phi3_grid,
+    _phi3_factors,
+    _phi3_kernel,
     bivariate_cdf,
     bivariate_pdf,
     std_cdf,
@@ -209,7 +215,7 @@ def _forward_one(r, kind, cutoffs_j, cutoffs_k, variant) -> BridgeEval:
         value = (2.0 / math.pi) * math.asin(r)
         deriv = (2.0 / math.pi) / math.sqrt(1.0 - r * r)
         return BridgeEval(value, deriv)
-    value, deriv = _Bridges([task]).evaluate(np.array([float(r)]), np.array([0]))
+    value, deriv = _Bridges.of_tasks([task]).evaluate(np.array([float(r)]), np.array([0]))
     return BridgeEval(float(value[0]), float(deriv[0]))
 
 
@@ -302,57 +308,80 @@ class InversionTask:
 
 
 class _Bridges:
-    """Forward bridges of a batch of non-continuous tasks, evaluated together.
+    """Forward bridges of a table of non-continuous pairs, evaluated together.
 
-    Each task keeps its ordinal cutoffs as padded grids -inf, D_1, ...,
-    D_{p-1}, +inf, then +inf up to the widest task.  An ordinal-ordinal
-    task fills grid_j and grid_k (levels (p_j, p_k)); its bridge sums the
-    cells of its bivariate CDF grid, and tasks of one grid shape are
-    evaluated together.  An ordinal-continuous task puts its ordinal side
-    in grid_j (levels (p, 0)); its bridge sums one trivariate term per
-    cutoff l, with bounds grid_j[l + 1] and grid_j[l + 2], and tasks of
-    one level count are evaluated together by one kernel over their grids
-    D_1..D_{p-1}, +inf, which computes the r-only factors once per task
-    and each bound's density once.  Each evaluation takes at most
-    MAX_QUADRATURE_ROWS rows (bivariate grid rows or trivariate terms) but
-    at least one task, and np.bincount adds each pair's terms in cutoff
-    order, so a pair gets the same value alone or in any batch.
+    Pair i has the level counts levels[i] of its ordinal sides, j before k
+    (0 for a continuous side), the padded grids grid_j[i] and grid_k[i]
+    (-inf, D_1, ..., D_{p-1}, +inf, then +inf up to the table's width) and
+    the tau-b denominator scale[i] (1.0 for tau-a).  An ordinal-ordinal
+    pair fills grid_j and grid_k (levels (p_j, p_k)); its bridge sums the
+    cells of its bivariate CDF grid.  An ordinal-continuous pair puts its
+    ordinal side in grid_j (levels (p, 0)); its bridge sums one trivariate
+    term per cutoff l, with bounds grid_j[l + 1] and grid_j[l + 2], by one
+    kernel over its grid D_1..D_{p-1}, +inf.  Pairs are grouped by kind
+    (levels) once, here, and so are the grids' normal CDFs.  Each step
+    evaluates the pairs of one kind together: the trivariate kernel's
+    r-only factors once per MAX_QUADRATURE_ROWS pairs, and each call at
+    most MAX_QUADRATURE_ROWS rows (bivariate grid rows or trivariate
+    terms) but at least one pair.  np.bincount adds each pair's terms in
+    cutoff order, so a pair gets the same value alone or in any table.
     """
 
-    def __init__(self, tasks):
+    def __init__(self, levels, grid_j, grid_k, scale):
+        self.levels, self.grid_j, self.grid_k, self.scale = levels, grid_j, grid_k, scale
+        self.cdf_j = ndtr(grid_j)
+        code = levels[:, 0] * (levels[:, 1].max(initial=0) + 1) + levels[:, 1]  # sorts as (p_j, p_k)
+        _, first, self.kind = np.unique(code, return_index=True, return_inverse=True)
+        self.kinds = levels[first].tolist()
+
+    @classmethod
+    def of_tasks(cls, tasks):
+        """The table of a list of non-continuous InversionTasks."""
         n = len(tasks)
-        self.scale = np.array([t.scale for t in tasks])
         # the cutoffs of each task's ordinal sides, j before k
         sides = [[c for c in (t.cutoffs_j, t.cutoffs_k) if c is not None] for t in tasks]
-        self.levels = np.zeros((n, 2), dtype=int)
+        levels = np.zeros((n, 2), dtype=int)
         for i, cuts in enumerate(sides):
-            self.levels[i, : len(cuts)] = [c.size + 1 for c in cuts]
-        self.grid_j = np.full((n, self.levels[:, 0].max(initial=0) + 1), np.inf)
-        self.grid_k = np.full((n, self.levels[:, 1].max(initial=0) + 1), np.inf)
-        self.grid_j[:, 0] = self.grid_k[:, 0] = -np.inf
+            levels[i, : len(cuts)] = [c.size + 1 for c in cuts]
+        grid_j = np.full((n, levels[:, 0].max(initial=0) + 1), np.inf)
+        grid_k = np.full((n, levels[:, 1].max(initial=0) + 1), np.inf)
+        grid_j[:, 0] = grid_k[:, 0] = -np.inf
         for i, cuts in enumerate(sides):
-            for grid, c in zip((self.grid_j, self.grid_k), cuts):
+            for grid, c in zip((grid_j, grid_k), cuts):
                 grid[i, 1 : c.size + 1] = c
+        return cls(levels, grid_j, grid_k, np.array([t.scale for t in tasks]))
 
     def evaluate(self, r: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bridge values and derivatives of tasks idx at r (aligned, repeats allowed)."""
-        levels = self.levels[idx]
+        """Bridge values and derivatives of pairs idx at r (aligned, repeats allowed)."""
         value, deriv = np.zeros(idx.size), np.zeros(idx.size)
-        for p_j, p_k in np.unique(levels, axis=0):
-            same = np.flatnonzero((levels == (p_j, p_k)).all(axis=1))
-            rows, kernel = (p_j + 1, self._ordinal_ordinal) if p_k else (p_j - 1, self._ordinal_continuous)
-            per = max(1, MAX_QUADRATURE_ROWS // rows)
-            for first in range(0, same.size, per):
-                kernel(r, idx, same[first : first + per], p_j, p_k, value, deriv)
+        kind = self.kind[idx]
+        order = np.argsort(kind, kind="stable")  # each kind's positions, ascending
+        counts = np.bincount(kind, minlength=len(self.kinds))
+        ends = np.cumsum(counts)
+        for (p_j, p_k), first, last in zip(self.kinds, ends - counts, ends):
+            same = order[first:last]
+            if p_k:  # bivariate grids of p_j + 1 rows
+                per = max(1, MAX_QUADRATURE_ROWS // (p_j + 1))
+                for at in range(0, same.size, per):
+                    self._ordinal_ordinal(r, idx, same[at : at + per], p_j, p_k, value, deriv)
+            else:  # p_j - 1 trivariate rows; the r-only factors of whole calls at once
+                per = max(1, MAX_QUADRATURE_ROWS // (p_j - 1))
+                block = per * max(1, MAX_QUADRATURE_ROWS // per)
+                for lo in range(0, same.size, block):
+                    pos = same[lo : lo + block]
+                    factors = _phi3_factors(r[pos])
+                    for at in range(0, pos.size, per):
+                        part = tuple(f[at : at + per] for f in factors)
+                        self._ordinal_continuous(idx, pos[at : at + per], p_j, part, value, deriv)
         scale = self.scale[idx]
         return value / scale, deriv / scale
 
-    def _ordinal_continuous(self, r, idx, pos, p, _, value, deriv):
-        grid = self.grid_j[idx[pos], 1 : p + 1]  # D_1, ..., D_{p-1}, +inf
-        phi3, grad = _phi3_grid(grid, 0.0, r[pos])
-        cdf = ndtr(grid)
+    def _ordinal_continuous(self, idx, pos, p, factors, value, deriv):
+        rows = idx[pos]
+        cdf = self.cdf_j[rows, 1 : p + 1]
+        phi3, grad = _phi3_kernel(self.grid_j[rows, 1 : p + 1], cdf, 0.0, factors)  # D_1..D_{p-1}, +inf
         terms = 4.0 * phi3 - 2.0 * cdf[:, :-1] * cdf[:, 1:]
-        # np.bincount adds each task's terms in cutoff order, as for the task alone
+        # np.bincount adds each pair's terms in cutoff order, as for the pair alone
         owner = np.repeat(np.arange(pos.size), p - 1)
         value[pos] = np.bincount(owner, terms.ravel(), minlength=pos.size)
         deriv[pos] = np.bincount(owner, 4.0 * grad.ravel(), minlength=pos.size)
@@ -371,7 +400,7 @@ class _Bridges:
         # d Phi2 / dr = phi2, and cells() is linear in g
         mass, net = cells(bivariate_cdf(dj, dk, r))
         d_mass, d_net = cells(bivariate_pdf(dj, dk, r))
-        # one row per task, so each sum runs as for that task alone
+        # one row per pair, so each sum runs as for that pair alone
         value[pos] = 2.0 * (mass * net).reshape(pos.size, -1).sum(axis=1)
         deriv[pos] = 2.0 * (d_mass * net + mass * d_net).reshape(pos.size, -1).sum(axis=1)
 
@@ -407,22 +436,10 @@ def invert_bridge(
 def invert_bridges(tasks) -> list[InversionResult]:
     """Invert the forward bridge of every task, as one vector iteration.
 
-    Continuous pairs are inverted in closed form.  Every other task runs
-    safeguarded Newton with its own bracket [-1+CLAMP, 1-CLAMP], starting
-    at sin(pi/2 * tau), until |F(r) - tau| <= NEWTON_TOL; each step
-    evaluates F only on the tasks that have not converged.  A tau outside
-    the achievable range [F(-1+CLAMP), F(1-CLAMP)] is clamped to the
-    nearest endpoint and flagged.  Each result is the one the task would
-    get alone.  Raises BridgeInversionError, carrying the task's index,
-    when a task misses 10*NEWTON_TOL after NEWTON_MAX_ITER steps.
-
-    F is strictly increasing, so an iterate with F(r) < tau shows the lower
-    end in range and one with F(r) > tau the upper.  An end not yet shown is
-    evaluated when its task converges, bisects toward it (a Newton step
-    past it, or no usable derivative), or is left after the last step,
-    before any task is reported unconverged.  A tau out of range there ends
-    the task at that end with 0 iterations; every other iterate is the one
-    it would be with both ends evaluated first.
+    Continuous pairs are inverted in closed form, every other task by
+    _newton on the table of those tasks.  Each result is the one the task
+    would get alone.  Raises BridgeInversionError, carrying the task's
+    index, when a task misses 10*NEWTON_TOL after NEWTON_MAX_ITER steps.
     """
     results: list[InversionResult | None] = [None] * len(tasks)
     newton = []
@@ -433,21 +450,52 @@ def invert_bridges(tasks) -> list[InversionResult]:
             newton.append(i)
     if not newton:
         return results
+    try:
+        r, clamped, iterations = _newton(
+            _Bridges.of_tasks([tasks[i] for i in newton]),
+            np.array([tasks[i].tau for i in newton]),
+            lambda i: tasks[newton[i]].kind,
+        )
+    except BridgeInversionError as exc:
+        exc.index = newton[exc.index]
+        raise
+    for i, r_i, c_i, it_i in zip(newton, r.tolist(), clamped.tolist(), iterations.tolist()):
+        results[i] = InversionResult(r_i, c_i, it_i)
+    return results
 
-    bridges = _Bridges([tasks[i] for i in newton])
-    tau = np.array([tasks[i].tau for i in newton])
+
+def _newton(bridges: _Bridges, tau: np.ndarray, kind_of):
+    """Safeguarded Newton on every pair of a table at once: (r, clamped,
+    iterations) arrays for the pairs' taus.
+
+    Every pair keeps its own bracket [-1+CLAMP, 1-CLAMP], starts at
+    sin(pi/2 * tau), and stops at |F(r) - tau| <= NEWTON_TOL; each step
+    evaluates F only on the pairs that have not converged.  A tau outside
+    the achievable range [F(-1+CLAMP), F(1-CLAMP)] is clamped to the
+    nearest endpoint and flagged.  Raises BridgeInversionError, carrying
+    the pair's index in the table and naming kind_of(index), for the first
+    pair that misses 10*NEWTON_TOL after NEWTON_MAX_ITER steps.
+
+    F is strictly increasing, so an iterate with F(r) < tau shows the lower
+    end in range and one with F(r) > tau the upper.  An end not yet shown is
+    evaluated when its pair converges, bisects toward it (a Newton step
+    past it, or no usable derivative), or is left after the last step,
+    before any pair is reported unconverged.  A tau out of range there ends
+    the pair at that end with 0 iterations; every other iterate is the one
+    it would be with both ends evaluated first.
+    """
     m = tau.size
     ends = np.array([-1.0 + CLAMP, 1.0 - CLAMP])
     lo, hi = np.full(m, ends[0]), np.full(m, ends[1])
-    # F(end) - tau at each task's lower and upper end: NaN until evaluated,
+    # F(end) - tau at each pair's lower and upper end: NaN until evaluated,
     # -inf / +inf once an iterate has shown the end in range
     f_end = np.full((2, m), np.nan)
-    start = np.array([math.sin(math.pi / 2.0 * t) for t in tau])
+    start = np.array([math.sin(math.pi / 2.0 * t) for t in tau.tolist()])
     r = np.minimum(np.maximum(start, lo + 1e-12), hi - 1e-12)
     clamped, iterations, active = np.zeros(m, bool), np.zeros(m, int), np.ones(m, bool)
 
     def settle(idx):
-        """Evaluate the unknown ends of tasks idx and end each task whose tau
+        """Evaluate the unknown ends of pairs idx and end each pair whose tau
         is out of range at its end; returns the mask of idx in range."""
         side, pos = np.nonzero(np.isnan(f_end[:, idx]))
         if pos.size:
@@ -486,15 +534,12 @@ def invert_bridges(tasks) -> list[InversionResult]:
     left = left[settle(left)]
     if left.size:
         residual = bridges.evaluate(r[left], left)[0] - tau[left]
-        for i, res in zip(left, residual):
+        for i, res in zip(left.tolist(), residual):
             if not abs(res) <= 10.0 * NEWTON_TOL:
-                task = tasks[newton[i]]
                 raise BridgeInversionError(
-                    f"no convergence after {NEWTON_MAX_ITER} iterations: kind={task.kind}, "
-                    f"tau_hat={task.tau}, residual={res:.3e}",
-                    newton[i],
+                    f"no convergence after {NEWTON_MAX_ITER} iterations: kind={kind_of(i)}, "
+                    f"tau_hat={float(tau[i])}, residual={res:.3e}",
+                    i,
                 )
         iterations[left] = NEWTON_MAX_ITER
-    for i, r_i, c_i, it_i in zip(newton, r, clamped, iterations):
-        results[i] = InversionResult(float(r_i), bool(c_i), int(it_i))
-    return results
+    return r, clamped, iterations

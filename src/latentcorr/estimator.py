@@ -18,11 +18,13 @@ from .bridge import (
     BridgeInversionError,
     BridgeKind,
     InversionTask,
+    _Bridges,
+    _newton,
     estimate_cutoffs,
     invert_bridge,
-    invert_bridges,
 )
 from .glasso import _check_correlation
+from .normal_dist import std_cdf
 
 __all__ = [
     "ColumnSpec",
@@ -122,10 +124,14 @@ def estimate_latent_correlation(
     and only columns in a listed pair are checked and given cutoffs.
     One kendall call counts the taus of every replicate at once: of every
     pair of the listed pairs' columns when they are all listed, else of the
-    pairs' left columns against their right columns.  Continuous pairs are
-    inverted in closed form as they come; all other pairs of every
-    replicate need Newton and are inverted together in one batch
-    (bridge.invert_bridges) after the loop.
+    pairs' left columns against their right columns.  Levels, cutoffs and
+    the tau-b factors come from one pass per (replicate, column), and the
+    pairs of every replicate form one table of arrays, with no object per
+    pair.  Continuous pairs are inverted in closed form, one invert_bridge
+    call each; all other pairs need Newton and are inverted together by one
+    loop over the table (bridge._newton, as bridge.invert_bridges does).
+    Errors are those of each pair's own InversionTask, the first in
+    (replicate, pair) order.
     """
     if variant not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
@@ -162,17 +168,27 @@ def estimate_latent_correlation(
             f"{where[rep]}{'ordinal' if spec.is_ordinal else 'continuous'} column {spec.name!r} "
             f"has {'no' if lo[rep, i] > hi[rep, i] else 'a single'} observed value"
         )
-    # Each ordinal column's observed levels in every replicate, from one sort
+    # Every ordinal column's observed levels in every replicate, from one sort
     # over the stack: empty declared levels collapse, and the sorted values'
     # level numbers 0..levels-1 are the codes its cutoffs count.
-    levels, cutoffs = np.zeros((len(stack), d), dtype=int), {}
-    for j in [c for c in used if specs[c].is_ordinal]:
-        v = np.sort(stack[:, :, j], axis=1)  # blanks last
-        blank = np.isnan(v)
-        new = (v[:, 1:] != v[:, :-1]) & ~blank[:, 1:]
-        levels[:, j] = 1 + new.sum(axis=1)
-        codes = np.where(blank, np.nan, np.cumsum(np.insert(new, 0, False, axis=1), axis=1))
-        cutoffs[j] = estimate_cutoffs(codes, levels[:, j].max(initial=2))  # 2 for no replicate
+    reps, n = stack.shape[:2]
+    ordinal = [c for c in used if specs[c].is_ordinal]
+    v = stack.transpose(0, 2, 1)[:, ordinal]  # (reps, columns, n), a copy
+    v.sort(axis=-1)  # blanks last
+    blank = np.isnan(v)
+    new = (v[..., 1:] != v[..., :-1]) & ~blank[..., 1:]
+    levels = np.zeros((reps, d), dtype=int)
+    levels[:, ordinal] = 1 + new.sum(axis=-1)
+    # each (replicate, column)'s grid row -inf, D_1..D_{p-1}, +inf, padded
+    # with +inf; a column with fewer levels than the widest takes the first
+    # p - 1 of its cutoffs, which are the ones its own level count gives
+    width = int(levels.max(initial=2))  # 2 for no replicate
+    grid = np.full((reps, d, width + 1), np.inf)
+    grid[..., 0] = -np.inf
+    if ordinal:
+        codes = np.where(blank, np.nan, np.cumsum(np.insert(new, 0, False, axis=-1), axis=-1))
+        cuts = estimate_cutoffs(codes.reshape(-1, n), width).reshape(reps, len(ordinal), width - 1)
+        grid[:, ordinal, 1:width] = np.where(np.arange(1, width) < levels[:, ordinal, None], cuts, np.inf)
     over = np.argwhere(levels > [spec.levels or 0 for spec in specs])
     if over.size:
         rep, j = over[0]
@@ -180,9 +196,17 @@ def estimate_latent_correlation(
             f"{where[rep]}ordinal column {specs[j].name!r} declares {specs[j].levels} levels "
             f"but has {levels[rep, j]} observed levels"
         )
-    levels = levels.tolist()
+    # the tau-b factor u = 2 * sum_a pi_a * (1 - F_a) of each (replicate,
+    # column), 1 for a continuous one; each sum runs over exactly its p - 1
+    # terms, as a pair's own denominator sums them
+    untied = np.ones((reps, d))
+    if variant == "b":
+        for p in np.unique(levels[:, ordinal]).tolist():
+            at = np.nonzero(levels == p)
+            cdf = std_cdf(grid[at][:, 1:p])
+            untied[at] = 2.0 * np.sum(np.diff(cdf, prepend=0.0, axis=1) * (1.0 - cdf), axis=1)
 
-    reps, diag = len(stack), np.arange(d)
+    diag = np.arange(d)
     values = np.full((reps, d, d), np.nan)
     values[:, diag, diag] = 1.0
     method = np.full((reps, d, d), np.array("not_estimated", dtype=object))  # one shared str
@@ -199,35 +223,64 @@ def estimate_latent_correlation(
     taus = np.reshape(taus, (reps, len(left), len(right)))
     row, col = {c: i for i, c in enumerate(left)}, {c: i for i, c in enumerate(right)}
 
-    tasks, batched = [], []
-    for rep, sample in enumerate(stack):
-        for j, k in pairs:
-            kind = BridgeKind(levels[rep][j] or None, levels[rep][k] or None)
-            method[rep, j, k] = method[rep, k, j] = kind.tag + (":tau_b" if variant == "b" else "")
-            try:
-                tau = float(taus[rep, row[j], col[k]])
-                if np.isnan(tau):  # fewer than 2 complete rows, or constant under tau-b:
-                    # the pair's own count raises the error that says which
-                    (kendall.tau_b if variant == "b" else kendall.tau_a)(sample[:, j], sample[:, k])
-                if kind.is_continuous_pair:  # closed form, so nothing to batch
-                    res = invert_bridge(tau, kind)
-                    values[rep, j, k] = values[rep, k, j] = res.r
-                    clamped[rep, j, k] = clamped[rep, k, j] = res.clamped
-                else:
-                    cuts = [cutoffs[c][rep, : levels[rep][c] - 1] if c in cutoffs else None for c in (j, k)]
-                    tasks.append(InversionTask(tau, kind, *cuts, variant))
-                    batched.append((rep, j, k))
-            except ValueError as exc:
-                raise type(exc)(f"{where[rep]}{_pair_label(j, k, specs)}: {exc}") from exc
+    # the pair table: one entry per (replicate, pair), in that order
+    jj, kk = (np.array([pair[side] for pair in pairs], dtype=int) for side in (0, 1))
+    tau = taus[:, [row[j] for j in jj.tolist()], [col[k] for k in kk.tolist()]]
+    lj, lk = levels[:, jj], levels[:, kk]
+    # the first entry that a pair's own InversionTask would refuse (a NaN
+    # tau, cutoffs out of order, a degenerate tau-b factor) fails as it would
+    good = (grid[..., 1:] >= grid[..., :-1]).all(axis=-1) & (untied > 0.0)  # per (replicate, column)
+    bad = np.argwhere(~((np.abs(tau) <= 1.0) & good[:, jj] & good[:, kk]))
+    if bad.size:
+        rep, i = bad[0].tolist()
+        j, k = pairs[i]
+        try:
+            if np.isnan(tau[rep, i]):  # fewer than 2 complete rows, or constant under tau-b:
+                # the pair's own count raises the error that says which
+                (kendall.tau_b if variant == "b" else kendall.tau_a)(stack[rep, :, j], stack[rep, :, k])
+            kind = BridgeKind(int(lj[rep, i]) or None, int(lk[rep, i]) or None)
+            cuts = [grid[rep, c, 1 : levels[rep, c]] if levels[rep, c] else None for c in (j, k)]
+            InversionTask(float(tau[rep, i]), kind, *cuts, variant)
+        except ValueError as exc:
+            raise type(exc)(f"{where[rep]}{_pair_label(j, k, specs)}: {exc}") from exc
 
-    try:
-        results = invert_bridges(tasks)
-    except BridgeInversionError as exc:
-        rep, j, k = batched[exc.index]
-        raise BridgeInversionError(f"{where[rep]}{_pair_label(j, k, specs)}: {exc}", exc.index) from exc
-    for (rep, j, k), res in zip(batched, results):
-        values[rep, j, k] = values[rep, k, j] = res.r
-        clamped[rep, j, k] = clamped[rep, k, j] = res.clamped
+    # method tags, one BridgeKind per distinct (p_j, p_k)
+    kinds, which = np.unique((lj * (width + 1) + lk).ravel(), return_inverse=True)
+    suffix = ":tau_b" if variant == "b" else ""
+    tags = np.array(
+        [BridgeKind(c // (width + 1) or None, c % (width + 1) or None).tag + suffix for c in kinds.tolist()],
+        dtype=object,
+    )
+    method[:, jj, kk] = method[:, kk, jj] = tags[which].reshape(tau.shape)
+
+    def fill(rep, j, k, r, flagged):
+        values[rep, j, k] = values[rep, k, j] = r
+        clamped[rep, j, k] = clamped[rep, k, j] = flagged
+
+    continuous = (lj == 0) & (lk == 0)
+    rep_c, pair_c = np.nonzero(continuous)
+    sine = BridgeKind()
+    results = [invert_bridge(t, sine) for t in tau[rep_c, pair_c].tolist()]  # closed form
+    fill(rep_c, jj[pair_c], kk[pair_c], [res.r for res in results], [res.clamped for res in results])
+
+    rep_t, pair_t = np.nonzero(~continuous)
+    if rep_t.size:
+        j_t, k_t, lj_t, lk_t = jj[pair_t], kk[pair_t], lj[rep_t, pair_t], lk[rep_t, pair_t]
+        ordinal_j = lj_t > 0
+        bridges = _Bridges(
+            np.column_stack([np.where(ordinal_j, lj_t, lk_t), np.where(ordinal_j, lk_t, 0)]),  # j before k
+            grid[rep_t, np.where(ordinal_j, j_t, k_t)],
+            grid[rep_t, np.where(ordinal_j, k_t, j_t)],  # a continuous side's row is not read
+            np.sqrt(untied[rep_t, j_t] * untied[rep_t, k_t]),
+        )
+        try:
+            r, flagged, _ = _newton(
+                bridges, tau[rep_t, pair_t], lambda i: BridgeKind(int(lj_t[i]) or None, int(lk_t[i]) or None)
+            )
+        except BridgeInversionError as exc:
+            rep, j, k = (int(a[exc.index]) for a in (rep_t, j_t, k_t))
+            raise BridgeInversionError(f"{where[rep]}{_pair_label(j, k, specs)}: {exc}", exc.index) from exc
+        fill(rep_t, j_t, k_t, r, flagged)
 
     estimates = [
         LatentCorrelationMatrix(*fields, specs=list(specs)) for fields in zip(values, method, clamped)

@@ -203,7 +203,10 @@ def _fit_block(r: np.ndarray, lam: float, support: np.ndarray | None, beta: np.n
             converged = False
 
     omega = 0.0 - beta.T  # not -beta.T, whose +0.0 coefficients give -0.0 entries
-    o_diag = 1.0 / (np.diag(w) - np.einsum("ij,ij->i", w, beta))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        o_diag = 1.0 / (np.diag(w) - np.einsum("ij,ij->i", w, beta))
+    if not np.all(np.isfinite(o_diag) & (o_diag > 0.0)):  # W is singular to working precision
+        raise np.linalg.LinAlgError("Singular matrix")
     omega *= o_diag
     np.fill_diagonal(omega, o_diag)
     return 0.5 * (omega + omega.T), sweeps, converged

@@ -16,8 +16,11 @@ integral over r of its closed-form derivative, by one fixed 64-node
 Gauss-Legendre rule in log(1 - |r|), with absolute error <= 1e-14 for
 bounds in [-8.5, 8.5] and |r| <= 1 - 1e-6.  One kernel (_phi3_grid) runs
 it on each task's grid of bounds, one row (D_l, D_l+1) per cutoff, with the
-r-only factors once per task and each bound's density once.  Everything in
-this module is pure and reentrant.
+r-only factors once per task (_phi3_factors, which a caller may compute
+once for many calls) and each bound's density once.  At c = 0 a last bound
+of +inf costs no normal CDF: its row is exactly the density term of the
+bound before (see _phi3_kernel).  Everything in this module is pure and
+reentrant.
 
 Infinite arguments are accepted everywhere: the bivariate CDF resolves
 them analytically (marginalization identities), and the trivariate
@@ -138,6 +141,26 @@ def bivariate_cdf(u, v, rho):
     return float(out[0]) if scalar else out.reshape(u.shape)
 
 
+def _phi3_factors(r):
+    """What _phi3_grid's rule needs of r alone, for tasks at r (shape (T,)):
+    the node weights, then rho, rho^2, 1/q^2, the conditional scale and the
+    norm at the nodes and at s = r, each with a bound axis of length 1."""
+    r = np.asarray(r, dtype=float)[:, None]
+    sign = np.sign(r)
+    log_gap = np.log1p(-np.abs(r))
+    gap = np.exp(log_gap * _PHI3_U)  # 1 - |s| at the nodes
+    weights = -sign * log_gap * gap * _PHI3_W  # ds = -sign(r) log(1 - |r|) exp(t) du
+    # axes (task, bound, s): the nodes, then s = r
+    s = np.concatenate([sign * (1.0 - gap), r], axis=1)[:, None, :]
+    rho = s / _SQRT2
+    rho2 = rho * rho
+    q2 = 1.0 - rho2
+    inv_q2 = 1.0 / q2
+    inv_sd = np.sqrt(q2 / ((1.0 - s) * (1.0 + s)))
+    norm = np.sqrt(inv_q2) / (2.0 * np.pi * _SQRT2)
+    return weights[:, None, :], rho, rho2, inv_q2, inv_sd, norm
+
+
 def _phi3_grid(grid, c, r):
     """Structured trivariate CDF and its r-derivative along bound grids.
 
@@ -161,51 +184,69 @@ def _phi3_grid(grid, c, r):
     and dPhi3/ds is their difference over sqrt(2); given two of the
     coordinates the third is normal with variance (1 - s^2)/(1 - rho^2).
     It is evaluated at the nodes and at s = r, which is the derivative.
-    What depends only on s is computed once per task, and each bound's
-    density and conditional mean once, for the bound as the a of one row
-    and as the b of the row before; at c = 0 the two are the same.
-    Absolute error <= 1e-14 for bounds in [-8.5, 8.5] and |r| <= 1 - 1e-6.
-    An infinite bound needs no special case: a -inf bound or c = +inf
-    leaves an integrand of 0, and a = +inf or b = +inf leaves the
-    derivative of a bivariate CDF.  Every element is computed on its own,
-    so a row's value does not depend on its grid or batch.
+    What depends only on s is computed once per task (_phi3_factors), and
+    each bound's density and conditional mean once, for the bound as the a
+    of one row and as the b of the row before; at c = 0 the two are the
+    same.  Absolute error <= 1e-14 for bounds in [-8.5, 8.5] and
+    |r| <= 1 - 1e-6.  An infinite bound needs no special case: a -inf
+    bound or c = +inf leaves an integrand of 0, and a = +inf or b = +inf
+    leaves the derivative of a bivariate CDF.  Every element is computed
+    on its own, so a row's value does not depend on its grid or batch.
     """
     grid = np.asarray(grid, dtype=float)
-    r = np.asarray(r, dtype=float)[:, None]
-    sign = np.sign(r)
-    log_gap = np.log1p(-np.abs(r))
-    gap = np.exp(log_gap * _PHI3_U)  # 1 - |s| at the nodes
-    weights = -sign * log_gap * gap * _PHI3_W  # ds = -sign(r) log(1 - |r|) exp(t) du
-    # axes (task, bound, s): the nodes, then s = r
-    s = np.concatenate([sign * (1.0 - gap), r], axis=1)[:, None, :]
+    return _phi3_kernel(grid, ndtr(grid), c, _phi3_factors(r))
+
+
+def _phi3_kernel(grid, cdf, c, factors):
+    """_phi3_grid with the grid's ndtr and the tasks' _phi3_factors given.
+
+    At c = 0, a last bound of +inf (any bound at or beyond _FAR) gives its
+    row exactly the density term of the bound before, phi2(D, 0; rho) up
+    to the norm, so that bound's density and mean and the row's two ndtr
+    calls are skipped.  Exact: the clipped bound's density
+    exp(-0.5 * 1e6 / q^2) underflows to +0.0, and wherever the bound
+    before has a nonzero density (|D| < 38.6, as 1/q^2 >= 1) its
+    conditional mean is at most |D| (rho^2/q^2 <= 1) and the conditional
+    scale at least 1, so Phi(b | U1 = a, W = 0) has an argument of at
+    least 961, where ndtr is exactly 1.0: the row is dens * 1.0 - 0.0 *
+    cond = dens.  Elsewhere a density of +0.0 leaves +0.0 either way.
+    """
+    weights, rho, rho2, inv_q2, inv_sd, norm = factors
     # beyond +-_FAR a bound acts as infinite: the density factors it enters
     # underflow to 0 and the conditional CDFs it enters round to 0 or 1
     x, w = np.clip(grid, -_FAR, _FAR)[:, :, None], min(max(float(c), -_FAR), _FAR)
-    rho = s / _SQRT2
-    rho2 = rho * rho
-    q2 = 1.0 - rho2
-    inv_q2 = 1.0 / q2
-    inv_sd = np.sqrt(q2 / ((1.0 - s) * (1.0 + s)))
+    rows = x.shape[1] - 1
     # phi2 (up to norm) and the conditional mean of the other U given
-    # (U1, W) = (x, c) for a bound x as a, and given (U2, W) = (x, c) as b
+    # (U1, W) = (x, c) for a bound x as a, and given (U2, W) = (x, c) as b;
+    # in place: fresh temporaries of this size cost about as much as ndtr
     if w == 0.0:
+        # rows 0..inner-1 need both bounds; a last +inf row needs only the
+        # density of the bound before, which is then the last density row
+        inner = rows - (rows > 0 and bool(np.all(x[:, -1] == _FAR)))
+        x2 = x[:, : inner + 1]
         # x*x -+ 2x*rho*c + c*c is x*x exactly, and the a and b forms agree
         # (a zero mean may differ in sign, which the ndtr below cannot see)
-        dens_a = dens_b = np.exp(-0.5 * (x * x) * inv_q2)
-        mean_a = mean_b = rho2 * x * inv_q2
+        dens_a = dens_b = np.multiply(-0.5 * (x2 * x2), inv_q2)
+        np.exp(dens_a, out=dens_a)
+        mean_a = mean_b = np.multiply(rho2, x2)
+        mean_a *= inv_q2
     else:
         rw = rho * w
         dens_a = np.exp(-0.5 * (x * x - 2.0 * x * rw + w * w) * inv_q2)
         dens_b = np.exp(-0.5 * (x * x + 2.0 * x * rw + w * w) * inv_q2)
         mean_a, mean_b = (rho2 * x - rw) * inv_q2, (rho2 * x + rw) * inv_q2
-    cond_b = ndtr((x[:, 1:] - mean_a[:, :-1]) * inv_sd)
-    cond_a = ndtr((x[:, :-1] - mean_b[:, 1:]) * inv_sd)
-    # in place: fresh temporaries of this size cost about as much as ndtr
-    slope = np.multiply(dens_a[:, :-1], cond_b, out=cond_b)
-    slope -= np.multiply(dens_b[:, 1:], cond_a, out=cond_a)
-    slope *= np.sqrt(inv_q2) / (2.0 * np.pi * _SQRT2)  # norm
-    integral = np.sum(weights[:, None, :] * slope[:, :, :-1], axis=2)
-    cdf = ndtr(grid)
+        inner = rows
+    slope = dens_a[:, :rows]  # dens_a * cond_b - dens_b * cond_a, row by row
+    if inner:
+        cond_a = np.subtract(x[:, :inner], mean_b[:, 1 : inner + 1])
+        cond_a *= inv_sd
+        cond_a = ndtr(cond_a, out=cond_a)
+        cond_a *= dens_b[:, 1 : inner + 1]
+        cond_b = np.subtract(x[:, 1 : inner + 1], mean_a[:, :inner], out=mean_a[:, :inner])
+        cond_b *= inv_sd
+        slope[:, :inner] *= ndtr(cond_b, out=cond_b)
+        slope[:, :inner] -= cond_a
+    slope *= norm
+    integral = np.sum(np.multiply(weights, slope[:, :, :-1], out=slope[:, :, :-1]), axis=2)
     value = np.clip(cdf[:, :-1] * cdf[:, 1:] * ndtr(c) + integral, 0.0, 1.0)
     return value, slope[:, :, -1]
-

@@ -129,7 +129,7 @@ def equal_mass_cutoffs(p: int) -> np.ndarray:
     """Population thresholds Phi^{-1}(l/p), l = 1..p-1 (equal level masses)."""
     if p < 2:
         raise ValueError("need p >= 2 levels")
-    return np.array([std_quantile(l / p) for l in range(1, p)])
+    return std_quantile(np.arange(1, p) / p)
 
 
 def _default_r_grid() -> np.ndarray:
@@ -192,7 +192,16 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=Fal
     p_values, r_grid = check_discretization_options(p_values, r_grid, n, reps)
     root = np.random.SeedSequence(seed)
     children = root.spawn(r_grid.size * reps)
-    pop_cuts = {p: equal_mass_cutoffs(p) for p in p_values}
+    # every p's codes from one search of z into edges (np.digitize is that
+    # search), then lookup[i, m], the code of p_values[m] past i edges
+    if collapse:  # 16 equal-mass levels, the highest merged down to p
+        edges = equal_mass_cutoffs(16)
+        lookup = np.minimum.outer(np.arange(edges.size + 1), np.array(p_values) - 1)
+    else:  # p's code #{cuts <= z}, from the union of every p's cutoffs
+        pop_cuts = [equal_mass_cutoffs(p) for p in p_values]
+        edges = np.unique(np.concatenate(pop_cuts))
+        below = np.append(-np.inf, edges)
+        lookup = np.column_stack([np.searchsorted(cuts, below, side="right") for cuts in pop_cuts])
     # one ordinal column per p, then the two latent columns z0 and z
     specs = [ColumnSpec(f"p{p}", p) for p in p_values] + [ColumnSpec("z0"), ColumnSpec("z")]
     base, last = len(p_values), len(p_values) + 1
@@ -206,9 +215,7 @@ def _run_discretization_experiment(p_values, r_grid, n, reps, seed, collapse=Fal
             chol = np.linalg.cholesky(np.array([[1.0, r], [r, 1.0]]))
             for rep in range(reps):
                 x[i * reps + rep, :, base:] = _sample_latent(chol, n, _rng(children[(first + i) * reps + rep]))
-        codes16 = np.digitize(x[..., base], equal_mass_cutoffs(16)) if collapse else None
-        for m, p in enumerate(p_values):
-            x[..., m] = np.minimum(codes16, p - 1) if collapse else np.digitize(x[..., base], pop_cuts[p])
+        x[..., :base] = lookup[np.searchsorted(edges, x[..., base], side="right")]
         # a single observed level carries no rank information; the
         # all-ties tau maps to 0, so such a column gets no pair
         varied = x[..., :base].min(axis=1) < x[..., :base].max(axis=1)

@@ -4,14 +4,18 @@ The Monte Carlo Kendall statistics draw through `latentcorr.simulate`'s own
 sampler, so every seed gives the stream the package gives it.  The normal
 density and the structured trivariate CDF and its r-derivative are scalar
 forms: the trivariate ones are one task of one row of the package's grid
-kernel, `normal_dist._phi3_grid`.
+kernel, `normal_dist._phi3_grid`.  `reference_phi3_grid` is that kernel
+before it took its r-only factors per kind group and its +inf row from the
+density before: every row computed, each bound's density included.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtr
 
 from latentcorr import kendall
+from latentcorr import normal_dist as nd
 from latentcorr.normal_dist import _phi3_grid
 from latentcorr.simulate import _discretize, _rng, _sample_latent
 
@@ -80,3 +84,38 @@ def mc_tau_b_replicates(r, cutoffs_j, cutoffs_k=None, n=84, reps=10**4, seed=0):
         raise ValueError(f"{reps - vals.size} of {reps} replicates are degenerate (a side with a single "
                          "observed level); need at least 2 that are not")
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))
+
+
+def reference_phi3_grid(grid, c, r):
+    """normal_dist._phi3_grid's values and derivatives, every row and bound
+    computed in full; the kernel must equal it bit for bit."""
+    grid = np.asarray(grid, dtype=float)
+    r = np.asarray(r, dtype=float)[:, None]
+    sign = np.sign(r)
+    log_gap = np.log1p(-np.abs(r))
+    gap = np.exp(log_gap * nd._PHI3_U)
+    weights = -sign * log_gap * gap * nd._PHI3_W
+    s = np.concatenate([sign * (1.0 - gap), r], axis=1)[:, None, :]
+    x, w = np.clip(grid, -nd._FAR, nd._FAR)[:, :, None], min(max(float(c), -nd._FAR), nd._FAR)
+    rho = s / nd._SQRT2
+    rho2 = rho * rho
+    q2 = 1.0 - rho2
+    inv_q2 = 1.0 / q2
+    inv_sd = np.sqrt(q2 / ((1.0 - s) * (1.0 + s)))
+    if w == 0.0:
+        dens_a = dens_b = np.exp(-0.5 * (x * x) * inv_q2)
+        mean_a = mean_b = rho2 * x * inv_q2
+    else:
+        rw = rho * w
+        dens_a = np.exp(-0.5 * (x * x - 2.0 * x * rw + w * w) * inv_q2)
+        dens_b = np.exp(-0.5 * (x * x + 2.0 * x * rw + w * w) * inv_q2)
+        mean_a, mean_b = (rho2 * x - rw) * inv_q2, (rho2 * x + rw) * inv_q2
+    cond_b = ndtr((x[:, 1:] - mean_a[:, :-1]) * inv_sd)
+    cond_a = ndtr((x[:, :-1] - mean_b[:, 1:]) * inv_sd)
+    slope = np.multiply(dens_a[:, :-1], cond_b, out=cond_b)
+    slope -= np.multiply(dens_b[:, 1:], cond_a, out=cond_a)
+    slope *= np.sqrt(inv_q2) / (2.0 * np.pi * nd._SQRT2)
+    integral = np.sum(weights[:, None, :] * slope[:, :, :-1], axis=2)
+    cdf = ndtr(grid)
+    value = np.clip(cdf[:, :-1] * cdf[:, 1:] * ndtr(c) + integral, 0.0, 1.0)
+    return value, slope[:, :, -1]

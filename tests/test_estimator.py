@@ -1,5 +1,7 @@
 """Matrix assembly from mixed data and the PSD projection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -351,6 +353,121 @@ def test_stacked_levels_and_cutoffs_match_unique_and_the_counting_loop(variant, 
                    f"but has {levels[rep, c]} observed levels$")
         with pytest.raises(ValueError, match=message):
             estimator.estimate_latent_correlation(x, specs, variant=variant)
+
+
+def _pair_by_pair(x, specs, variant):
+    """The per-pair reference of a stacked estimate: levels by np.unique and
+    cutoffs by the counting loop per replicate and column, then per pair its
+    own Kendall count, InversionTask and invert_bridge call, raising the
+    pair's own first error with the estimator's prefix."""
+    count = kendall.tau_b if variant == "b" else kendall.tau_a
+    d, out = len(specs), []
+    for rep, sample in enumerate(x):
+        codes, levels, cuts = [], [], []
+        for j, spec in enumerate(specs):
+            col = sample[:, j]
+            if spec.is_ordinal:
+                observed, code = np.unique(col[~np.isnan(col)], return_inverse=True)
+                codes.append(np.full(col.size, np.nan))
+                codes[-1][~np.isnan(col)] = code
+                levels.append(observed.size)
+                cuts.append(counting_loop(codes[-1], observed.size))
+            else:
+                codes.append(col)
+                levels.append(None)
+                cuts.append(None)
+        values, clamped = np.eye(d), np.zeros((d, d), dtype=bool)
+        method = np.full((d, d), "diag", dtype=object)
+        for j in range(d):
+            for k in range(j + 1, d):
+                kind = bridge.BridgeKind(levels[j], levels[k])
+                try:
+                    tau = count(codes[j], codes[k])
+                    tau = tau.tau_b if variant == "b" else tau
+                    res = bridge.invert_bridge(tau, kind, cuts[j], cuts[k], variant)
+                except (ValueError, bridge.BridgeInversionError) as exc:
+                    label = f"replicate {rep}: pair ({j}, {k}) [{specs[j].name!r}, {specs[k].name!r}]: "
+                    raise type(exc)(label + str(exc)) from exc
+                values[j, k] = values[k, j] = res.r
+                clamped[j, k] = clamped[k, j] = res.clamped
+                method[j, k] = method[k, j] = kind.tag + (":tau_b" if variant == "b" else "")
+        out.append((values, method, clamped))
+    return out
+
+
+def _random_mixed_stack(seed):
+    """Replicates of continuous and 2- to 16-level ordinal columns with
+    blanks: ordinal sides on either side of ordinal-continuous pairs,
+    ordinal-ordinal pairs of levels (3, 5) and (5, 3), and comonotone copies
+    whose taus clamp."""
+    rng = np.random.default_rng(seed)
+    reps, n = 3, int(rng.integers(40, 90))
+    z = rng.standard_normal((reps, n, 8))
+    z += rng.uniform(0.3, 0.9) * z[..., :1]
+    levels = (None, 3, 5, None, 3, 2, 16, None)
+    x = z.copy()
+    for j, p in enumerate(levels):
+        if p:
+            x[..., j] = np.digitize(z[..., j], np.sort(rng.normal(0.0, 1.0, p - 1)))
+    x[..., 3] = np.exp(z[..., 1])  # continuous latent copy of column 1
+    x[..., 4] = np.digitize(z[..., 2], [-0.4, 0.6])  # ordinal latent copy of column 2
+    x[..., 7] = 2.0 * z[..., 0]  # copy of column 0
+    x[rng.random(x.shape) < 0.05] = np.nan
+    return x, [ColumnSpec(f"c{j}", p) for j, p in enumerate(levels)]
+
+
+@pytest.mark.parametrize("variant", ["a", "b"])
+def test_the_pair_table_equals_each_pair_inverted_alone(variant):
+    clamped_kinds = set()
+    for seed in range(6):
+        x, specs = _random_mixed_stack(seed)
+        stacked = estimator.estimate_latent_correlation(x, specs, variant=variant)
+        for est, (values, method, clamped) in zip(stacked, _pair_by_pair(x, specs, variant)):
+            assert np.array_equal(est.values, values)
+            assert np.array_equal(est.method, method)
+            assert np.array_equal(est.clamped, clamped)
+            clamped_kinds |= set(method[clamped])
+    tags = {tag.split(":")[0] for tag in clamped_kinds}
+    assert "sin" in tags and tags - {"sin"}, clamped_kinds
+
+
+@pytest.mark.parametrize("variant", ["a", "b"])
+def test_the_pair_table_raises_the_first_pair_s_own_error(variant, monkeypatch):
+    x, specs = _random_mixed_stack(1)
+    x[1, 10:, 6], x[1, :10, 7] = np.nan, np.nan  # replicate 1's pair (6, 7) keeps no row
+    x[2, 20:, 0], x[2, :20, 3] = np.nan, np.nan  # and replicate 2's pair (0, 3)
+    for data, first in ((x, "replicate 1: pair (6, 7)"), (x[2:], "replicate 0: pair (0, 3)")):
+        with pytest.raises(ValueError) as want:
+            _pair_by_pair(data, specs, variant)
+        with pytest.raises(ValueError, match=r"^" + re.escape(first)) as got:
+            estimator.estimate_latent_correlation(data, specs, variant=variant)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    monkeypatch.setattr(bridge, "NEWTON_MAX_ITER", 0)  # every in-range Newton pair fails
+    x, specs = _random_mixed_stack(2)
+    with pytest.raises(bridge.BridgeInversionError) as want:
+        _pair_by_pair(x, specs, variant)
+    with pytest.raises(bridge.BridgeInversionError, match="no convergence after 0 iterations: kind=") as got:
+        estimator.estimate_latent_correlation(x, specs, variant=variant)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_stacked_estimate_builds_no_inversion_task(monkeypatch):
+    built = []
+    post_init = bridge.InversionTask.__post_init__
+
+    def counted(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(bridge.InversionTask, "__post_init__", counted)
+    x, specs = _random_mixed_stack(3)
+    for variant in ("a", "b"):
+        estimator.estimate_latent_correlation(x, specs, variant=variant)
+    # continuous pairs still go through invert_bridge one at a time
+    assert built and all(kind.is_continuous_pair for kind in built)
+    built.clear()
+    estimator.estimate_latent_correlation(x[..., 1:4], specs[1:4])  # no continuous pair
+    assert built == []
 
 
 def test_single_level_ordinal_column_raises():

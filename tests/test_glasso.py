@@ -184,6 +184,24 @@ def test_a_singular_correlation_raises_singular_matrix():
     assert np.geterr() == before
 
 
+def test_an_unpenalized_fit_of_a_rank_deficient_sample_correlation_is_finite_or_singular():
+    # n <= d rows: the smallest eigenvalue is a rounding error, which the
+    # column solves may not see, but diag(W) - W beta is then not positive
+    raised = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(3, 15))
+        r = np.corrcoef(rng.standard_normal((int(rng.integers(2, d + 1)), d)), rowvar=False)
+        try:
+            fit = glasso.glasso_fit(r, 0.0)
+        except np.linalg.LinAlgError as exc:
+            assert str(exc) == "Singular matrix"
+            raised += 1
+            continue
+        assert np.isfinite(fit.omega).all() and (np.diag(fit.omega) > 0.0).all(), seed
+    assert raised >= 16
+
+
 def test_block_diagonal_input_fits_each_block_alone():
     rng = np.random.default_rng(13)
     blocks = [[0, 2, 4, 6], [1, 3, 5], [7]]

@@ -7,7 +7,7 @@ from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
-from latentcorr import bridge
+from latentcorr import bridge, simulate
 from latentcorr import normal_dist as nd
 from latentcorr.bridge import CLAMP, MAX_QUADRATURE_ROWS, BridgeKind
 import oracles
@@ -345,6 +345,29 @@ def test_phi3_grid_equals_the_row_rule_bit_for_bit(p):
                 assert oracles.trivariate_cdf_grad(grid[t, 0], grid[t, 1], r[t]) == grad[t, 0]
 
 
+@pytest.mark.parametrize("c", [0.0, -0.0, 0.7, -2.0, 1e300, np.inf, -np.inf])
+def test_phi3_grid_equals_the_parent_kernel_bit_for_bit(c):
+    """oracles.reference_phi3_grid computes every row and every bound's
+    density; _phi3_grid takes a last +inf (or >= _FAR) row at c = 0 from
+    the density before, and must equal it wherever it does or does not."""
+    rng = np.random.default_rng(21)
+    abs_r = np.array([0.0, 0.5, 0.999, 1.0 - CLAMP])
+    for p in range(2, 17):
+        # paper_sim's grids: estimated equal-mass cutoffs, then +inf
+        cuts = np.sort(simulate.equal_mass_cutoffs(p) + rng.normal(0.0, 0.05, (16, p - 1)), axis=1)
+        paper = np.column_stack([cuts, np.full(16, np.inf)])
+        edge = edge_grids(p, 32, rng)
+        far = edge.copy()
+        far[rng.random(far.shape) < 0.2] = 1e300
+        far[:, :-1] = np.sort(np.where(rng.random((32, p - 1)) < 0.1, -1e300, far[:, :-1]), axis=1)
+        finite_last = edge.copy()
+        finite_last[::2, -1] = rng.uniform(3.0, 9.0, 16)  # some rows without a +inf bound
+        for grid in (paper, edge, far, far[:, ::-1], finite_last):
+            r = np.resize(abs_r, len(grid)) * np.where(rng.random(len(grid)) < 0.5, -1.0, 1.0)
+            got, want = nd._phi3_grid(grid, c, r), oracles.reference_phi3_grid(grid, c, r)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (p, c)
+
+
 @pytest.mark.parametrize("max_rows", [MAX_QUADRATURE_ROWS, 7])
 def test_ordinal_continuous_bridges_equal_the_row_rule_in_any_batch(max_rows, monkeypatch):
     """_Bridges sums 4 Phi3(D_l, D_l+1, 0) - 2 Phi(D_l) Phi(D_l+1) over each
@@ -372,7 +395,7 @@ def test_ordinal_continuous_bridges_equal_the_row_rule_in_any_batch(max_rows, mo
         owner = np.zeros(a.size, dtype=int)
         want.append((np.bincount(owner, terms)[0], np.bincount(owner, grads)[0]))
     want = np.array(want).T
-    batch = bridge._Bridges(tasks)
+    batch = bridge._Bridges.of_tasks(tasks)
     together = np.array(batch.evaluate(r, np.arange(r.size)))
     assert np.array_equal(together[:, :-1], want)
     levels = batch.levels[:-1].sum(axis=1)
@@ -380,5 +403,5 @@ def test_ordinal_continuous_bridges_equal_the_row_rule_in_any_batch(max_rows, mo
         same = np.flatnonzero(levels == p)
         assert np.array_equal(np.array(batch.evaluate(r[same], same)), want[:, same])
     for t, task in enumerate(tasks[:-1]):
-        alone = np.array(bridge._Bridges([task]).evaluate(r[t : t + 1], np.array([0])))
+        alone = np.array(bridge._Bridges.of_tasks([task]).evaluate(r[t : t + 1], np.array([0])))
         assert np.array_equal(alone[:, 0], want[:, t])
