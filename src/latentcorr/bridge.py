@@ -156,9 +156,12 @@ def estimate_cutoffs(codes, p: int) -> np.ndarray:
         raise ValueError("need at least one observation")
     if np.any((stack < 0) | (stack > p - 1)):  # False for a blank
         raise ValueError(f"ordinal codes outside range 0..{p - 1}")
-    # code <= l exactly where ceil(code) <= l, for every integer l
-    level = np.nonzero(observed)[0] * p + np.ceil(stack[observed]).astype(np.int64)
-    below = np.bincount(level, minlength=len(stack) * p).reshape(-1, p).cumsum(axis=1)
+    # code <= l exactly where ceil(code) <= l, for every integer l; a blank
+    # goes to level p, which no cutoff counts
+    level = np.full(stack.shape, p)
+    np.ceil(stack, out=level, where=observed, casting="unsafe")
+    level += np.arange(len(stack))[:, None] * (p + 1)
+    below = np.bincount(level.ravel(), minlength=len(stack) * (p + 1)).reshape(-1, p + 1)[:, :p].cumsum(axis=1)
     cuts = std_quantile(below[:, :-1] / below[:, -1:])
     return cuts if np.ndim(codes) == 2 else cuts[0]
 

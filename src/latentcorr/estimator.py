@@ -101,6 +101,37 @@ def _pair_label(j: int, k: int, specs) -> str:
     return f"pair ({j}, {k}) [{specs[j].name!r}, {specs[k].name!r}]"
 
 
+def _levels_and_grids(stack, ordinal):
+    """Observed level counts (reps, d) of the ordinal columns of a stack (0
+    elsewhere), and each (replicate, column)'s cutoff grid row -inf, D_1,
+    ..., D_{p-1}, +inf, padded with +inf to the widest (reps, d, width + 1).
+
+    One sort over the stack gives every column its observed levels: empty
+    declared levels collapse, and the sorted values' level numbers
+    0..levels-1 are the codes that one estimate_cutoffs call counts.  A
+    column with fewer levels than the widest takes the first p - 1 of its
+    cutoffs, which are the ones its own level count gives.
+    """
+    reps, n, d = stack.shape
+    v = stack.transpose(2, 0, 1)[ordinal]  # (columns, reps, n), a copy
+    v.sort(axis=-1)  # blanks last
+    blank = np.isnan(v)
+    new = (v[..., 1:] != v[..., :-1]) & ~blank[..., 1:]
+    levels = np.zeros((reps, d), dtype=int)
+    levels[:, ordinal] = 1 + new.sum(axis=-1).T
+    width = int(levels.max(initial=2))  # 2 for no replicate
+    grid = np.full((reps, d, width + 1), np.inf)
+    grid[..., 0] = -np.inf
+    if ordinal:
+        v[..., 0] = 0.0  # the codes, in place of the sorted values
+        np.cumsum(new, axis=-1, out=v[..., 1:])
+        v[blank] = np.nan
+        cuts = estimate_cutoffs(v.reshape(-1, n), width).reshape(len(ordinal), reps, width - 1)
+        cuts = cuts.transpose(1, 0, 2)
+        grid[:, ordinal, 1:width] = np.where(np.arange(1, width) < levels[:, ordinal, None], cuts, np.inf)
+    return levels, grid
+
+
 def estimate_latent_correlation(
     data,
     specs: list[ColumnSpec] | None = None,
@@ -168,27 +199,8 @@ def estimate_latent_correlation(
             f"{where[rep]}{'ordinal' if spec.is_ordinal else 'continuous'} column {spec.name!r} "
             f"has {'no' if lo[rep, i] > hi[rep, i] else 'a single'} observed value"
         )
-    # Every ordinal column's observed levels in every replicate, from one sort
-    # over the stack: empty declared levels collapse, and the sorted values'
-    # level numbers 0..levels-1 are the codes its cutoffs count.
-    reps, n = stack.shape[:2]
-    ordinal = [c for c in used if specs[c].is_ordinal]
-    v = stack.transpose(0, 2, 1)[:, ordinal]  # (reps, columns, n), a copy
-    v.sort(axis=-1)  # blanks last
-    blank = np.isnan(v)
-    new = (v[..., 1:] != v[..., :-1]) & ~blank[..., 1:]
-    levels = np.zeros((reps, d), dtype=int)
-    levels[:, ordinal] = 1 + new.sum(axis=-1)
-    # each (replicate, column)'s grid row -inf, D_1..D_{p-1}, +inf, padded
-    # with +inf; a column with fewer levels than the widest takes the first
-    # p - 1 of its cutoffs, which are the ones its own level count gives
-    width = int(levels.max(initial=2))  # 2 for no replicate
-    grid = np.full((reps, d, width + 1), np.inf)
-    grid[..., 0] = -np.inf
-    if ordinal:
-        codes = np.where(blank, np.nan, np.cumsum(np.insert(new, 0, False, axis=-1), axis=-1))
-        cuts = estimate_cutoffs(codes.reshape(-1, n), width).reshape(reps, len(ordinal), width - 1)
-        grid[:, ordinal, 1:width] = np.where(np.arange(1, width) < levels[:, ordinal, None], cuts, np.inf)
+    reps = len(stack)
+    levels, grid = _levels_and_grids(stack, [c for c in used if specs[c].is_ordinal])
     over = np.argwhere(levels > [spec.levels or 0 for spec in specs])
     if over.size:
         rep, j = over[0]
@@ -201,7 +213,7 @@ def estimate_latent_correlation(
     # terms, as a pair's own denominator sums them
     untied = np.ones((reps, d))
     if variant == "b":
-        for p in np.unique(levels[:, ordinal]).tolist():
+        for p in np.unique(levels[levels > 0]).tolist():
             at = np.nonzero(levels == p)
             cdf = std_cdf(grid[at][:, 1:p])
             untied[at] = 2.0 * np.sum(np.diff(cdf, prepend=0.0, axis=1) * (1.0 - cdf), axis=1)
@@ -245,12 +257,10 @@ def estimate_latent_correlation(
             raise type(exc)(f"{where[rep]}{_pair_label(j, k, specs)}: {exc}") from exc
 
     # method tags, one BridgeKind per distinct (p_j, p_k)
-    kinds, which = np.unique((lj * (width + 1) + lk).ravel(), return_inverse=True)
+    base = grid.shape[2]  # above every level count
+    kinds, which = np.unique((lj * base + lk).ravel(), return_inverse=True)
     suffix = ":tau_b" if variant == "b" else ""
-    tags = np.array(
-        [BridgeKind(c // (width + 1) or None, c % (width + 1) or None).tag + suffix for c in kinds.tolist()],
-        dtype=object,
-    )
+    tags = np.array([BridgeKind(c // base or None, c % base or None).tag + suffix for c in kinds.tolist()], dtype=object)
     method[:, jj, kk] = method[:, kk, jj] = tags[which].reshape(tau.shape)
 
     def fill(rep, j, k, r, flagged):
