@@ -25,19 +25,19 @@ Pair kinds and their bridges:
 
 Each forward bridge is strictly increasing in r on (-1, 1), so inversion
 uses Newton iterations safeguarded by bisection on a maintained bracket.
-The iteration (_newton) runs on a table of pairs at once: level counts,
-padded cutoff grids and tau-b denominators as arrays, which the estimator
-builds from its per-column arrays and invert_bridges from its tasks.
-Every pair keeps its own bracket and iterate, and each step evaluates the
-forward bridges of the pairs still unconverged in a few vector calls per
-kind of pair.  A bracket end F(+-(1 - CLAMP)) is evaluated only for a pair
-whose iterates have not shown it below or above tau, once the pair
-converges, bisects toward that end or runs out of steps.
+The iteration (_newton) runs on a table of pairs at once (_Bridges: level
+counts, padded cutoff grids and tau-b denominators as arrays), which the
+estimator builds from its per-column arrays and invert_bridges from its
+tasks.  Every pair keeps its own bracket and iterate, and each step
+evaluates the forward bridges of the pairs still unconverged in a few
+vector calls per kind of pair.  A bracket end F(+-(1 - CLAMP)) is
+evaluated only for a pair whose iterates have not shown it below or above
+tau, once the pair converges, bisects toward that end or runs out of steps.
 
 The tau-b bridge of every kind is the first-order Taylor bridge
 F(r) / sqrt(u_j * u_k), where u = 1 - sum_a pi_a^2 is the probability that
-two observations of a p-level side are untied and u = 1 for a continuous
-side (Kendall 1945); a second-order Taylor refinement of the
+two observations of a p-level side are untied (_untied) and u = 1 for a
+continuous side (Kendall 1945); a second-order Taylor refinement of the
 binary-continuous expectation is provided for small n.
 """
 
@@ -148,6 +148,8 @@ def estimate_cutoffs(codes, p: int) -> np.ndarray:
     Empty levels yield coincident (possibly infinite) cutoffs; callers that
     need strictly increasing cutoffs should collapse empty levels first.
     """
+    if not (isinstance(p, (int, np.integer)) and p >= 2):  # a bool is below 2
+        raise ValueError(f"p must be an integer >= 2, got {p!r}")
     if np.ndim(codes) > 2:
         raise ValueError(f"codes must be one column or a (reps, n) stack, got {np.ndim(codes)} dimensions")
     stack = np.atleast_2d(np.asarray(codes, dtype=float))
@@ -190,18 +192,12 @@ def bridge_forward(r: float, kind: BridgeKind, cutoffs_j=None, cutoffs_k=None) -
     return _forward_one(r, kind, cutoffs_j, cutoffs_k, "a")
 
 
-def _tau_b_denominator(cj, ck) -> float:
-    """sqrt(u_j * u_k): u = 2 * sum_a pi_a * (1 - F_a) for an ordinal side
-    with level masses pi_a and cumulative masses F_a, 1 for a continuous side."""
-    product = 1.0
-    for cuts in (cj, ck):
-        if cuts is not None:
-            cdf = std_cdf(cuts)  # F_1..F_{p-1}; the last level's 1 - F_p is 0
-            untied = 2.0 * float(np.sum(np.diff(cdf, prepend=0.0) * (1.0 - cdf)))
-            if untied <= 0.0:
-                raise DegenerateBridgeError("one level holds all the mass; tau_b bridge degenerate")
-            product *= untied
-    return math.sqrt(product)
+def _untied(cuts) -> np.ndarray:
+    """u = 2 * sum_a pi_a * (1 - F_a) of each row of p - 1 cutoffs: the
+    probability that two observations of the p-level side are untied, with
+    level masses pi_a and cumulative masses F_a (the last level's 1 - F_p is 0)."""
+    cdf = std_cdf(cuts)
+    return 2.0 * np.sum(np.diff(cdf, prepend=0.0, axis=1) * (1.0 - cdf), axis=1)
 
 
 def bridge_forward_tau_b(r: float, kind: BridgeKind, cutoffs_j=None, cutoffs_k=None) -> BridgeEval:
@@ -242,7 +238,8 @@ def tau_b_second_order(r: float, delta_j: float, n: int) -> float:
     every r, so C + D ~ Binomial(N, 2*phi*(1 - phi)) and
     E[(C - D)*sqrt(C + D)] = (p_con - p_dis)/(p_con + p_dis) * E[(C + D)^1.5].
     """
-    n = int(n)
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError("need n >= 2")
     n_pairs = n * (n - 1) // 2
@@ -252,6 +249,8 @@ def tau_b_second_order(r: float, delta_j: float, n: int) -> float:
         )
     if not -1.0 < r < 1.0:
         raise ValueError(f"latent correlation must be in (-1, 1), got {r}")
+    if math.isnan(delta_j):
+        raise ValueError(f"delta_j must not be NaN, got {delta_j}")
     phi = std_cdf(delta_j)
     if not 0.0 < phi < 1.0:
         raise DegenerateBridgeError("binary cutoff at +-inf")
@@ -299,13 +298,20 @@ class InversionTask:
     scale: float = field(init=False)  # tau-b denominator; 1.0 for tau-a
 
     def __post_init__(self):
+        if not isinstance(self.kind, BridgeKind):
+            raise TypeError(f"kind must be a BridgeKind, got {self.kind!r}")
         if self.variant not in ("a", "b"):
             raise ValueError(f"variant must be 'a' or 'b', got {self.variant!r}")
         tau = float(self.tau)
         if not -1.0 <= tau <= 1.0:
             raise ValueError(f"tau must lie in [-1, 1], got {tau}")
         cj, ck = _check_cutoffs(self.kind, self.cutoffs_j, self.cutoffs_k)
-        scale = _tau_b_denominator(cj, ck) if self.variant == "b" else 1.0
+        scale = 1.0
+        if self.variant == "b":
+            untied = [_untied(cuts[None])[0] for cuts in (cj, ck) if cuts is not None]
+            if any(u <= 0.0 for u in untied):
+                raise DegenerateBridgeError("one level holds all the mass; tau_b bridge degenerate")
+            scale = math.sqrt(math.prod(untied))
         for name, value in (("tau", tau), ("cutoffs_j", cj), ("cutoffs_k", ck), ("scale", scale)):
             object.__setattr__(self, name, value)
 
@@ -313,26 +319,30 @@ class InversionTask:
 class _Bridges:
     """Forward bridges of a table of non-continuous pairs, evaluated together.
 
-    Pair i has the level counts levels[i] of its ordinal sides, j before k
-    (0 for a continuous side), the padded grids grid_j[i] and grid_k[i]
-    (-inf, D_1, ..., D_{p-1}, +inf, then +inf up to the table's width) and
-    the tau-b denominator scale[i] (1.0 for tau-a).  An ordinal-ordinal
-    pair fills grid_j and grid_k (levels (p_j, p_k)); its bridge sums the
-    cells of its bivariate CDF grid.  An ordinal-continuous pair puts its
-    ordinal side in grid_j (levels (p, 0)); its bridge sums one trivariate
-    term per cutoff l, with bounds grid_j[l + 1] and grid_j[l + 2], by one
-    kernel over its grid D_1..D_{p-1}, +inf.  Pairs are grouped by kind
-    (levels) once, here, and so are the grids' normal CDFs.  Each step
-    evaluates the pairs of one kind together: the trivariate kernel's
-    r-only factors once per MAX_QUADRATURE_ROWS pairs, and each call at
-    most MAX_QUADRATURE_ROWS rows (bivariate grid rows or trivariate
-    terms) but at least one pair.  np.bincount adds each pair's terms in
-    cutoff order, so a pair gets the same value alone or in any table.
+    Pair i comes in the caller's (j, k) order: level counts levels_j[i] and
+    levels_k[i] (0 for a continuous side), padded grids grid_j[i] and
+    grid_k[i] of one width (-inf, D_1, ..., D_{p-1}, +inf, then +inf) and
+    the tau-b denominator scale[i] (1.0 for tau-a).  The table puts the
+    ordinal side first.  An ordinal-ordinal pair keeps levels[i] = (p_j,
+    p_k); its bridge sums the cells of its bivariate CDF grid.  An
+    ordinal-continuous pair has levels[i] = (p, 0) and its ordinal grid in
+    grid_j[i]; its bridge sums one trivariate term per cutoff l, with
+    bounds grid_j[l + 1] and grid_j[l + 2], by one kernel over its grid
+    D_1..D_{p-1}, +inf.  Pairs are grouped by kind once, here (kinds[kind[i]]
+    is levels[i]), and so are the grids' normal CDFs.  Each step evaluates
+    the pairs of one kind together: the trivariate kernel's r-only factors
+    once per MAX_QUADRATURE_ROWS pairs, and each call at most
+    MAX_QUADRATURE_ROWS rows (bivariate grid rows or trivariate terms) but
+    at least one pair.  np.bincount adds each pair's terms in cutoff order,
+    so a pair gets the same value alone or in any table.
     """
 
-    def __init__(self, levels, grid_j, grid_k, scale):
-        self.levels, self.grid_j, self.grid_k, self.scale = levels, grid_j, grid_k, scale
-        self.cdf_j = ndtr(grid_j)
+    def __init__(self, levels_j, levels_k, grid_j, grid_k, scale):
+        swap = levels_j == 0  # a continuous side j: side k goes first; grid_k is then not read
+        levels = np.column_stack([np.where(swap, levels_k, levels_j), np.where(swap, 0, levels_k)])
+        self.levels, self.grid_k, self.scale = levels, grid_k, scale
+        self.grid_j = np.where(swap[:, None], grid_k, grid_j)
+        self.cdf_j = ndtr(self.grid_j)
         code = levels[:, 0] * (levels[:, 1].max(initial=0) + 1) + levels[:, 1]  # sorts as (p_j, p_k)
         _, first, self.kind = np.unique(code, return_index=True, return_inverse=True)
         self.kinds = levels[first].tolist()
@@ -340,19 +350,15 @@ class _Bridges:
     @classmethod
     def of_tasks(cls, tasks):
         """The table of a list of non-continuous InversionTasks."""
-        n = len(tasks)
-        # the cutoffs of each task's ordinal sides, j before k
-        sides = [[c for c in (t.cutoffs_j, t.cutoffs_k) if c is not None] for t in tasks]
-        levels = np.zeros((n, 2), dtype=int)
-        for i, cuts in enumerate(sides):
-            levels[i, : len(cuts)] = [c.size + 1 for c in cuts]
-        grid_j = np.full((n, levels[:, 0].max(initial=0) + 1), np.inf)
-        grid_k = np.full((n, levels[:, 1].max(initial=0) + 1), np.inf)
-        grid_j[:, 0] = grid_k[:, 0] = -np.inf
-        for i, cuts in enumerate(sides):
-            for grid, c in zip((grid_j, grid_k), cuts):
-                grid[i, 1 : c.size + 1] = c
-        return cls(levels, grid_j, grid_k, np.array([t.scale for t in tasks]))
+        cuts = [(t.cutoffs_j, t.cutoffs_k) for t in tasks]
+        levels = np.array([[0 if c is None else c.size + 1 for c in pair] for pair in cuts], dtype=int)
+        grid = np.full((len(tasks), 2, levels.max() + 1), np.inf)
+        grid[..., 0] = -np.inf
+        for i, pair in enumerate(cuts):
+            for side, c in enumerate(pair):
+                if c is not None:
+                    grid[i, side, 1 : c.size + 1] = c
+        return cls(levels[:, 0], levels[:, 1], grid[:, 0], grid[:, 1], np.array([t.scale for t in tasks]))
 
     def evaluate(self, r: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bridge values and derivatives of pairs idx at r (aligned, repeats allowed)."""
@@ -382,7 +388,7 @@ class _Bridges:
     def _ordinal_continuous(self, idx, pos, p, factors, value, deriv):
         rows = idx[pos]
         cdf = self.cdf_j[rows, 1 : p + 1]
-        phi3, grad = _phi3_kernel(self.grid_j[rows, 1 : p + 1], cdf, 0.0, factors)  # D_1..D_{p-1}, +inf
+        phi3, grad = _phi3_kernel(self.grid_j[rows, 1 : p + 1], cdf, factors)  # D_1..D_{p-1}, +inf
         terms = 4.0 * phi3 - 2.0 * cdf[:, :-1] * cdf[:, 1:]
         # np.bincount adds each pair's terms in cutoff order, as for the pair alone
         owner = np.repeat(np.arange(pos.size), p - 1)

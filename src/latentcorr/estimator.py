@@ -17,14 +17,13 @@ from . import kendall
 from .bridge import (
     BridgeInversionError,
     BridgeKind,
-    InversionTask,
     _Bridges,
     _newton,
+    _untied,
     estimate_cutoffs,
     invert_bridge,
 )
 from .glasso import _check_correlation
-from .normal_dist import std_cdf
 
 __all__ = [
     "ColumnSpec",
@@ -157,11 +156,13 @@ def estimate_latent_correlation(
     pair of the listed pairs' columns when they are all listed, else of the
     pairs' left columns against their right columns.  Levels, cutoffs and
     the tau-b factors come from one pass per (replicate, column), and the
-    pairs of every replicate form one table of arrays, with no object per
-    pair.  Continuous pairs are inverted in closed form, one invert_bridge
-    call each; all other pairs need Newton and are inverted together by one
-    loop over the table (bridge._newton, as bridge.invert_bridges does).
-    Errors are those of each pair's own InversionTask, the first in
+    pairs of every replicate form one table of arrays (bridge._Bridges),
+    with no object per pair.  Continuous pairs are inverted in closed form,
+    one invert_bridge call each; all other pairs need Newton and are
+    inverted together by one loop over the table (bridge._newton, as
+    bridge.invert_bridges does), and take their method tags from its kind
+    groups.  A pair with fewer than 2 complete rows, or under tau-b a side
+    constant over them, raises its own kendall call's error, the first in
     (replicate, pair) order.
     """
     if variant not in ("a", "b"):
@@ -208,15 +209,13 @@ def estimate_latent_correlation(
             f"{where[rep]}ordinal column {specs[j].name!r} declares {specs[j].levels} levels "
             f"but has {levels[rep, j]} observed levels"
         )
-    # the tau-b factor u = 2 * sum_a pi_a * (1 - F_a) of each (replicate,
-    # column), 1 for a continuous one; each sum runs over exactly its p - 1
-    # terms, as a pair's own denominator sums them
+    # the tau-b factor u of each (replicate, column), 1 for a continuous one;
+    # each sum runs over exactly its p - 1 terms, as a pair's own task sums them
     untied = np.ones((reps, d))
     if variant == "b":
         for p in np.unique(levels[levels > 0]).tolist():
             at = np.nonzero(levels == p)
-            cdf = std_cdf(grid[at][:, 1:p])
-            untied[at] = 2.0 * np.sum(np.diff(cdf, prepend=0.0, axis=1) * (1.0 - cdf), axis=1)
+            untied[at] = _untied(grid[at][:, 1:p])
 
     diag = np.arange(d)
     values = np.full((reps, d, d), np.nan)
@@ -239,50 +238,37 @@ def estimate_latent_correlation(
     jj, kk = (np.array([pair[side] for pair in pairs], dtype=int) for side in (0, 1))
     tau = taus[:, [row[j] for j in jj.tolist()], [col[k] for k in kk.tolist()]]
     lj, lk = levels[:, jj], levels[:, kk]
-    # the first entry that a pair's own InversionTask would refuse (a NaN
-    # tau, cutoffs out of order, a degenerate tau-b factor) fails as it would
-    good = (grid[..., 1:] >= grid[..., :-1]).all(axis=-1) & (untied > 0.0)  # per (replicate, column)
-    bad = np.argwhere(~((np.abs(tau) <= 1.0) & good[:, jj] & good[:, kk]))
+    # every observed level has a row, so the cutoffs are finite and increasing
+    # and every u is above 0; a NaN tau (fewer than 2 complete rows, or a
+    # constant side under tau-b) is the only entry a pair's own count refuses
+    bad = np.argwhere(np.isnan(tau))
     if bad.size:
         rep, i = bad[0].tolist()
         j, k = pairs[i]
-        try:
-            if np.isnan(tau[rep, i]):  # fewer than 2 complete rows, or constant under tau-b:
-                # the pair's own count raises the error that says which
-                (kendall.tau_b if variant == "b" else kendall.tau_a)(stack[rep, :, j], stack[rep, :, k])
-            kind = BridgeKind(int(lj[rep, i]) or None, int(lk[rep, i]) or None)
-            cuts = [grid[rep, c, 1 : levels[rep, c]] if levels[rep, c] else None for c in (j, k)]
-            InversionTask(float(tau[rep, i]), kind, *cuts, variant)
+        try:  # the pair's own count raises the error that says which
+            (kendall.tau_b if variant == "b" else kendall.tau_a)(stack[rep, :, j], stack[rep, :, k])
         except ValueError as exc:
             raise type(exc)(f"{where[rep]}{_pair_label(j, k, specs)}: {exc}") from exc
 
-    # method tags, one BridgeKind per distinct (p_j, p_k)
-    base = grid.shape[2]  # above every level count
-    kinds, which = np.unique((lj * base + lk).ravel(), return_inverse=True)
     suffix = ":tau_b" if variant == "b" else ""
-    tags = np.array([BridgeKind(c // base or None, c % base or None).tag + suffix for c in kinds.tolist()], dtype=object)
-    method[:, jj, kk] = method[:, kk, jj] = tags[which].reshape(tau.shape)
 
-    def fill(rep, j, k, r, flagged):
+    def fill(rep, j, k, r, flagged, tag):
         values[rep, j, k] = values[rep, k, j] = r
         clamped[rep, j, k] = clamped[rep, k, j] = flagged
+        method[rep, j, k] = method[rep, k, j] = tag
 
     continuous = (lj == 0) & (lk == 0)
     rep_c, pair_c = np.nonzero(continuous)
     sine = BridgeKind()
     results = [invert_bridge(t, sine) for t in tau[rep_c, pair_c].tolist()]  # closed form
-    fill(rep_c, jj[pair_c], kk[pair_c], [res.r for res in results], [res.clamped for res in results])
+    r, flagged = [res.r for res in results], [res.clamped for res in results]
+    fill(rep_c, jj[pair_c], kk[pair_c], r, flagged, sine.tag + suffix)
 
     rep_t, pair_t = np.nonzero(~continuous)
     if rep_t.size:
         j_t, k_t, lj_t, lk_t = jj[pair_t], kk[pair_t], lj[rep_t, pair_t], lk[rep_t, pair_t]
-        ordinal_j = lj_t > 0
-        bridges = _Bridges(
-            np.column_stack([np.where(ordinal_j, lj_t, lk_t), np.where(ordinal_j, lk_t, 0)]),  # j before k
-            grid[rep_t, np.where(ordinal_j, j_t, k_t)],
-            grid[rep_t, np.where(ordinal_j, k_t, j_t)],  # a continuous side's row is not read
-            np.sqrt(untied[rep_t, j_t] * untied[rep_t, k_t]),
-        )
+        scale = np.sqrt(untied[rep_t, j_t] * untied[rep_t, k_t])
+        bridges = _Bridges(lj_t, lk_t, grid[rep_t, j_t], grid[rep_t, k_t], scale)
         try:
             r, flagged, _ = _newton(
                 bridges, tau[rep_t, pair_t], lambda i: BridgeKind(int(lj_t[i]) or None, int(lk_t[i]) or None)
@@ -290,7 +276,9 @@ def estimate_latent_correlation(
         except BridgeInversionError as exc:
             rep, j, k = (int(a[exc.index]) for a in (rep_t, j_t, k_t))
             raise BridgeInversionError(f"{where[rep]}{_pair_label(j, k, specs)}: {exc}", exc.index) from exc
-        fill(rep_t, j_t, k_t, r, flagged)
+        # method tags, one BridgeKind per kind group of the table
+        tags = np.array([BridgeKind(p_j, p_k or None).tag + suffix for p_j, p_k in bridges.kinds], dtype=object)
+        fill(rep_t, j_t, k_t, r, flagged, tags[bridges.kind])
 
     estimates = [
         LatentCorrelationMatrix(*fields, specs=list(specs)) for fields in zip(values, method, clamped)

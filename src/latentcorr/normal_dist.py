@@ -11,16 +11,16 @@ covariance is
      [r/sqrt(2), -r/sqrt(2), 1]]
 
 which is exactly the structure the discretized-variable bridge functions
-need.  It is computed by Plackett's identity: the value at r = 0 plus the
-integral over r of its closed-form derivative, by one fixed 64-node
-Gauss-Legendre rule in log(1 - |r|), with absolute error <= 1e-14 for
-bounds in [-8.5, 8.5] and |r| <= 1 - 1e-6.  One kernel (_phi3_grid) runs
-it on each task's grid of bounds, one row (D_l, D_l+1) per cutoff, with the
-r-only factors once per task (_phi3_factors, which a caller may compute
-once for many calls) and each bound's density once.  At c = 0 a last bound
-of +inf costs no normal CDF: its row is exactly the density term of the
-bound before (see _phi3_kernel).  Everything in this module is pure and
-reentrant.
+need, at a third bound of 0 only.  It is computed by Plackett's identity:
+the value at r = 0 plus the integral over r of its closed-form derivative,
+by one fixed 64-node Gauss-Legendre rule in log(1 - |r|), with absolute
+error <= 1e-14 for bounds in [-8.5, 8.5] and |r| <= 1 - 1e-6.  One kernel
+(_phi3_grid) runs it on each task's grid of bounds, one row (D_l, D_l+1)
+per cutoff, with the r-only factors once per task (_phi3_factors, which a
+caller may compute once for many calls) and each bound's density once.  A
+last bound of +inf costs no normal CDF: its row is exactly the density
+term of the bound before (see _phi3_kernel).  Everything in this module is
+pure and reentrant.
 
 Infinite arguments are accepted everywhere: the bivariate CDF resolves
 them analytically (marginalization identities), and the trivariate
@@ -161,16 +161,15 @@ def _phi3_factors(r):
     return weights[:, None, :], rho, rho2, inv_q2, inv_sd, norm
 
 
-def _phi3_grid(grid, c, r):
-    """Structured trivariate CDF and its r-derivative along bound grids.
+def _phi3_grid(grid, r):
+    """Structured trivariate CDF at c = 0 and its r-derivative along bound grids.
 
     Task t has latent correlation r[t] in (-1, 1) and the rows
-    (a, b) = (grid[t, l], grid[t, l + 1]), l = 0..m-2, all at the third
-    bound c; returns the (T, m - 1) values Phi3(a, b, c; r[t]) and
-    derivatives dPhi3/dr.  Each value integrates Plackett's identity from
-    the independent case r = 0,
+    (a, b) = (grid[t, l], grid[t, l + 1]), l = 0..m-2; returns the
+    (T, m - 1) values Phi3(a, b, 0; r[t]) and derivatives dPhi3/dr.  Each
+    value integrates Plackett's identity from the independent case r = 0,
 
-        Phi3(a, b, c; r) = Phi(a) Phi(b) Phi(c) + int_0^r dPhi3/ds ds,
+        Phi3(a, b, 0; r) = Phi(a) Phi(b) / 2 + int_0^r dPhi3/ds ds,
 
     with one fixed 64-node Gauss-Legendre rule in t, 1 - |s| = exp(t),
     t in [log(1 - |r|), 0], which flattens the steep end of the integrand
@@ -178,31 +177,31 @@ def _phi3_grid(grid, c, r):
     s-dependent covariance entries (sigma_13 = rho, sigma_23 = -rho,
     rho = s/sqrt(2)):
 
-        dPhi3/dsigma_13 = phi2(a, c; rho) * Phi(b | U1 = a, W = c),
-        dPhi3/dsigma_23 = phi2(b, c; -rho) * Phi(a | U2 = b, W = c),
+        dPhi3/dsigma_13 = phi2(a, 0; rho) * Phi(b | U1 = a, W = 0),
+        dPhi3/dsigma_23 = phi2(b, 0; -rho) * Phi(a | U2 = b, W = 0),
 
     and dPhi3/ds is their difference over sqrt(2); given two of the
     coordinates the third is normal with variance (1 - s^2)/(1 - rho^2).
     It is evaluated at the nodes and at s = r, which is the derivative.
     What depends only on s is computed once per task (_phi3_factors), and
     each bound's density and conditional mean once, for the bound as the a
-    of one row and as the b of the row before; at c = 0 the two are the
-    same.  Absolute error <= 1e-14 for bounds in [-8.5, 8.5] and
-    |r| <= 1 - 1e-6.  An infinite bound needs no special case: a -inf
-    bound or c = +inf leaves an integrand of 0, and a = +inf or b = +inf
-    leaves the derivative of a bivariate CDF.  Every element is computed
-    on its own, so a row's value does not depend on its grid or batch.
+    of one row and as the b of the row before, where they are the same.
+    Absolute error <= 1e-14 for bounds in [-8.5, 8.5] and |r| <= 1 - 1e-6.
+    An infinite bound needs no special case: a -inf bound leaves an
+    integrand of 0, and a = +inf or b = +inf leaves the derivative of a
+    bivariate CDF.  Every element is computed on its own, so a row's value
+    does not depend on its grid or batch.
     """
     grid = np.asarray(grid, dtype=float)
-    return _phi3_kernel(grid, ndtr(grid), c, _phi3_factors(r))
+    return _phi3_kernel(grid, ndtr(grid), _phi3_factors(r))
 
 
-def _phi3_kernel(grid, cdf, c, factors):
+def _phi3_kernel(grid, cdf, factors):
     """_phi3_grid with the grid's ndtr and the tasks' _phi3_factors given.
 
-    At c = 0, a last bound of +inf (any bound at or beyond _FAR) gives its
-    row exactly the density term of the bound before, phi2(D, 0; rho) up
-    to the norm, so that bound's density and mean and the row's two ndtr
+    A last bound of +inf (any bound at or beyond _FAR) gives its row
+    exactly the density term of the bound before, phi2(D, 0; rho) up to
+    the norm, so that bound's density and mean and the row's two ndtr
     calls are skipped.  Exact: the clipped bound's density
     exp(-0.5 * 1e6 / q^2) underflows to +0.0, and wherever the bound
     before has a nonzero density (|D| < 38.6, as 1/q^2 >= 1) its
@@ -214,39 +213,31 @@ def _phi3_kernel(grid, cdf, c, factors):
     weights, rho, rho2, inv_q2, inv_sd, norm = factors
     # beyond +-_FAR a bound acts as infinite: the density factors it enters
     # underflow to 0 and the conditional CDFs it enters round to 0 or 1
-    x, w = np.clip(grid, -_FAR, _FAR)[:, :, None], min(max(float(c), -_FAR), _FAR)
+    x = np.clip(grid, -_FAR, _FAR)[:, :, None]
     rows = x.shape[1] - 1
+    # rows 0..inner-1 need both bounds; a last +inf row needs only the
+    # density of the bound before, which is then the last density row
+    inner = rows - (rows > 0 and bool(np.all(x[:, -1] == _FAR)))
+    x2 = x[:, : inner + 1]
     # phi2 (up to norm) and the conditional mean of the other U given
-    # (U1, W) = (x, c) for a bound x as a, and given (U2, W) = (x, c) as b;
+    # (U1, W) = (x, 0) for a bound x as a, which are those given (U2, W) =
+    # (x, 0) as b (a zero mean may differ in sign, which ndtr cannot see);
     # in place: fresh temporaries of this size cost about as much as ndtr
-    if w == 0.0:
-        # rows 0..inner-1 need both bounds; a last +inf row needs only the
-        # density of the bound before, which is then the last density row
-        inner = rows - (rows > 0 and bool(np.all(x[:, -1] == _FAR)))
-        x2 = x[:, : inner + 1]
-        # x*x -+ 2x*rho*c + c*c is x*x exactly, and the a and b forms agree
-        # (a zero mean may differ in sign, which the ndtr below cannot see)
-        dens_a = dens_b = np.multiply(-0.5 * (x2 * x2), inv_q2)
-        np.exp(dens_a, out=dens_a)
-        mean_a = mean_b = np.multiply(rho2, x2)
-        mean_a *= inv_q2
-    else:
-        rw = rho * w
-        dens_a = np.exp(-0.5 * (x * x - 2.0 * x * rw + w * w) * inv_q2)
-        dens_b = np.exp(-0.5 * (x * x + 2.0 * x * rw + w * w) * inv_q2)
-        mean_a, mean_b = (rho2 * x - rw) * inv_q2, (rho2 * x + rw) * inv_q2
-        inner = rows
-    slope = dens_a[:, :rows]  # dens_a * cond_b - dens_b * cond_a, row by row
+    dens = np.multiply(-0.5 * (x2 * x2), inv_q2)
+    np.exp(dens, out=dens)
+    mean = np.multiply(rho2, x2)
+    mean *= inv_q2
+    slope = dens[:, :rows]  # dens_a * cond_b - dens_b * cond_a, row by row
     if inner:
-        cond_a = np.subtract(x[:, :inner], mean_b[:, 1 : inner + 1])
+        cond_a = np.subtract(x[:, :inner], mean[:, 1 : inner + 1])
         cond_a *= inv_sd
         cond_a = ndtr(cond_a, out=cond_a)
-        cond_a *= dens_b[:, 1 : inner + 1]
-        cond_b = np.subtract(x[:, 1 : inner + 1], mean_a[:, :inner], out=mean_a[:, :inner])
+        cond_a *= dens[:, 1 : inner + 1]
+        cond_b = np.subtract(x[:, 1 : inner + 1], mean[:, :inner], out=mean[:, :inner])
         cond_b *= inv_sd
         slope[:, :inner] *= ndtr(cond_b, out=cond_b)
         slope[:, :inner] -= cond_a
     slope *= norm
     integral = np.sum(np.multiply(weights, slope[:, :, :-1], out=slope[:, :, :-1]), axis=2)
-    value = np.clip(cdf[:, :-1] * cdf[:, 1:] * ndtr(c) + integral, 0.0, 1.0)
+    value = np.clip(cdf[:, :-1] * cdf[:, 1:] * 0.5 + integral, 0.0, 1.0)  # Phi(0) = 0.5
     return value, slope[:, :, -1]

@@ -2,11 +2,11 @@
 
 The Monte Carlo Kendall statistics draw through `latentcorr.simulate`'s own
 sampler, so every seed gives the stream the package gives it.  The normal
-density and the structured trivariate CDF and its r-derivative are scalar
-forms: the trivariate ones are one task of one row of the package's grid
-kernel, `normal_dist._phi3_grid`.  `reference_phi3_grid` is that kernel
-before it took its r-only factors per kind group and its +inf row from the
-density before: every row computed, each bound's density included.
+density and the structured trivariate CDF at c = 0 and its r-derivative are
+scalar forms: the trivariate ones are one task of one row of the package's
+grid kernel, `normal_dist._phi3_grid`.  `reference_phi3_grid` is that
+kernel before it took its r-only factors per kind group and its +inf row
+from the density before: every row computed, each bound's density included.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ def std_pdf(x):
     return out if out.ndim else float(out)
 
 
-def trivariate_cdf(a, b, c, r):
-    """CDF of (U1, U2, (V1-V2)/sqrt(2)) at (a, b, c) for latent correlation r.
+def trivariate_cdf(a, b, r):
+    """CDF of (U1, U2, (V1-V2)/sqrt(2)) at (a, b, 0) for latent correlation r.
 
     r must lie in (-1, 1) so the implied covariance is positive definite.
     Computed by Plackett's identity with a fixed rule (see _phi3_grid, of
@@ -39,14 +39,14 @@ def trivariate_cdf(a, b, c, r):
     """
     if not -1.0 < r < 1.0:
         raise ValueError(f"latent correlation must be in (-1, 1), got {r}")
-    return float(_phi3_grid([[a, b]], c, [r])[0][0, 0])
+    return float(_phi3_grid([[a, b]], [r])[0][0, 0])
 
 
 def trivariate_cdf_grad(a, b, r):
-    """Scalar d/dr of trivariate_cdf(a, b, 0, r), r in (-1, 1)."""
+    """Scalar d/dr of trivariate_cdf(a, b, r), r in (-1, 1)."""
     if not -1.0 < r < 1.0:
         raise ValueError(f"latent correlation must be in (-1, 1), got {r}")
-    return float(_phi3_grid([[a, b]], 0.0, [r])[1][0, 0])
+    return float(_phi3_grid([[a, b]], [r])[1][0, 0])
 
 
 def mc_population_tau_a(r, cutoffs_j=None, cutoffs_k=None, n_draws=10**6, seed=0):
@@ -87,8 +87,12 @@ def mc_tau_b_replicates(r, cutoffs_j, cutoffs_k=None, n=84, reps=10**4, seed=0):
 
 
 def reference_phi3_grid(grid, c, r):
-    """normal_dist._phi3_grid's values and derivatives, every row and bound
-    computed in full; the kernel must equal it bit for bit."""
+    """normal_dist._phi3_grid's values and derivatives as the kernel with a
+    third bound c computed them at c = +-0, every row and bound computed in
+    full; the kernel, which has Phi(0) = 0.5 built in, must equal it bit for
+    bit."""
+    if c != 0.0:
+        raise ValueError(f"the reference has only the c = 0 form, got c = {c}")
     grid = np.asarray(grid, dtype=float)
     r = np.asarray(r, dtype=float)[:, None]
     sign = np.sign(r)
@@ -96,24 +100,18 @@ def reference_phi3_grid(grid, c, r):
     gap = np.exp(log_gap * nd._PHI3_U)
     weights = -sign * log_gap * gap * nd._PHI3_W
     s = np.concatenate([sign * (1.0 - gap), r], axis=1)[:, None, :]
-    x, w = np.clip(grid, -nd._FAR, nd._FAR)[:, :, None], min(max(float(c), -nd._FAR), nd._FAR)
+    x = np.clip(grid, -nd._FAR, nd._FAR)[:, :, None]
     rho = s / nd._SQRT2
     rho2 = rho * rho
     q2 = 1.0 - rho2
     inv_q2 = 1.0 / q2
     inv_sd = np.sqrt(q2 / ((1.0 - s) * (1.0 + s)))
-    if w == 0.0:
-        dens_a = dens_b = np.exp(-0.5 * (x * x) * inv_q2)
-        mean_a = mean_b = rho2 * x * inv_q2
-    else:
-        rw = rho * w
-        dens_a = np.exp(-0.5 * (x * x - 2.0 * x * rw + w * w) * inv_q2)
-        dens_b = np.exp(-0.5 * (x * x + 2.0 * x * rw + w * w) * inv_q2)
-        mean_a, mean_b = (rho2 * x - rw) * inv_q2, (rho2 * x + rw) * inv_q2
-    cond_b = ndtr((x[:, 1:] - mean_a[:, :-1]) * inv_sd)
-    cond_a = ndtr((x[:, :-1] - mean_b[:, 1:]) * inv_sd)
-    slope = np.multiply(dens_a[:, :-1], cond_b, out=cond_b)
-    slope -= np.multiply(dens_b[:, 1:], cond_a, out=cond_a)
+    dens = np.exp(-0.5 * (x * x) * inv_q2)
+    mean = rho2 * x * inv_q2
+    cond_b = ndtr((x[:, 1:] - mean[:, :-1]) * inv_sd)
+    cond_a = ndtr((x[:, :-1] - mean[:, 1:]) * inv_sd)
+    slope = np.multiply(dens[:, :-1], cond_b, out=cond_b)
+    slope -= np.multiply(dens[:, 1:], cond_a, out=cond_a)
     slope *= np.sqrt(inv_q2) / (2.0 * np.pi * nd._SQRT2)
     integral = np.sum(weights[:, None, :] * slope[:, :, :-1], axis=2)
     cdf = ndtr(grid)

@@ -2,6 +2,7 @@
 correlations: closed-form reductions, Monte-Carlo validation, inversion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -301,7 +302,7 @@ def tau_b_second_order_by_trinomial_sum(r, delta, n):
     var_t = n_pairs * (2.0 * phi - 2.0 * phi * phi) - e_t * e_t
 
     rho = r / math.sqrt(2.0)
-    phi3 = oracles.trivariate_cdf(delta, delta, 0.0, r)
+    phi3 = oracles.trivariate_cdf(delta, delta, r)
     p_con = 2.0 * (nd.bivariate_cdf(delta, 0.0, rho) - phi3)
     p_dis = 2.0 * (nd.bivariate_cdf(delta, 0.0, -rho) - phi3)
     p_rest = 1.0 - p_con - p_dis
@@ -334,6 +335,17 @@ def test_tau_b_second_order_rejects_oversize_n():
         bridge.tau_b_second_order(0.5, 0.0, 500)  # C(500, 2) > 10^4
 
 
+def test_tau_b_second_order_checks_n_and_the_cutoff():
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
+        bridge.tau_b_second_order(0.5, 0.0, 2.5)
+    assert bridge.tau_b_second_order(0.5, 0.3, np.int64(10)) == bridge.tau_b_second_order(0.5, 0.3, 10)
+    with pytest.raises(ValueError, match=r"^delta_j must not be NaN, got nan$"):
+        bridge.tau_b_second_order(0.5, np.nan, 10)
+    for delta in (np.inf, -np.inf):
+        with pytest.raises(bridge.DegenerateBridgeError, match=r"binary cutoff at \+-inf"):
+            bridge.tau_b_second_order(0.5, delta, 10)
+
+
 # ---------------------------------------------------------------------------
 # Cutoff estimation and error paths
 # ---------------------------------------------------------------------------
@@ -347,6 +359,7 @@ def test_estimate_cutoffs_matches_quantiles():
     col3 = np.array([0.0] * 20 + [1.0] * 30 + [2.0] * 50, dtype=float)
     cuts3 = bridge.estimate_cutoffs(col3, 3)
     assert cuts3 == pytest.approx([nd.std_quantile(0.2), nd.std_quantile(0.5)], abs=1e-12)
+    assert np.array_equal(bridge.estimate_cutoffs(col3, np.int32(3)), cuts3)  # a numpy level count
 
 
 def counting_loop(codes, p):
@@ -398,6 +411,12 @@ def test_a_stack_of_columns_gets_each_column_alone_s_cutoffs():
 def test_estimate_cutoffs_refuses_more_than_two_dimensions():
     with pytest.raises(ValueError, match=r"^codes must be one column or a \(reps, n\) stack, got 3 dimensions$"):
         bridge.estimate_cutoffs(np.zeros((2, 2, 2)), 3)
+
+
+@pytest.mark.parametrize("p", [1, 0, -2, 2.5, 3.0, True, np.float64(2.0), None])
+def test_estimate_cutoffs_refuses_a_level_count_that_is_not_an_integer_of_two_or_more(p):
+    with pytest.raises(ValueError, match=rf"^p must be an integer >= 2, got {re.escape(repr(p))}$"):
+        bridge.estimate_cutoffs(np.array([0.0, 1.0]), p)
 
 
 def test_nan_cutoffs_are_rejected_when_the_task_is_built():
@@ -656,5 +675,11 @@ def test_batched_inversion_names_the_unconverged_task(monkeypatch):
 def test_inversion_task_checks_its_inputs():
     with pytest.raises(ValueError, match="variant"):
         bridge.InversionTask(0.1, BridgeKind(2, None), np.array([0.0]), variant="c")
+    with pytest.raises(TypeError, match=r"^kind must be a BridgeKind, got None$"):
+        bridge.invert_bridge(0.1, None)
+    with pytest.raises(TypeError, match=r"^kind must be a BridgeKind, got \(2, None\)$"):
+        bridge.InversionTask(0.1, (2, None), np.array([0.0]))
+    with pytest.raises(TypeError, match=r"^kind must be a BridgeKind, got 'sin'$"):
+        bridge.bridge_forward(0.3, "sin")
     with pytest.raises(ValueError, match="nondecreasing"):
         bridge.InversionTask(0.1, BridgeKind(3, None), np.array([0.5, -0.5]))

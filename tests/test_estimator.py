@@ -247,14 +247,43 @@ def test_pairs_rejects_bad_column_indices(pair):
 def test_batched_inversion_errors_name_the_pair(monkeypatch):
     data = _four_column_sample()
     specs = [ColumnSpec(name, levels) for name, levels in zip("abcd", (3, None, 2, None))]
-    monkeypatch.setattr(estimator, "estimate_cutoffs",
-                        lambda codes, p: np.tile(np.linspace(1.0, -1.0, p - 1), (len(codes), 1)))
-    with pytest.raises(ValueError, match=r"pair \(0, 1\) \['a', 'b'\]: cutoffs must be nondecreasing"):
-        estimator.estimate_latent_correlation(data, specs)
-    monkeypatch.undo()
     monkeypatch.setattr(bridge, "NEWTON_MAX_ITER", 0)
     with pytest.raises(bridge.BridgeInversionError, match=r"pair \(0, 1\) \['a', 'b'\]: no convergence"):
         estimator.estimate_latent_correlation(data, specs)
+
+
+def test_observed_levels_give_finite_increasing_cutoffs_and_untied_probabilities_above_zero():
+    """Every observed level has a row, so each (replicate, column)'s cutoffs
+    D_1..D_{p-1} are finite and increasing and its tau-b factor u is above
+    0; the estimator's pair table relies on this and checks neither.  The
+    stacks take values at +-inf, +-0.0 and 1e+-300, levels of one row,
+    n = 2 and blanks, with at least two distinct observed values in every
+    (replicate, column), as the estimator requires before it counts levels."""
+    rng = np.random.default_rng(27)
+    pool = np.array([-np.inf, -1e300, -1.0, -0.0, 0.0, 1e-300, 3.0, 1e300, np.inf])
+    for case in range(400):
+        reps, n, d = int(rng.integers(1, 4)), int(rng.integers(2, 13)), int(rng.integers(1, 5))
+        if case % 4 == 0:
+            n = 2
+        stack = np.empty((reps, n, d))
+        for rep in range(reps):
+            for c in range(d):
+                values = rng.choice(pool, int(rng.integers(3, pool.size + 1)), replace=False)
+                column = values[rng.integers(0, values.size, n)]
+                column[rng.random(n) < 0.4] = np.nan
+                # two rows of distinct values (+0.0 and -0.0 are one level)
+                column[rng.choice(n, 2, replace=False)] = rng.choice(np.unique(values), 2, replace=False)
+                stack[rep, :, c] = column
+        ordinal = sorted(rng.choice(d, int(rng.integers(1, d + 1)), replace=False).tolist())
+        levels, grid = estimator._levels_and_grids(stack, ordinal)
+        for rep in range(reps):
+            for c in ordinal:
+                observed = stack[rep, :, c][~np.isnan(stack[rep, :, c])]
+                p = levels[rep, c]
+                assert p == np.unique(observed).size >= 2, (case, rep, c)
+                cuts = grid[rep, c, 1:p]
+                assert np.isfinite(cuts).all() and (cuts[1:] > cuts[:-1]).all(), (case, rep, c, cuts)
+                assert bridge._untied(cuts[None])[0] > 0.0, (case, rep, c)
 
 
 def _stack(reps=4, n=60):

@@ -28,46 +28,43 @@ def bivariate_cdf_by_quadrature(h, k, rho):
     return val
 
 
-def trivariate_cdf_by_scipy(a, b, c, r):
+def trivariate_cdf_by_scipy(a, b, r):
     rho = r / np.sqrt(2.0)
     cov = np.array([[1.0, 0.0, rho], [0.0, 1.0, -rho], [rho, -rho, 1.0]])
     # 2e6 points never reach abseps=1e-9, so such a request spends all of them
     return multivariate_normal.cdf(
-        np.array([a, b, c]), mean=np.zeros(3), cov=cov,
+        np.array([a, b, 0.0]), mean=np.zeros(3), cov=cov,
         maxpts=2_000_000, abseps=1e-7, releps=0.0,
     )
 
 
-def phi3_grad_by_rows(a, b, c, r):
-    """The per-row form of d/dr of the structured trivariate CDF: every row
-    recomputes its r-only factors and both of its densities.  The oracle
-    of nd._phi3_grid, which must equal it bit for bit."""
-    a, b, c, r = (np.asarray(v, dtype=float) for v in (a, b, c, r))
-    a, b, c = (np.clip(v, -nd._FAR, nd._FAR) for v in (a, b, c))
+def phi3_grad_by_rows(a, b, r):
+    """The per-row form of d/dr of the structured trivariate CDF at c = 0:
+    every row recomputes its r-only factors and both of its densities.  The
+    oracle of nd._phi3_grid, which must equal it bit for bit."""
+    a, b, r = (np.asarray(v, dtype=float) for v in (a, b, r))
+    a, b = (np.clip(v, -nd._FAR, nd._FAR) for v in (a, b))
     rho = r / nd._SQRT2
     q2 = 1.0 - rho * rho
     inv_q2 = 1.0 / q2
     inv_sd = np.sqrt(q2 / ((1.0 - r) * (1.0 + r)))
-    rc = rho * c
-    dens_13 = np.exp(-0.5 * (a * a - 2.0 * a * rc + c * c) * inv_q2)
-    dens_23 = np.exp(-0.5 * (b * b + 2.0 * b * rc + c * c) * inv_q2)
-    cond_2 = ndtr((b - (rho * rho * a - rc) * inv_q2) * inv_sd)
-    cond_1 = ndtr((a - (rho * rho * b + rc) * inv_q2) * inv_sd)
+    dens_13 = np.exp(-0.5 * (a * a) * inv_q2)
+    dens_23 = np.exp(-0.5 * (b * b) * inv_q2)
+    cond_2 = ndtr((b - rho * rho * a * inv_q2) * inv_sd)
+    cond_1 = ndtr((a - rho * rho * b * inv_q2) * inv_sd)
     norm = np.sqrt(inv_q2) / (2.0 * np.pi * nd._SQRT2)
     return norm * (dens_13 * cond_2 - dens_23 * cond_1)
 
 
-def phi3_by_rows(a, b, c, r):
-    """The per-row form of the structured trivariate CDF, one row per element."""
-    a, b, c, r = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, c, r))
-    )
-    a, b, c, r = (v[:, None] for v in (a, b, c, r))
+def phi3_by_rows(a, b, r):
+    """The per-row form of the structured trivariate CDF at c = 0, one row per element."""
+    a, b, r = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, r)))
+    a, b, r = (v[:, None] for v in (a, b, r))
     log_gap = np.log1p(-np.abs(r))
     gap = np.exp(log_gap * nd._PHI3_U)
     weights = -np.sign(r) * log_gap * gap * nd._PHI3_W
-    integral = np.sum(weights * phi3_grad_by_rows(a, b, c, np.sign(r) * (1.0 - gap)), axis=1)
-    return np.clip(ndtr(a[:, 0]) * ndtr(b[:, 0]) * ndtr(c[:, 0]) + integral, 0.0, 1.0)
+    integral = np.sum(weights * phi3_grad_by_rows(a, b, np.sign(r) * (1.0 - gap)), axis=1)
+    return np.clip(ndtr(a[:, 0]) * ndtr(b[:, 0]) * ndtr(0.0) + integral, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +160,17 @@ def test_bivariate_cdf_monotone_in_rho():
 def test_trivariate_cdf_matches_scipy(r):
     rng = np.random.default_rng(1)
     for _ in range(25):
-        a, b, c = rng.uniform(-2.5, 2.5, 3)
-        want = trivariate_cdf_by_scipy(a, b, c, r)
-        got = oracles.trivariate_cdf(a, b, c, r)
+        a, b = rng.uniform(-2.5, 2.5, 2)
+        want = trivariate_cdf_by_scipy(a, b, r)
+        got = oracles.trivariate_cdf(a, b, r)
         # scipy's lattice-rule integrator is the looser side (realized error
         # up to ~6e-7 vs a high-precision quadrature arbiter; this
         # implementation sits at ~1e-15 against the same arbiter)
-        assert got == pytest.approx(want, abs=2e-6), (a, b, c, r)
+        assert got == pytest.approx(want, abs=2e-6), (a, b, r)
 
 
-def trivariate_cdf_by_nested_quadrature(a, b, c, r):
-    """High-precision oracle: integrate the trivariate density directly.
+def trivariate_cdf_by_nested_quadrature(a, b, r):
+    """High-precision oracle: integrate the trivariate density at c = 0 directly.
 
     Integrates the conditional bivariate CDF (computed by 1-D quadrature,
     not by the implementation under test) against the first marginal.
@@ -182,7 +179,7 @@ def trivariate_cdf_by_nested_quadrature(a, b, c, r):
     q = np.sqrt(1.0 - rho * rho)
 
     def inner(x):
-        return bivariate_cdf_by_quadrature(b, (c - rho * x) / q, -rho / q)
+        return bivariate_cdf_by_quadrature(b, -rho * x / q, -rho / q)
 
     val, err = integrate.quad(
         lambda x: oracles.std_pdf(x) * inner(x), -9.0, a, epsabs=1e-11, limit=200
@@ -191,20 +188,20 @@ def trivariate_cdf_by_nested_quadrature(a, b, c, r):
 
 
 @pytest.mark.parametrize(
-    "a,b,c,r",
+    "a,b,r",
     [
-        (0.5, -0.4, 0.2, 0.6),
-        (-1.2, 0.8, 0.0, -0.75),
-        (1.5, 1.1, -0.9, 0.3),
-        (0.5, -0.4, 0.2, 0.95),
-        (-1.2, 0.8, 0.7, -0.95),
-        (1.5, 1.1, -0.9, 0.999),
-        (0.3, -0.2, 0.4, -0.999),
+        (0.5, -0.4, 0.6),
+        (-1.2, 0.8, -0.75),
+        (1.5, 1.1, 0.3),
+        (0.5, -0.4, 0.95),
+        (-1.2, 0.8, -0.95),
+        (1.5, 1.1, 0.999),
+        (0.3, -0.2, -0.999),
     ],
 )
-def test_trivariate_cdf_matches_nested_quadrature(a, b, c, r):
-    want = trivariate_cdf_by_nested_quadrature(a, b, c, r)
-    got = oracles.trivariate_cdf(a, b, c, r)
+def test_trivariate_cdf_matches_nested_quadrature(a, b, r):
+    want = trivariate_cdf_by_nested_quadrature(a, b, r)
+    got = oracles.trivariate_cdf(a, b, r)
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -222,7 +219,7 @@ def test_trivariate_cdf_at_zero_c_matches_a_dense_rule(monkeypatch):
     rs = [1e-8, 0.01, 0.3, 0.6, 0.9, 0.99, 0.999, 0.99999, edge]
 
     def phi3(a, b, r):  # one task of one row per (a, b)
-        return nd._phi3_grid(np.column_stack([a, b]), 0.0, np.full(a.size, r))[0][:, 0]
+        return nd._phi3_grid(np.column_stack([a, b]), np.full(a.size, r))[0][:, 0]
 
     got = {r: phi3(a, b, r) for r in rs + [-r for r in rs]}
     u, w = np.polynomial.legendre.leggauss(512)
@@ -237,16 +234,14 @@ def test_trivariate_cdf_at_zero_c_matches_a_dense_rule(monkeypatch):
 def test_trivariate_cdf_infinite_bound_reductions():
     for r in (0.55, -0.999, 1.0 - CLAMP):
         rho = r / np.sqrt(2.0)
-        assert oracles.trivariate_cdf(np.inf, 0.4, -0.3, r) == pytest.approx(
-            nd.bivariate_cdf(0.4, -0.3, -rho), abs=1e-12
+        assert oracles.trivariate_cdf(np.inf, 0.4, r) == pytest.approx(
+            nd.bivariate_cdf(0.4, 0.0, -rho), abs=1e-12
         )
-        assert oracles.trivariate_cdf(0.4, np.inf, -0.3, r) == pytest.approx(
-            nd.bivariate_cdf(0.4, -0.3, rho), abs=1e-12
+        assert oracles.trivariate_cdf(0.4, np.inf, r) == pytest.approx(
+            nd.bivariate_cdf(0.4, 0.0, rho), abs=1e-12
         )
-        assert oracles.trivariate_cdf(0.4, -0.3, np.inf, r) == pytest.approx(
-            nd.std_cdf(0.4) * nd.std_cdf(-0.3), abs=1e-12
-        )
-        assert oracles.trivariate_cdf(-np.inf, 0.4, 0.3, r) == 0.0
+        assert oracles.trivariate_cdf(np.inf, np.inf, r) == 0.5  # P(W <= 0)
+        assert oracles.trivariate_cdf(-np.inf, 0.4, r) == 0.0
 
 
 def test_trivariate_exchange_identity():
@@ -257,21 +252,21 @@ def test_trivariate_exchange_identity():
     for _ in range(40):
         a, b = rng.uniform(-2.5, 2.5, 2)
         r = rng.uniform(-0.95, 0.95)
-        total = oracles.trivariate_cdf(a, b, 0.0, r) + oracles.trivariate_cdf(b, a, 0.0, r)
+        total = oracles.trivariate_cdf(a, b, r) + oracles.trivariate_cdf(b, a, r)
         assert total == pytest.approx(nd.std_cdf(a) * nd.std_cdf(b), abs=1e-10)
     # near the clamp, where the third coordinate is nearly (U1 - U2)/sqrt(2)
     for r in (1.0 - CLAMP, -1.0 + CLAMP, 0.99999, -0.99999):
         for _ in range(20):
             a, b = rng.uniform(-4.0, 4.0, 2)
-            total = oracles.trivariate_cdf(a, b, 0.0, r) + oracles.trivariate_cdf(b, a, 0.0, r)
+            total = oracles.trivariate_cdf(a, b, r) + oracles.trivariate_cdf(b, a, r)
             assert total == pytest.approx(nd.std_cdf(a) * nd.std_cdf(b), abs=1e-14), (a, b, r)
 
 
 def test_trivariate_cdf_rejects_degenerate_r():
     with pytest.raises(ValueError):
-        oracles.trivariate_cdf(0.0, 0.0, 0.0, 1.0)
+        oracles.trivariate_cdf(0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        oracles.trivariate_cdf(0.0, 0.0, 0.0, -1.0)
+        oracles.trivariate_cdf(0.0, 0.0, -1.0)
     for r in (1.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="must be in"):
             oracles.trivariate_cdf_grad(0.0, 0.0, r)
@@ -284,9 +279,7 @@ def test_trivariate_gradient_matches_finite_differences():
         a, b = rng.uniform(-2, 2, 2)
         r = rng.uniform(-0.9, 0.9)
         grad = oracles.trivariate_cdf_grad(a, b, r)
-        fd = (
-            oracles.trivariate_cdf(a, b, 0.0, r + eps) - oracles.trivariate_cdf(a, b, 0.0, r - eps)
-        ) / (2 * eps)
+        fd = (oracles.trivariate_cdf(a, b, r + eps) - oracles.trivariate_cdf(a, b, r - eps)) / (2 * eps)
         assert grad == pytest.approx(fd, abs=2e-8)
 
 
@@ -298,10 +291,10 @@ def test_phi3_grid_value_does_not_depend_on_the_batch():
     b = np.array([0.3, 1.2, np.inf, 0.1, 0.7, 2.0, np.inf, 0.9])
     r = np.array([0.95, 0.95, 0.95, -0.4, -0.4, 0.95, 0.95, 0.2])
     pairs = np.array([0, 0, 0, 1, 1, 2, 2, 3])
-    together, grad = (v[:, 0] for v in nd._phi3_grid(np.column_stack([a, b]), 0.0, r))
+    together, grad = (v[:, 0] for v in nd._phi3_grid(np.column_stack([a, b]), r))
     for pair in range(4):
         rows = pairs == pair
-        alone = nd._phi3_grid([np.append(a[rows], b[rows][-1])], 0.0, r[rows][:1])[0][0]
+        alone = nd._phi3_grid([np.append(a[rows], b[rows][-1])], r[rows][:1])[0][0]
         assert np.array_equal(together[rows], alone)
     assert np.array_equal(grad, [oracles.trivariate_cdf_grad(x, y, s) for x, y, s in zip(a, b, r)])
 
@@ -331,24 +324,23 @@ def test_phi3_grid_equals_the_row_rule_bit_for_bit(p):
     rng = np.random.default_rng(p)
     grid = edge_grids(p, 240, rng)
     r = np.where(np.arange(240) < 120, np.resize(EDGE_R, 240), rng.uniform(-0.999, 0.999, 240))
-    for c in (0.0, -0.0, 0.7, -np.inf, np.inf):
-        value, grad = nd._phi3_grid(grid, c, r)
-        a, b, rows_r = grid[:, :-1].ravel(), grid[:, 1:].ravel(), np.repeat(r, p - 1)
-        assert np.array_equal(value.ravel(), phi3_by_rows(a, b, c, rows_r)), c
-        assert np.array_equal(grad.ravel(), phi3_grad_by_rows(a, b, c, rows_r)), c
-        # each task alone, and the scalar functions as one task of one row
-        for t in rng.choice(240, 12, replace=False):
-            alone = nd._phi3_grid(grid[t : t + 1], c, r[t : t + 1])
-            assert np.array_equal(alone[0][0], value[t]) and np.array_equal(alone[1][0], grad[t])
-            assert oracles.trivariate_cdf(grid[t, 0], grid[t, 1], c, r[t]) == value[t, 0]
-            if c == 0.0:
-                assert oracles.trivariate_cdf_grad(grid[t, 0], grid[t, 1], r[t]) == grad[t, 0]
+    value, grad = nd._phi3_grid(grid, r)
+    a, b, rows_r = grid[:, :-1].ravel(), grid[:, 1:].ravel(), np.repeat(r, p - 1)
+    assert np.array_equal(value.ravel(), phi3_by_rows(a, b, rows_r))
+    assert np.array_equal(grad.ravel(), phi3_grad_by_rows(a, b, rows_r))
+    # each task alone, and the scalar functions as one task of one row
+    for t in rng.choice(240, 12, replace=False):
+        alone = nd._phi3_grid(grid[t : t + 1], r[t : t + 1])
+        assert np.array_equal(alone[0][0], value[t]) and np.array_equal(alone[1][0], grad[t])
+        assert oracles.trivariate_cdf(grid[t, 0], grid[t, 1], r[t]) == value[t, 0]
+        assert oracles.trivariate_cdf_grad(grid[t, 0], grid[t, 1], r[t]) == grad[t, 0]
 
 
-@pytest.mark.parametrize("c", [0.0, -0.0, 0.7, -2.0, 1e300, np.inf, -np.inf])
+@pytest.mark.parametrize("c", [0.0, -0.0])
 def test_phi3_grid_equals_the_parent_kernel_bit_for_bit(c):
     """oracles.reference_phi3_grid computes every row and every bound's
-    density; _phi3_grid takes a last +inf (or >= _FAR) row at c = 0 from
+    density, at the third bound c = +0 or -0 that the kernel took before it
+    fixed Phi(c) = 0.5; _phi3_grid takes a last +inf (or >= _FAR) row from
     the density before, and must equal it wherever it does or does not."""
     rng = np.random.default_rng(21)
     abs_r = np.array([0.0, 0.5, 0.999, 1.0 - CLAMP])
@@ -364,7 +356,7 @@ def test_phi3_grid_equals_the_parent_kernel_bit_for_bit(c):
         finite_last[::2, -1] = rng.uniform(3.0, 9.0, 16)  # some rows without a +inf bound
         for grid in (paper, edge, far, far[:, ::-1], finite_last):
             r = np.resize(abs_r, len(grid)) * np.where(rng.random(len(grid)) < 0.5, -1.0, 1.0)
-            got, want = nd._phi3_grid(grid, c, r), oracles.reference_phi3_grid(grid, c, r)
+            got, want = nd._phi3_grid(grid, r), oracles.reference_phi3_grid(grid, c, r)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (p, c)
 
 
@@ -390,8 +382,8 @@ def test_ordinal_continuous_bridges_equal_the_row_rule_in_any_batch(max_rows, mo
     for task, r_t in zip(tasks[:-1], r):
         grid = np.append(task.cutoffs_j if task.cutoffs_k is None else task.cutoffs_k, np.inf)
         a, b = grid[:-1], grid[1:]
-        terms = 4.0 * phi3_by_rows(a, b, 0.0, r_t) - 2.0 * ndtr(a) * ndtr(b)
-        grads = 4.0 * phi3_grad_by_rows(a, b, 0.0, np.full(a.size, r_t))
+        terms = 4.0 * phi3_by_rows(a, b, r_t) - 2.0 * ndtr(a) * ndtr(b)
+        grads = 4.0 * phi3_grad_by_rows(a, b, np.full(a.size, r_t))
         owner = np.zeros(a.size, dtype=int)
         want.append((np.bincount(owner, terms)[0], np.bincount(owner, grads)[0]))
     want = np.array(want).T
